@@ -20,12 +20,12 @@ from .errors import (ConfigError, FeasibilityError,
                      TangentialFrameError, ValidationError)
 from .events import (CollisionEvent, TrajectorySegment, reverse_state,
                      simulate, symbolic_sequence)
-from .geometry import (CylinderGeometry, PhaseState, ReducedSpace,
-                       SystemParams, Tolerances, cylinder_radius, energy,
-                       mass_inner, mass_norm, min_gap, min_image, momentum,
-                       pair_distance, project_to_Z, reduced_space,
-                       sample_state, torus_delta, transverse_basis,
-                       validate_params, validate_state)
+from .geometry import (PhaseState, ReducedSpace, SystemParams, Tolerances,
+                       cylinder_radius, energy, mass_inner, mass_norm,
+                       min_gap, min_image, momentum, pair_distance,
+                       project_to_Z, reduced_space, sample_state,
+                       torus_delta, transverse_basis, validate_params,
+                       validate_state)
 from .neutral import (AdvanceReport, CollisionGraph, NeutralSpaceResult,
                       SufficiencyVerdict, advance, advance_report,
                       collision_graph, component_stats, is_sufficient,
@@ -33,7 +33,7 @@ from .neutral import (AdvanceReport, CollisionGraph, NeutralSpaceResult,
                       richness_count)
 from .tangent import (CollisionFrame, NormalVector, TangentVector,
                       collision_frame, frame_for_event, propagate_normal,
-                      propagate_tangent, q_form, q_of, reverse_normal,
+                      propagate_tangent, q_of, reverse_normal,
                       tangent_map, transport_between)
 from .hyperbolic import (CollisionRateReport, ConeDecomposition,
                          CurvatureOperator, CurvaturePath, ExpansionCheck,

@@ -139,16 +139,15 @@ def perpendicular_speed(state: PhaseState, l0, params: SystemParams) -> float:
 
 
 def _parallel_audit(state: PhaseState, l: LatticeDirection,
-                    params: SystemParams,
-                    horizon: float) -> tuple[bool, TrajectorySegment]:
-    """Simulate the horizon and check parallelism at every velocity change."""
-    traj = simulate(state, horizon, params)
+                    params: SystemParams, traj: TrajectorySegment) -> bool:
+    """Check parallelism at every velocity change of the simulated
+    horizon ``traj`` started from ``state``."""
     worst = perpendicular_speed(state, l, params)
     if traj.n_events:
         worst = max(worst, float(np.max(_perp_norms(traj.ev_v_post, l,
                                                     params))))
     worst = max(worst, perpendicular_speed(traj.final, l, params))
-    return worst <= PARALLEL_TOL, traj
+    return worst <= PARALLEL_TOL
 
 
 def in_L(state: PhaseState, l0, params: SystemParams, *,
@@ -161,8 +160,7 @@ def in_L(state: PhaseState, l0, params: SystemParams, *,
     l = LatticeDirection.from_vector(l0)
     if perpendicular_speed(state, l, params) > PARALLEL_TOL:
         return False
-    ok, _ = _parallel_audit(state, l, params, horizon)
-    return ok
+    return _parallel_audit(state, l, params, simulate(state, horizon, params))
 
 
 def _tube_offset(q_disk, l: LatticeDirection) -> float:
@@ -232,15 +230,17 @@ class TubeStructure:
         }
 
 
+def _components(traj: TrajectorySegment):
+    """Collision-graph components of the horizon and each disk's label."""
+    comps = collision_graph(symbolic_sequence(traj), traj.params.n).components
+    label = {i: ci for ci, members in enumerate(comps) for i in members}
+    return comps, label
+
+
 def _audit_tubes(state: PhaseState, l: LatticeDirection,
-                 params: SystemParams,
-                 traj: TrajectorySegment) -> TubeStructure:
+                 params: SystemParams, components) -> TubeStructure:
     n = params.n
-    comps = collision_graph(symbolic_sequence(traj), n).components
-    label = {}
-    for ci, members in enumerate(comps):
-        for i in members:
-            label[i] = ci
+    comps, label = components
     q = np.asarray(state.q, dtype=float).reshape(n, 2)
     v = np.asarray(state.v, dtype=float).reshape(n, 2)
     offsets = [_tube_offset(q[i], l) for i in range(n)]
@@ -284,22 +284,18 @@ def tube_structure(state: PhaseState, l0, params: SystemParams, *,
     set.
     """
     l = LatticeDirection.from_vector(l0)
-    ok, traj = _parallel_audit(state, l, params, horizon)
-    if not ok:
+    traj = simulate(state, horizon, params)
+    if not _parallel_audit(state, l, params, traj):
         raise ValidationError(
             f"state is not in the degenerate set for direction "
             f"{l.as_tuple()}; tube structure is undefined")
-    return _audit_tubes(state, l, params, traj)
+    return _audit_tubes(state, l, params, _components(traj))
 
 
 def _surrogate(state: PhaseState, l: LatticeDirection, params: SystemParams,
-               traj: TrajectorySegment) -> float:
+               components) -> float:
     perp = perpendicular_speed(state, l, params)
-    comps = collision_graph(symbolic_sequence(traj), params.n).components
-    label = {}
-    for ci, members in enumerate(comps):
-        for i in members:
-            label[i] = ci
+    comps, label = components
     q = np.asarray(state.q, dtype=float).reshape(params.n, 2)
     offsets = [_tube_offset(q[i], l) for i in range(params.n)]
     two_r = 2.0 * params.radius
@@ -324,8 +320,8 @@ def distance_to_L(state: PhaseState, l0, params: SystemParams, *,
     exactly on members whose tubes pass the consistency checks.
     """
     l = LatticeDirection.from_vector(l0)
-    traj = simulate(state, horizon, params)
-    return _surrogate(state, l, params, traj)
+    return _surrogate(state, l, params,
+                      _components(simulate(state, horizon, params)))
 
 
 @dataclass(frozen=True)
@@ -396,18 +392,22 @@ def degeneracy_report(state: PhaseState, params: SystemParams, *,
         targets = [LatticeDirection.from_vector(l0)]
     else:
         targets = list(directions)
+    # the horizon's orbit does not depend on the direction
+    traj = simulate(state, horizon, params)
+    components = _components(traj)
     entries = []
     for l in targets:
-        ok, traj = _parallel_audit(state, l, params, horizon)
+        ok = _parallel_audit(state, l, params, traj)
         entry = {
             "direction": list(l.as_tuple()),
             "member": ok,
-            "distance": _surrogate(state, l, params, traj),
+            "distance": _surrogate(state, l, params, components),
             "radius_flags": degenerate_radius_check(
                 params, l, max_group=max_group).to_dict(),
         }
         if ok:
-            entry["tubes"] = _audit_tubes(state, l, params, traj).to_dict()
+            entry["tubes"] = _audit_tubes(state, l, params,
+                                          components).to_dict()
         entries.append(entry)
     return {
         "radius": params.radius,

@@ -11,7 +11,6 @@ re-predicted.  Ties in the queue break lexicographically on the pair.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import math
@@ -21,9 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailureError, StateCorruptionError
-from .geometry import (PhaseState, SystemParams, min_gap, min_image,
-                       torus_delta, validate_state)
-from .serialize import fmt17
+from .geometry import PhaseState, SystemParams, validate_state
 
 TANGENTIAL_BIT = 1
 DOUBLE_BIT = 2
@@ -68,13 +65,6 @@ class CollisionEvent:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.i, self.j)
-
-
-@dataclass(frozen=True)
-class PairPrediction:
-    time: float
-    image: tuple[int, int]
-    discriminant: float
 
 
 def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
@@ -127,29 +117,6 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
     return best
 
 
-def predict_pair_collision(state: PhaseState, i: int, j: int, horizon: float,
-                           params: SystemParams) -> PairPrediction | None:
-    """First contact of disks i and j within the horizon, if any."""
-    if i == j or not (0 <= i < state.n and 0 <= j < state.n):
-        raise ValueError(f"bad pair ({i}, {j})")
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
-    i, j = min(i, j), max(i, j)
-    two_r = 2.0 * params.radius
-    d, _ = torus_delta(state.q[i], state.q[j])
-    if math.hypot(d[0], d[1]) < two_r - 100.0 * params.tolerances.collision_root_tol:
-        raise StateCorruptionError(
-            f"disks ({i}, {j}) overlap: distance {math.hypot(d[0], d[1]):.17g}")
-    dq = state.q[i] - state.q[j]
-    dv = state.v[i] - state.v[j]
-    hit = _earliest_root(float(dq[0]), float(dq[1]), float(dv[0]), float(dv[1]),
-                         horizon, two_r, guard=-1.0)
-    if hit is None:
-        return None
-    t0, lx, ly, disc = hit
-    return PairPrediction(t0, (lx, ly), disc)
-
-
 def resolve_collision(state: PhaseState, i: int, j: int, image, params: SystemParams,
                       *, contact_tol: float = 1e-9) -> PhaseState:
     """Elastic exchange along the contact line; positions unchanged."""
@@ -175,26 +142,6 @@ def resolve_collision(state: PhaseState, i: int, j: int, image, params: SystemPa
     v[j, 0] += mi * g * ux
     v[j, 1] += mi * g * uy
     return PhaseState(state.q, v)
-
-
-def classify_singularity(event: CollisionEvent, params: SystemParams,
-                         neighbors=()) -> str:
-    """Label an event regular, tangential, or double.
-
-    ``neighbors`` are other events from the same trajectory near in
-    time; a double shares a disk with one of them within the double
-    event tolerance and takes precedence over the tangential label.
-    """
-    tol = params.tolerances
-    for other in neighbors:
-        if other is event:
-            continue
-        if abs(other.t - event.t) <= tol.double_event_tol and \
-                {event.i, event.j} & {other.i, other.j}:
-            return FLAG_DOUBLE
-    if event.cos_phi <= tol.tangency_tol:
-        return FLAG_TANGENTIAL
-    return FLAG_REGULAR
 
 
 @dataclass(frozen=True)
@@ -227,10 +174,6 @@ class TrajectorySegment:
     @property
     def n_events(self) -> int:
         return int(self.ev_t.shape[0])
-
-    @property
-    def t_span(self) -> tuple[float, float]:
-        return (0.0, self.t_end)
 
     @property
     def singular(self) -> bool:
@@ -493,9 +436,6 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
 # --- event log round-trip -------------------------------------------------
 
-_CSV_FIELDS = ("t", "i", "j", "lx", "ly", "ux", "uy", "cos_phi", "flag")
-
-
 def event_record(event: CollisionEvent) -> dict:
     return {
         "t": event.t, "i": event.i, "j": event.j,
@@ -517,27 +457,3 @@ def write_events_jsonl(traj: TrajectorySegment, path) -> None:
 def read_events_jsonl(path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
-
-
-def write_events_csv(traj: TrajectorySegment, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for event in traj.events:
-            writer.writerow([
-                fmt17(event.t), event.i, event.j,
-                event.image[0], event.image[1],
-                fmt17(event.u[0]), fmt17(event.u[1]),
-                fmt17(event.cos_phi), event.flag])
-
-
-def read_events_csv(path) -> list[dict]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append({
-                "t": float(row["t"]), "i": int(row["i"]), "j": int(row["j"]),
-                "l": [int(row["lx"]), int(row["ly"])],
-                "u": [float(row["ux"]), float(row["uy"])],
-                "cos_phi": float(row["cos_phi"]), "flag": row["flag"]})
-    return out

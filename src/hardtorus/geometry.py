@@ -277,38 +277,6 @@ def sample_state(seed: int, params: SystemParams, *, stream: int = 0,
 
 
 @dataclass(frozen=True)
-class CylinderGeometry:
-    """Overlap cylinder of one disk pair.
-
-    ``base_basis`` spans the 2-dimensional base plane (relative motion
-    of the pair, opposite momenta); ``generator_basis`` spans its
-    mass-orthogonal complement, the subspace with the two disk centers
-    equal.  Both are mass-orthonormal, columns in flattened order.
-    """
-
-    pair: tuple[int, int]
-    base_radius: float
-    base_basis: np.ndarray
-    generator_basis: np.ndarray
-
-
-def cylinder_geometry(i: int, j: int, params: SystemParams) -> CylinderGeometry:
-    if not (0 <= i < params.n and 0 <= j < params.n) or i == j:
-        raise ValueError(f"bad pair ({i}, {j}) for {params.n} disks")
-    i, j = min(i, j), max(i, j)
-    mi, mj = params.masses[i], params.masses[j]
-    s = math.sqrt(1.0 / mi + 1.0 / mj)
-    base = np.zeros((2 * params.n, 2))
-    for axis in range(2):
-        base[2 * i + axis, axis] = 1.0 / (mi * s)
-        base[2 * j + axis, axis] = -1.0 / (mj * s)
-    gen = _mass_orthonormal_complement(base, params)
-    base.setflags(write=False)
-    gen.setflags(write=False)
-    return CylinderGeometry((i, j), cylinder_radius(i, j, params), base, gen)
-
-
-@dataclass(frozen=True)
 class ReducedSpace:
     """Zero-total-momentum subspace Z with a mass-orthonormal basis."""
 

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, SingularSegmentError, ValidationError
+from .errors import ResolutionError, ValidationError
 from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        min_image, reduced_space, transverse_basis)
 from .rng import make_generator
-from .tangent import (TangentVector, _apply_event, _check_regular,
-                      frame_for_event, propagate_tangent)
+from .tangent import TangentVector, _apply_event, _walk, propagate_tangent
 
 __all__ = [
     "QEvolutionAudit", "JumpRecord", "q_evolution_audit",
@@ -61,10 +60,18 @@ class JumpRecord:
 
 @dataclass(frozen=True)
 class QEvolutionAudit:
+    """Per-row samples of the audited tangent vector.
+
+    A collision time has rows on both sides of the collision;
+    ``collisions_before`` (collisions crossed before each row) tells the
+    incoming row from the outgoing ones.
+    """
+
     times: np.ndarray
     q_values: np.ndarray
     dq_norms: np.ndarray
     dv_norms: np.ndarray
+    collisions_before: np.ndarray
     jumps: tuple[JumpRecord, ...]
     # residuals are relative to the local scale of the quantities, so
     # they stay meaningful after orders of magnitude of growth
@@ -92,13 +99,12 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     increment is dt*||dv||^2 on the nose and ||dq||^2 is a quadratic,
     for which the midpoint rule is exact; both residuals are pure
     floating-point noise on a healthy transport."""
-    _check_regular(traj)
     params = traj.params
     dq = np.array(tau0.dq, dtype=float)
     dv = np.array(tau0.dv, dtype=float)
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
-    times, qs, nq, nv = [], [], [], []
+    times, qs, nq, nv, crossed = [], [], [], [], []
     jumps = []
     flight_res = 0.0
     mid_res = 0.0
@@ -109,10 +115,9 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         qs.append(mass_inner(dq_t, dv_t, params))
         nq.append(mass_norm(dq_t, params))
         nv.append(mass_norm(dv_t, params))
+        crossed.append(len(jumps))
 
-    t_a = 0.0
-    for k in range(traj.n_events + 1):
-        t_b = float(traj.ev_t[k]) if k < traj.n_events else traj.t_end
+    for t_a, t_b, k, frame in _walk(traj):
         inner = grid[(grid > t_a) & (grid < t_b)]
         samples = np.r_[t_a, inner, t_b]
         prev_t, prev_dq = None, None
@@ -134,9 +139,8 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         flight_res = max(flight_res, abs(
             q_end - q_start - (t_b - t_a) * mass_norm(dv, params) ** 2)
             / max(1.0, abs(q_end), abs(q_start)))
-        if k == traj.n_events:
+        if frame is None:
             break
-        frame = frame_for_event(traj, k)
         formula = mass_inner(frame.scatter_pre(dq_end), dq_end, params)
         dq_post, dv_post = _apply_event(frame, dq_end, dv)
         q_post = mass_inner(dq_post, dv_post, params)
@@ -146,7 +150,7 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         jump_defect = max(jump_defect, abs((q_post - q_end) - formula)
                           / max(1.0, abs(q_post), abs(q_end)))
         record(t_b, dq_post, dv_post)
-        dq, dv, t_a = dq_post, dv_post, t_b
+        dq, dv = dq_post, dv_post
 
     min_jump_rel = min(
         (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
@@ -154,6 +158,7 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     return QEvolutionAudit(
         times=np.array(times), q_values=np.array(qs),
         dq_norms=np.array(nq), dv_norms=np.array(nv),
+        collisions_before=np.array(crossed, dtype=int),
         jumps=tuple(jumps), max_flight_residual=flight_res,
         max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
         min_jump_relative=min_jump_rel)
@@ -206,18 +211,21 @@ class CurvaturePath:
         for k, op in enumerate(self.operators):
             if op.time <= t:
                 idx = k
-        op = self.operators[idx]
-        s = t - op.time
-        if s == 0.0:
-            return op
-        binv = np.linalg.inv(op.matrix) + s * np.eye(op.matrix.shape[0])
-        b = np.linalg.inv(binv)
-        return CurvatureOperator(time=t, basis=op.basis,
-                                 matrix=0.5 * (b + b.T))
+        return _shift(self.operators[idx], t)
 
     @property
     def min_eig_min(self) -> float:
         return float(self.sample_eig_min.min())
+
+
+def _shift(op: CurvatureOperator, t: float) -> CurvatureOperator:
+    """Carry an attachment operator along its free flight to time t."""
+    s = t - op.time
+    if s == 0.0:
+        return op
+    binv = np.linalg.inv(op.matrix) + s * np.eye(op.matrix.shape[0])
+    b = np.linalg.inv(binv)
+    return CurvatureOperator(time=t, basis=op.basis, matrix=0.5 * (b + b.T))
 
 
 def _as_operator_matrix(b0, dim: int) -> np.ndarray:
@@ -239,7 +247,6 @@ def curvature_propagate(b0, traj: TrajectorySegment,
     co-moving basis U -> RU the update is purely additive.  The matrix
     is symmetrized after every update.
     """
-    _check_regular(traj)
     params = traj.params
     u = transverse_basis(traj.initial.v, params)
     dim = u.shape[1]
@@ -259,16 +266,14 @@ def curvature_propagate(b0, traj: TrajectorySegment,
     samp_t, samp_e = [], []
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
-    t_a = 0.0
-    for k in range(traj.n_events + 1):
-        t_b = float(traj.ev_t[k]) if k < traj.n_events else traj.t_end
+    for t_a, t_b, k, frame in _walk(traj):
         for t in grid[(grid >= t_a) & (grid < t_b)]:
             # eig_min(B) through the better-conditioned inverse
             top = np.linalg.eigvalsh(binv + (t - t_a) * eye)[-1]
             samp_t.append(float(t))
             samp_e.append(1.0 / top)
         binv = binv + (t_b - t_a) * eye
-        if k == traj.n_events:
+        if frame is None:
             top = np.linalg.eigvalsh(binv)[-1]
             samp_t.append(t_b)
             samp_e.append(1.0 / top)
@@ -276,7 +281,6 @@ def curvature_propagate(b0, traj: TrajectorySegment,
             ops.append(CurvatureOperator(time=t_b, basis=u,
                                          matrix=0.5 * (b + b.T)))
             break
-        frame = frame_for_event(traj, k)
         b = np.linalg.inv(binv)
         add = (u.T * mw) @ frame.scatter_pre(u)
         b = b + 0.5 * (add + add.T)
@@ -284,7 +288,6 @@ def curvature_propagate(b0, traj: TrajectorySegment,
         u = frame.reflect(u)
         binv = np.linalg.inv(b)
         ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
-        t_a = t_b
 
     return CurvaturePath(operators=tuple(ops),
                          sample_times=np.array(samp_t),
@@ -339,7 +342,6 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
     Q(0) (impossible for any positive semi-definite operator) or a
     nonpositive c0 is rejected as a usage error.
     """
-    _check_regular(traj)
     params = traj.params
     norm0 = mass_norm(tau0.dq, params)
     if c0 <= 0.0:
@@ -510,21 +512,21 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
             raise ValidationError("degenerate frame during QR")
         return q, np.log(diag)
 
-    t_prev = 0.0
     chunk_t0 = 0.0
     chunk_logs = np.zeros(m)
     events_in_chunk = 0
-    k = 0
-    while k <= traj.n_events:
-        at_end = k == traj.n_events
-        t_k = traj.t_end if at_end else float(traj.ev_t[k])
-        dt = t_k - t_prev
+    # the flow direction rides the same walk; it transports with exactly
+    # constant norm, which the flow exponent checks
+    v0 = traj.initial.v.reshape(-1)
+    flow_q, flow_v = v0.copy(), np.zeros(n2)
+    for t_a, t_k, k, fr in _walk(traj, flagged=True):
+        dt = t_k - t_a
         # free flight in scaled coordinates: dq += dt * dv
         frame[:n2] += dt * frame[n2:]
-        t_prev = t_k
-        if at_end:
+        if k is None:
+            flow_q = flow_q + dt * flow_v
             break
-        if traj.ev_flags[k] != 0:
+        if fr is None:
             # singular event: drop the partial chunk, restart downstream
             n_restarts += 1
             post_v = traj.ev_v_post[k].reshape(-1)
@@ -532,9 +534,12 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
             chunk_t0 = t_k
             chunk_logs = np.zeros(m)
             events_in_chunk = 0
-            k += 1
+            # no frame at a flagged event; resync with the recorded
+            # outgoing velocities (elastic exchange preserves the norm)
+            flow_q = post_v.copy()
             continue
-        fr = frame_for_event(traj, k)
+        flow_q = flow_q + dt * flow_v
+        flow_q, flow_v = _apply_event(fr, flow_q, flow_v)
         xq = frame[:n2] / scale[:, None]
         xv = frame[n2:] / scale[:, None]
         xq, xv = _apply_event(fr, xq, xv)
@@ -556,7 +561,6 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
             chunk_t0 = t_k
             chunk_logs = np.zeros(m)
             events_in_chunk = 0
-        k += 1
 
     if t_accum <= 0.0:
         raise ValidationError(
@@ -572,23 +576,8 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
                / wsum / max(1, len(chunk_rates) - 1))
         ses = np.sqrt(var)
 
-    # flow direction transports with exactly constant norm
-    v0 = traj.initial.v.reshape(-1)
-    xq, xv = v0.copy(), np.zeros(n2)
-    tp = 0.0
-    for k in range(traj.n_events):
-        if traj.ev_flags[k] != 0:
-            # no frame at a flagged event; resync with the recorded
-            # outgoing velocities (elastic exchange preserves the norm)
-            xq = traj.ev_v_post[k].reshape(-1).copy()
-            tp = float(traj.ev_t[k])
-            continue
-        xq = xq + (float(traj.ev_t[k]) - tp) * xv
-        tp = float(traj.ev_t[k])
-        xq, xv = _apply_event(frame_for_event(traj, k), xq, xv)
-    xq = xq + (traj.t_end - tp) * xv
     nrm0 = np.linalg.norm(scale * v0)
-    nrm1 = np.linalg.norm(scale * xq)
+    nrm1 = np.linalg.norm(scale * flow_q)
     flow_exp = math.log(nrm1 / nrm0) / traj.t_end
 
     low_conf = (len(chunk_rates) < 8
@@ -665,20 +654,31 @@ def z_length(curve, params: SystemParams) -> float:
 
 
 def hyperbolicity_series(traj: TrajectorySegment, tau0: TangentVector,
-                         *, b0=None, l0=None,
-                         n_samples: int = 64) -> dict[str, np.ndarray]:
-    """Aligned per-time arrays: t, Q, ||dq||, ||dv||, optionally the
-    minimum eigenvalue of B and the cone ratios against l0."""
-    audit = q_evolution_audit(traj, tau0, n_samples=n_samples)
+                         audit: QEvolutionAudit, *,
+                         path: CurvaturePath | None = None,
+                         l0=None) -> dict[str, np.ndarray]:
+    """Per-row arrays of the audit of tau0: t, Q, ||dq||, ||dv||,
+    optionally the minimum eigenvalue of B along ``path`` and the cone
+    ratios against l0.  Every column of a row is taken on the same side
+    of a collision, the incoming one on a collision's first row."""
     series: dict[str, np.ndarray] = {
         "t": audit.times, "Q": audit.q_values,
         "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
-    if b0 is not None:
-        path = curvature_propagate(b0, traj, n_samples=n_samples)
-        eig = [path.operator_at(float(t)).eig_min for t in audit.times]
-        series["b_eig_min"] = np.array(eig)
+    crossed = audit.collisions_before
+    if path is not None:
+        # operators[n] is the attachment after n collisions
+        series["b_eig_min"] = np.array([
+            _shift(path.operators[n], float(t)).eig_min
+            for n, t in zip(crossed, audit.times)])
     if l0 is not None:
         taus = propagate_tangent(traj, tau0, audit.times)
+        # propagate_tangent lands on the outgoing side of a collision
+        # time; a collision's first row takes the incoming side, which is
+        # the previous row carried by its free flight
+        for i in np.flatnonzero(crossed[1:] > crossed[:-1]):
+            prev = taus[i - 1]
+            dt = audit.times[i] - audit.times[i - 1]
+            taus[i] = TangentVector(prev.dq + dt * prev.dv, prev.dv)
         cones = [cone_decompose(tau, l0, traj.params) for tau in taus]
         series["cone_ratio_q"] = np.array([c.ratio_q for c in cones])
         series["cone_ratio_v"] = np.array([c.ratio_v for c in cones])

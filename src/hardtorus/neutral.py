@@ -19,19 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (IllConditionedAdvanceError, PerturbationTooLargeError,
-                     SingularSegmentError)
+                     SingularSegmentError, TangentialFrameError)
 from .events import (TrajectorySegment, reverse_state, simulate,
                      symbolic_sequence)
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        reduced_space)
-from .tangent import CollisionFrame, frame_for_event, transport_between
+from .tangent import (_apply_event_inverse, _walk, frame_for_event,
+                      transport_between)
 
 _EDGE_GUARD = 1e-6          # keep reference times away from collisions
 
 
 def _check_window(traj: TrajectorySegment, a: float, b: float, t_ref: float):
-    if traj.singular:
-        raise SingularSegmentError("segment carries singular events")
     if not (0.0 <= a < b <= traj.t_end):
         raise ValueError(f"window [{a:g}, {b:g}] outside segment span")
     for name, t in (("a", a), ("b", b), ("t_ref", t_ref)):
@@ -105,8 +104,7 @@ def neutral_space(traj: TrajectorySegment, a: float, b: float, t_ref: float,
         xq, xv = transport_between(traj, zb.copy(), np.zeros_like(zb), t_ref, end)
         rows.append((zb.T * mw) @ xv)
     stacked = np.vstack(rows)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    _, _, vt = np.linalg.svd(stacked)
+    _, svals, vt = np.linalg.svd(stacked)
     smax = float(svals[0]) if svals.size else 0.0
     tol = params.tolerances.rank_rel_tol
     if smax <= 1e-14:
@@ -189,7 +187,6 @@ def _pre_collision_vector(traj: TrajectorySegment, W, k: int, t_ref: float):
     either direction, so one inverse collision step exposes the
     incoming representation.
     """
-    from .tangent import _apply_event_inverse
     w = np.asarray(W, dtype=float).reshape(-1)
     xq, xv = transport_between(traj, w.copy(), np.zeros_like(w), t_ref,
                                float(traj.ev_t[k]))
@@ -394,16 +391,13 @@ def neutral_translate(state: PhaseState, w0, tau1: float, tau2: float,
         sgn = math.copysign(1.0, tau1)
         sweep = simulate(PhaseState(q=state.q, v=sgn * w.reshape(-1, 2)),
                          abs(tau1), params)
-        if sweep.singular:
+        try:
+            for _, _, _, frame in _walk(sweep):
+                if frame is not None:
+                    v_new = frame.reflect(v_new)
+        except (SingularSegmentError, TangentialFrameError) as exc:
             raise PerturbationTooLargeError(
-                "configuration sweep crosses a singular contact")
-        for k in range(sweep.n_events):
-            try:
-                frame = frame_for_event(sweep, k)
-            except Exception as exc:
-                raise PerturbationTooLargeError(
-                    f"sweep reflection ill-defined: {exc}") from exc
-            v_new = frame.reflect(v_new)
+                f"configuration sweep crosses a singular contact: {exc}") from exc
         q_new = sweep.final.q
         w = sgn * sweep.final.v.reshape(-1)
     else:

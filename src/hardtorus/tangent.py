@@ -64,17 +64,13 @@ class NormalVector:
         object.__setattr__(self, "w", w)
 
 
-def q_form(a, b, params: SystemParams) -> float:
+def q_of(obj, params: SystemParams) -> float:
     """Mass-metric pairing; on tangent vectors this is the expansion
     form <dq, dv>, on normal vectors <z, w>."""
-    return mass_inner(a, b, params)
-
-
-def q_of(obj, params: SystemParams) -> float:
     if isinstance(obj, TangentVector):
-        return q_form(obj.dq, obj.dv, params)
+        return mass_inner(obj.dq, obj.dv, params)
     if isinstance(obj, NormalVector):
-        return q_form(obj.z, obj.w, params)
+        return mass_inner(obj.z, obj.w, params)
     raise ValueError(f"expected a tangent or normal vector, got {type(obj).__name__}")
 
 
@@ -208,36 +204,57 @@ def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
         traj.ev_v_pre[k], traj.ev_v_post[k], traj.params)
 
 
-def propagate_free(tau: TangentVector, dt: float) -> TangentVector:
-    return TangentVector(tau.dq + dt * tau.dv, tau.dv)
-
-
-def propagate_collision(tau: TangentVector, frame: CollisionFrame) -> TangentVector:
-    """Push a tangent vector through one collision (incoming side given)."""
-    dq = frame.reflect(tau.dq)
-    dv = frame.reflect(tau.dv + frame.scatter_pre(tau.dq))
-    return TangentVector(dq, dv)
-
-
-def propagate_collision_inverse(tau: TangentVector, frame: CollisionFrame) -> TangentVector:
-    """Exact inverse of ``propagate_collision`` (outgoing side given)."""
-    dq = frame.reflect(tau.dq)
-    dv = frame.reflect(tau.dv) - frame.reflect(frame.scatter_post(tau.dq))
-    return TangentVector(dq, dv)
-
-
 def _apply_event(frame, xq, xv):
+    """Push (xq, xv) through one collision (incoming side given)."""
     return frame.reflect(xq), frame.reflect(xv + frame.scatter_pre(xq))
 
 
 def _apply_event_inverse(frame, xq, xv):
+    """Exact inverse of ``_apply_event`` (outgoing side given)."""
     return frame.reflect(xq), frame.reflect(xv) - frame.reflect(frame.scatter_post(xq))
 
 
-def _check_regular(traj: TrajectorySegment):
-    if traj.singular:
+def _walk(traj: TrajectorySegment, t_from: float | None = None,
+          t_to: float | None = None, *, flagged: bool = False):
+    """The one loop that crosses collisions, as a sequence of flights.
+
+    Yields (t_a, t_b, k, frame) per flight from t_a to t_b: a flight
+    that ends on event k carries its frame, built once, and the closing
+    flight to t_to (default: the segment end) has k = frame = None.
+    Callers apply their own flight and collision arithmetic.
+
+    Without t_from the walk starts from the initial state and crosses
+    every event up to t_to, one at t = 0 included.  With t_from, vectors
+    sit on the outgoing side of an event time (searchsorted's "right"):
+    forward walks cross t_from < t_k <= t_to in order, backward walks
+    t_to < t_k <= t_from in reverse, so a walk that ends on an event
+    time ends on its outgoing side either way.  Segments with flagged
+    (tangential or double) events are refused unless ``flagged``, which
+    yields their flights with frame None.
+    """
+    if traj.singular and not flagged:
         raise SingularSegmentError(
             "segment carries singular events; transport refused")
+    ev_t = traj.ev_t
+    if t_to is None:
+        t_to = traj.t_end
+    if t_from is None:
+        t_from, first = 0.0, 0
+    else:
+        first = int(np.searchsorted(ev_t, t_from, side="right"))
+    if min(t_from, t_to) < 0.0 or max(t_from, t_to) > traj.t_end:
+        raise ValueError(f"[{t_from:g}, {t_to:g}] outside segment span")
+    last = int(np.searchsorted(ev_t, t_to, side="right"))
+    if t_to >= t_from:
+        order = range(first, last)
+    else:
+        order = range(first - 1, last - 1, -1)
+    t = t_from
+    for k in order:
+        t_k = float(ev_t[k])
+        yield t, t_k, k, None if traj.ev_flags[k] else frame_for_event(traj, k)
+        t = t_k
+    yield t, t_to, None, None
 
 
 def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: float):
@@ -247,29 +264,11 @@ def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: floa
     time (post-collision side at an event time) and arrive in plain
     coordinates at the target time.
     """
-    _check_regular(traj)
-    lo, hi = min(t_from, t_to), max(t_from, t_to)
-    if lo < 0.0 or hi > traj.t_end:
-        raise ValueError(f"[{t_from:g}, {t_to:g}] outside segment span")
-    ev_t = traj.ev_t
-    if t_to >= t_from:
-        first = int(np.searchsorted(ev_t, t_from, side="right"))
-        last = int(np.searchsorted(ev_t, t_to, side="right"))
-        t = t_from
-        for k in range(first, last):
-            xq = xq + (ev_t[k] - t) * xv
-            t = float(ev_t[k])
-            xq, xv = _apply_event(frame_for_event(traj, k), xq, xv)
-        xq = xq + (t_to - t) * xv
-    else:
-        first = int(np.searchsorted(ev_t, t_from, side="right")) - 1
-        last = int(np.searchsorted(ev_t, t_to, side="right"))
-        t = t_from
-        for k in range(first, last - 1, -1):
-            xq = xq + (ev_t[k] - t) * xv
-            t = float(ev_t[k])
-            xq, xv = _apply_event_inverse(frame_for_event(traj, k), xq, xv)
-        xq = xq + (t_to - t) * xv
+    step = _apply_event if t_to >= t_from else _apply_event_inverse
+    for t_a, t_b, k, frame in _walk(traj, t_from, t_to):
+        xq = xq + (t_b - t_a) * xv
+        if frame is not None:
+            xq, xv = step(frame, xq, xv)
     return xq, xv
 
 
@@ -277,42 +276,37 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
                       times=None, *, identify: bool = False) -> list[TangentVector]:
     """Transport tau from the segment start to each requested time.
 
-    Times must be nondecreasing; default is the segment end.  With
-    ``identify`` the output is pulled back through the accumulated
-    collision reflections into the initial frame.
+    Times must be nondecreasing; default is the segment end.  At an
+    event time the output is on the outgoing side.  With ``identify``
+    the output is pulled back through the accumulated collision
+    reflections into the initial frame.
     """
-    _check_regular(traj)
     if times is None:
         times = [traj.t_end]
     times = [float(t) for t in times]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be nondecreasing")
-    if times and (times[0] < 0.0 or times[-1] > traj.t_end):
-        raise ValueError("requested times outside segment span")
+    if any(b < a for a, b in zip([0.0] + times, times)):
+        raise ValueError("times must be nondecreasing and nonnegative")
     out = []
+    if not times:
+        return out
     xq, xv = np.array(tau.dq), np.array(tau.dv)
-    pull = None
-    if identify:
-        pull = np.eye(xq.size)
-    t = 0.0
-    k = 0
-    ev_t = traj.ev_t
-    n_ev = traj.n_events
-    for target in times:
-        while k < n_ev and ev_t[k] <= target:
-            xq = xq + (ev_t[k] - t) * xv
-            t = float(ev_t[k])
-            frame = frame_for_event(traj, k)
-            xq, xv = _apply_event(frame, xq, xv)
+    pull = np.eye(xq.size) if identify else None
+    for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
+        t = t_a
+        # stops before the event's time; the closing flight takes the rest
+        while len(out) < len(times) and (k is None or times[len(out)] < t_b):
+            xq = xq + (times[len(out)] - t) * xv
+            t = times[len(out)]
             if identify:
-                pull = pull @ frame.reflection_matrix()
-            k += 1
-        xq = xq + (target - t) * xv
-        t = target
+                out.append(TangentVector(pull @ xq, pull @ xv))
+            else:
+                out.append(TangentVector(xq, xv))
+        if k is None:
+            break
+        xq = xq + (t_b - t) * xv
+        xq, xv = _apply_event(frame, xq, xv)
         if identify:
-            out.append(TangentVector(pull @ xq, pull @ xv))
-        else:
-            out.append(TangentVector(xq, xv))
+            pull = pull @ frame.reflection_matrix()
     return out
 
 
@@ -331,17 +325,19 @@ class TangentMapResult:
 
 
 def tangent_map(traj: TrajectorySegment, *, identify: bool = False) -> TangentMapResult:
-    _check_regular(traj)
     params = traj.params
     zb = reduced_space(params).basis
     d = zb.shape[1]
     xq = np.hstack([zb, np.zeros_like(zb)])
     xv = np.hstack([np.zeros_like(zb), zb])
-    xq, xv = transport_between(traj, xq, xv, 0.0, traj.t_end)
+    pull = np.eye(zb.shape[0])
+    for t_a, t_b, k, frame in _walk(traj):
+        xq = xq + (t_b - t_a) * xv
+        if frame is not None:
+            xq, xv = _apply_event(frame, xq, xv)
+            if identify:
+                pull = pull @ frame.reflection_matrix()
     if identify:
-        pull = np.eye(zb.shape[0])
-        for k in range(traj.n_events):
-            pull = pull @ frame_for_event(traj, k).reflection_matrix()
         xq = pull @ xq
         xv = pull @ xv
     mw = params.mass_weights
@@ -377,29 +373,24 @@ class NormalTransportResult:
     final_q: float
 
 
-def propagate_normal(traj: TrajectorySegment, n0: NormalVector,
-                     *, check_transverse: bool = True) -> NormalTransportResult:
-    _check_regular(traj)
+def propagate_normal(traj: TrajectorySegment, n0: NormalVector) -> NormalTransportResult:
     params = traj.params
     mw = params.mass_weights
     v0 = traj.initial.v.reshape(-1)
-    if check_transverse:
-        for name, vec in (("z", n0.z), ("w", n0.w)):
-            if abs((mw * vec) @ v0) > 1e-8 * max(1.0, float(np.abs(vec).max())):
-                raise ValueError(f"normal component {name} not transverse to the velocity")
+    for name, vec in (("z", n0.z), ("w", n0.w)):
+        if abs((mw * vec) @ v0) > 1e-8 * max(1.0, float(np.abs(vec).max())):
+            raise ValueError(f"normal component {name} not transverse to the velocity")
     z = np.array(n0.z)
     w = np.array(n0.w)
-    t = 0.0
     log_scale = 0.0
     times, q_pre, q_post, logs, q_start, zz_start = [], [], [], [], [], []
     q_initial = float((mw * z) @ w)
     zz_initial = float((mw * z) @ z)
-    for k in range(traj.n_events):
-        dt = float(traj.ev_t[k]) - t
-        w = w - dt * z
-        t = float(traj.ev_t[k])
+    for t_a, t_b, k, frame in _walk(traj):
+        w = w - (t_b - t_a) * z
+        if frame is None:
+            break
         q_pre.append(float((mw * z) @ w))
-        frame = frame_for_event(traj, k)
         rw = frame.reflect(w)
         z = frame.reflect(z) - frame.scatter_post(rw)
         w = rw
@@ -408,12 +399,10 @@ def propagate_normal(traj: TrajectorySegment, n0: NormalVector,
         z /= scale
         w /= scale
         log_scale += math.log(scale)
-        times.append(t)
+        times.append(t_b)
         logs.append(log_scale)
         q_start.append(float((mw * z) @ w))
         zz_start.append(float((mw * z) @ z))
-    dt = traj.t_end - t
-    w = w - dt * z
     return NormalTransportResult(
         times=np.array(times), q_pre=np.array(q_pre), q_post=np.array(q_post),
         log_scale=np.array(logs), q_start=np.array(q_start),

@@ -1,9 +1,11 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
-from hardtorus import cli
+from hardtorus import cli, hyperbolic
+from hardtorus.config import parse_config
 
 BASE = """\
 [system]
@@ -77,6 +79,19 @@ class TestSubcommands:
         assert summary["expansion"]["ok"]
         assert summary["curvature"]["min_eig_min"] > 0.0
         assert (tmp_path / "out" / "series.csv").exists()
+
+    def test_audit_runs_each_pass_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("q_evolution_audit", "curvature_propagate"):
+            def counting(*args, _name=name, _fn=getattr(hyperbolic, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(hyperbolic, name, counting)
+            monkeypatch.setattr(cli, name, counting)
+        cli.run("audit", parse_config(BASE), tmp_path / "out")
+        assert calls == {"q_evolution_audit": 1, "curvature_propagate": 1}
 
     def test_degeneracy(self, tmp_path):
         summary = run_cli(tmp_path, "degeneracy")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardtorus import degenerate
 from hardtorus.degenerate import (LatticeDirection, admissible_directions,
                                   degeneracy_report, degenerate_radius_check,
                                   distance_to_L, in_L, perpendicular_speed,
@@ -236,6 +237,19 @@ class TestReport:
         assert "tubes" in entry
         assert len(rep["admissible_directions"]) == 8
         json.dumps(rep)
+
+    def test_report_simulates_once(self, monkeypatch):
+        calls = []
+        original = degenerate.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(degenerate, "simulate", counting)
+        rep = degeneracy_report(sample_state(3, P2), P2, horizon=2.0)
+        assert len(rep["entries"]) == 8
+        assert len(calls) == 1
 
     def test_generic_report_scans_all_directions(self):
         rep = degeneracy_report(sample_state(3, P2), P2, horizon=2.0)

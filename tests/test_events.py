@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardtorus.errors import ValidationError
-from hardtorus.events import (read_events_csv, read_events_jsonl,
-                              resolve_collision, reverse_state, simulate,
-                              symbolic_sequence, write_events_csv,
+from hardtorus.events import (read_events_jsonl, resolve_collision,
+                              reverse_state, simulate, symbolic_sequence,
                               write_events_jsonl)
 from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
                                 momentum, sample_state)
@@ -200,13 +199,3 @@ class TestEventLogRoundTrip:
         rows = read_events_jsonl(path)
         assert len(rows) == traj.n_events
         assert all(row["t"] == traj.ev_t[k] for k, row in enumerate(rows))
-
-    def test_csv(self, tmp_path):
-        traj = simulate(sample_state(3, P3), 10.0, P3)
-        path = tmp_path / "events.csv"
-        write_events_csv(traj, path)
-        rows = read_events_csv(path)
-        assert len(rows) == traj.n_events
-        assert all(row["t"] == traj.ev_t[k] for k, row in enumerate(rows))
-        assert all(row["cos_phi"] == traj.ev_cosphi[k]
-                   for k, row in enumerate(rows))

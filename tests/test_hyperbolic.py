@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hardtorus import tangent
 from hardtorus.errors import ResolutionError, ValidationError
 from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
@@ -15,7 +16,7 @@ from hardtorus.hyperbolic import (cone_decompose, collision_rate,
                                   summary_dict, write_series_csv, z_length)
 from hardtorus.rng import make_generator
 from hardtorus.serialize import canonical_json
-from hardtorus.tangent import TangentVector
+from hardtorus.tangent import TangentVector, propagate_tangent
 
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
@@ -215,6 +216,23 @@ class TestLyapunov:
         assert abs(spec.flow_exponent) <= 1e-12
         assert not spec.low_confidence
 
+    def test_one_frame_per_regular_event(self, monkeypatch):
+        # the flow exponent rides the main walk instead of a second one
+        built = []
+        original = tangent.frame_for_event
+
+        def counting(traj, k):
+            built.append(int(k))
+            return original(traj, k)
+
+        monkeypatch.setattr(tangent, "frame_for_event", counting)
+        state = sample_state(3, P3)
+        spec = lyapunov_spectrum(state, 50.0, P3, seed=4)
+        traj = simulate(state, 50.0, P3)
+        assert spec.n_collisions == traj.n_events > 0
+        assert built == [k for k in range(traj.n_events)
+                         if traj.ev_flags[k] == 0]
+
     def test_short_run_flags_low_confidence(self):
         spec = lyapunov_spectrum(sample_state(3, P2), 20.0, P2, seed=4)
         assert spec.low_confidence
@@ -277,14 +295,42 @@ class TestZLength:
 class TestSeriesAndSummary:
     def test_series_keys_and_csv(self, tmp_path):
         traj = eventful()
-        series = hyperbolicity_series(traj, random_tau(), b0=1.0,
-                                      l0=(1, 0), n_samples=16)
+        tau = random_tau()
+        audit = q_evolution_audit(traj, tau, n_samples=16)
+        path = curvature_propagate(1.0, traj, n_samples=16)
+        series = hyperbolicity_series(traj, tau, audit, path=path, l0=(1, 0))
         assert set(series) == {"t", "Q", "dq_norm", "dv_norm", "b_eig_min",
                                "cone_ratio_q", "cone_ratio_v"}
         path = tmp_path / "series.csv"
         write_series_csv(path, series)
         head = path.read_text().splitlines()[0]
         assert head == "t,Q,dq_norm,dv_norm,b_eig_min,cone_ratio_q,cone_ratio_v"
+
+    def test_collision_rows_take_incoming_side(self):
+        # each collision's first row pairs its pre-collision Q with the
+        # pre-collision curvature and cone ratios, checked against the
+        # transport stopped just short of the collision
+        traj = eventful()
+        tau = random_tau()
+        audit = q_evolution_audit(traj, tau, n_samples=16)
+        path = curvature_propagate(1.0, traj, n_samples=16)
+        series = hyperbolicity_series(traj, tau, audit, path=path, l0=(1, 0))
+        crossed = audit.collisions_before
+        rows = np.flatnonzero(crossed[1:] > crossed[:-1])
+        assert rows.size == traj.n_events
+        for i in rows:
+            t = float(series["t"][i])
+            assert t == traj.ev_t[crossed[i]]
+            assert series["Q"][i] == audit.jumps[crossed[i]].q_pre
+            near = propagate_tangent(traj, tau, [t - 1e-9])[0]
+            cone = cone_decompose(near, (1, 0), P3)
+            assert math.isclose(series["cone_ratio_q"][i], cone.ratio_q,
+                                rel_tol=1e-6, abs_tol=1e-9)
+            assert math.isclose(series["cone_ratio_v"][i], cone.ratio_v,
+                                rel_tol=1e-6, abs_tol=1e-9)
+            assert math.isclose(series["b_eig_min"][i],
+                                path.operator_at(t - 1e-9).eig_min,
+                                rel_tol=1e-6)
 
     def test_summary_serializes(self):
         traj = eventful()

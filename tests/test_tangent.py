@@ -9,11 +9,11 @@ from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, cylinder_radius,
                                 mass_inner, mass_norm, sample_state,
                                 transverse_basis)
-from hardtorus.tangent import (NormalVector, TangentVector, collision_frame,
-                               frame_for_event, propagate_collision,
-                               propagate_collision_inverse, propagate_free,
-                               propagate_normal, propagate_tangent, q_of,
-                               reverse_normal, tangent_map, transport_between)
+from hardtorus.tangent import (NormalVector, TangentVector, _apply_event,
+                               _apply_event_inverse, collision_frame,
+                               frame_for_event, propagate_normal,
+                               propagate_tangent, q_of, reverse_normal,
+                               tangent_map, transport_between)
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
@@ -22,6 +22,14 @@ P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
 def eventful(seed=3, params=P3, t=8.0):
     traj = simulate(sample_state(seed, params), t, params)
     assert traj.n_events >= 3 and not traj.singular
+    return traj
+
+
+def resting(t=3.0):
+    """Collisionless two-disk segment: every flight is free."""
+    traj = simulate(PhaseState(q=[[0.25, 0.5], [0.75, 0.5]],
+                               v=np.zeros((2, 2))), t, P2)
+    assert traj.n_events == 0
     return traj
 
 
@@ -86,26 +94,29 @@ class TestCollisionFrame:
 class TestPropagators:
     def test_free_flight(self):
         dv = np.array([0.1, -0.2, 0.3, 0.4])
-        tau = propagate_free(TangentVector(np.zeros(4), dv), 2.0)
+        tau = propagate_tangent(resting(), TangentVector(np.zeros(4), dv),
+                                [2.0])[0]
         assert np.array_equal(tau.dq, 2.0 * dv)
         assert np.array_equal(tau.dv, dv)
 
     def test_free_flight_semigroup(self):
+        traj = resting()
         rng = np.random.default_rng(2)
-        tau = TangentVector(rng.standard_normal(6), rng.standard_normal(6))
-        one = propagate_free(tau, 0.7 + 1.3)
-        two = propagate_free(propagate_free(tau, 0.7), 1.3)
-        assert np.allclose(one.dq, two.dq, atol=1e-15)
-        assert np.array_equal(one.dv, two.dv)
+        xq, xv = rng.standard_normal(4), rng.standard_normal(4)
+        one = transport_between(traj, xq, xv, 0.0, 0.7 + 1.3)
+        half = transport_between(traj, xq, xv, 0.0, 0.7)
+        two = transport_between(traj, *half, 0.7, 0.7 + 1.3)
+        assert np.allclose(one[0], two[0], atol=1e-15)
+        assert np.array_equal(one[1], two[1])
 
     def test_collision_inverse_single(self):
         traj = eventful()
         rng = np.random.default_rng(3)
         f = frame_for_event(traj, 0)
-        tau = TangentVector(rng.standard_normal(6), rng.standard_normal(6))
-        back = propagate_collision_inverse(propagate_collision(tau, f), f)
-        assert np.allclose(back.dq, tau.dq, atol=1e-12)
-        assert np.allclose(back.dv, tau.dv, atol=1e-12)
+        xq, xv = rng.standard_normal(6), rng.standard_normal(6)
+        bq, bv = _apply_event_inverse(f, *_apply_event(f, xq, xv))
+        assert np.allclose(bq, xq, atol=1e-12)
+        assert np.allclose(bv, xv, atol=1e-12)
 
     def test_transport_roundtrip(self):
         traj = eventful(seed=7, t=6.0)
