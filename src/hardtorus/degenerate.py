@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import TrajectorySegment, simulate, symbolic_sequence
-from .geometry import PhaseState, SystemParams, mass_norm
+from .geometry import PhaseState, SystemParams
 from .neutral import collision_graph
 
 # A velocity field counts as parallel to l0 when the mass-metric norm

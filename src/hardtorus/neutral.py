@@ -14,7 +14,7 @@ neutral vector to be parallel to the velocity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,46 +180,77 @@ def is_sufficient(traj: TrajectorySegment, params: SystemParams,
     return SufficiencyVerdict("not_sufficient", res)
 
 
-def _pre_collision_vector(traj: TrajectorySegment, W, k: int, t_ref: float):
-    """Transport (W, 0) from t_ref to the incoming side of event k.
+def _pre_collision_vectors(traj: TrajectorySegment, W, t_ref: float,
+                           ks=None) -> np.ndarray:
+    """Incoming-side configuration parts of (W, 0) transported from t_ref.
 
-    transport_between lands on the outgoing side of an event time from
-    either direction, so one inverse collision step exposes the
-    incoming representation.
+    Row k holds the value at event k for every k in ``ks`` (default:
+    every event); other rows stay NaN.  Events after t_ref are reached
+    by one forward chain of transport_between calls, events at or before
+    t_ref by one backward chain.  transport_between lands on the outgoing
+    side of an event time from either direction, so the chain continues
+    from there, and one inverse collision step per event exposes the
+    incoming representation.  Each row equals a single transport from
+    t_ref to its event.
     """
     w = np.asarray(W, dtype=float).reshape(-1)
-    xq, xv = transport_between(traj, w.copy(), np.zeros_like(w), t_ref,
-                               float(traj.ev_t[k]))
-    return _apply_event_inverse(frame_for_event(traj, k), xq, xv)
+    out = np.full((traj.n_events, w.size), np.nan)
+    wanted = range(traj.n_events) if ks is None else sorted({int(k) for k in ks})
+    n_before = int(np.searchsorted(traj.ev_t, t_ref, side="right"))
+    for chain in ([k for k in wanted if k >= n_before],
+                  [k for k in reversed(wanted) if k < n_before]):
+        xq, xv = w.copy(), np.zeros_like(w)
+        t = t_ref
+        for k in chain:
+            t_k = float(traj.ev_t[k])
+            xq, xv = transport_between(traj, xq, xv, t, t_k)
+            out[k] = _apply_event_inverse(frame_for_event(traj, k), xq, xv)[0]
+            t = t_k
+    return out
 
 
-def advance(traj: TrajectorySegment, W, k: int, params: SystemParams,
+def advance(traj: TrajectorySegment, W, k, params: SystemParams,
             *, t_ref: float = 0.0, method: str = "closed_form",
-            eps: float = 1e-6) -> float:
+            eps: float = 1e-6):
     """Advance of collision k with respect to the neutral direction W.
 
     closed_form solves the proportionality of the pre-collision
     configuration variation difference against the relative velocity in
     least squares; finite_difference re-simulates from configurations
-    shifted by +-eps*W and differences the collision time.
+    shifted by +-eps*W and differences the collision time.  With an
+    array of event indices for ``k`` the closed form returns an array
+    of advances, one per index, from one sweep along the orbit.
     """
     if traj.singular:
         raise SingularSegmentError("segment carries singular events")
-    if not 0 <= k < traj.n_events:
-        raise ValueError(f"event index {k} out of range")
-    i, j = int(traj.ev_pair[k, 0]), int(traj.ev_pair[k, 1])
-    dv_rel = (traj.ev_v_pre[k].reshape(-1, 2)[i]
-              - traj.ev_v_pre[k].reshape(-1, 2)[j])
-    nrm2 = float(dv_rel @ dv_rel)
-    if nrm2 < 1e-8 ** 2:
-        raise IllConditionedAdvanceError(
-            f"relative velocity of pair ({i}, {j}) too small: "
-            f"{math.sqrt(nrm2):.3g}")
+    ks = np.asarray(k)
+    scalar = ks.ndim == 0
+    if not scalar and method == "finite_difference":
+        raise ValueError("the finite-difference advance takes one event index")
+    ks = ks.reshape(-1)
+    terms = []
+    for kk in ks:
+        if not 0 <= kk < traj.n_events:
+            raise ValueError(f"event index {kk} out of range")
+        i, j = int(traj.ev_pair[kk, 0]), int(traj.ev_pair[kk, 1])
+        dv_rel = (traj.ev_v_pre[kk].reshape(-1, 2)[i]
+                  - traj.ev_v_pre[kk].reshape(-1, 2)[j])
+        nrm2 = float(dv_rel @ dv_rel)
+        if nrm2 < 1e-8 ** 2:
+            raise IllConditionedAdvanceError(
+                f"relative velocity of pair ({i}, {j}) too small: "
+                f"{math.sqrt(nrm2):.3g}")
+        terms.append((i, j, dv_rel, nrm2))
     if method == "closed_form":
-        xq, _ = _pre_collision_vector(traj, W, k, t_ref)
-        dq_rel = xq.reshape(-1, 2)[i] - xq.reshape(-1, 2)[j]
-        return float(dq_rel @ dv_rel) / nrm2
+        pre = _pre_collision_vectors(traj, W, t_ref, ks)
+        vals = []
+        for kk, (i, j, dv_rel, nrm2) in zip(ks, terms):
+            xq = pre[kk]
+            dq_rel = xq.reshape(-1, 2)[i] - xq.reshape(-1, 2)[j]
+            vals.append(float(dq_rel @ dv_rel) / nrm2)
+        return vals[0] if scalar else np.array(vals)
     if method == "finite_difference":
+        i, j = terms[0][:2]
         if t_ref > float(traj.ev_t[k]):
             raise ValueError("finite-difference advance needs t_ref before the event")
         ref_state = traj.state_at(t_ref)
@@ -349,11 +380,9 @@ def advance_report(traj: TrajectorySegment, W, params: SystemParams,
     for ci, comp in enumerate(graph.components):
         for vtx in comp:
             vertex_comp[vtx] = ci
-    alphas = np.empty(traj.n_events)
-    comp_of = np.empty(traj.n_events, dtype=int)
-    for k in range(traj.n_events):
-        alphas[k] = advance(traj, W, k, params, t_ref=t_ref)
-        comp_of[k] = vertex_comp[int(traj.ev_pair[k, 0])]
+    alphas = advance(traj, W, np.arange(traj.n_events), params, t_ref=t_ref)
+    comp_of = np.array([vertex_comp[int(i)] for i in traj.ev_pair[:, 0]],
+                       dtype=int)
     spread = np.zeros(len(graph.components))
     for ci in range(len(graph.components)):
         vals = alphas[comp_of == ci]
@@ -419,11 +448,11 @@ def neutral_report(traj: TrajectorySegment, params: SystemParams,
     graph = collision_graph(symbolic_sequence(traj), params.n)
     advances = []
     if traj.n_events and res.dimension:
+        every = np.arange(traj.n_events)
         for col in range(res.dimension):
             try:
-                vals = [advance(traj, res.basis[:, col], k, params,
-                                t_ref=res.t_ref)
-                        for k in range(traj.n_events)]
+                vals = advance(traj, res.basis[:, col], every, params,
+                               t_ref=res.t_ref).tolist()
             except IllConditionedAdvanceError:
                 vals = None
             advances.append(vals)

@@ -5,7 +5,6 @@ reads as a pass/fail line per law.  Tolerances are fixed contracts,
 not tuning knobs; see the per-test comments for what each one pins.
 """
 import hashlib
-import json
 import math
 import time
 

@@ -2,8 +2,6 @@ import json
 import os
 from collections import Counter
 
-import pytest
-
 from hardtorus import cli, hyperbolic
 from hardtorus.config import parse_config
 

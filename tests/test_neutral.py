@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from conftest import bfs_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardtorus.errors import PerturbationTooLargeError
+from hardtorus import neutral, tangent
+from hardtorus.errors import (IllConditionedAdvanceError,
+                              PerturbationTooLargeError)
 from hardtorus.events import simulate, symbolic_sequence
 from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
                                 project_to_Z, sample_state)
@@ -14,12 +18,15 @@ from hardtorus.neutral import (advance, advance_report, collision_graph,
                                component_stats, is_sufficient, neutral_report,
                                neutral_space, neutral_translate,
                                richness_count)
-from hardtorus.tangent import TangentVector, propagate_tangent
+from hardtorus.tangent import (TangentVector, _apply_event_inverse,
+                               frame_for_event, propagate_tangent,
+                               transport_between)
 
 C = 1.0 / math.sqrt(2.0)
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P2B = SystemParams(masses=(1.0, 1.5), radius=0.15)
 P3 = SystemParams(masses=(1.0, 1.0, 1.0), radius=0.1)
+P3M = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
 
 
 def tube_state():
@@ -38,6 +45,36 @@ def tube_traj(t=6.0):
 def unit_neutral(raw, params):
     w = project_to_Z(np.asarray(raw, dtype=float), params)
     return w / mass_norm(w, params)
+
+
+def contact_traj(t=12.0):
+    """Three disks, 0 and 1 touching and approaching at t = 0, so the
+    first collision happens exactly at the start."""
+    u = np.array([math.cos(0.3), math.sin(0.3)])
+    q = np.array([[0.4, 0.5], [0.4, 0.5], [0.8, 0.2]])
+    q[1] = q[0] - 2.0 * P3M.radius * u
+    v = np.array([[-0.5, 0.2], [0.4, 0.3], [0.1, -0.7]])
+    m = P3M.mass_array
+    v -= (m[:, None] * v).sum(axis=0) / m.sum()
+    v /= mass_norm(v, P3M)
+    traj = simulate(PhaseState(q=q % 1.0, v=v), t, P3M)
+    assert traj.ev_t[0] == 0.0 and not traj.singular
+    return traj
+
+
+def reference_pre_collision(traj, w, k, t_ref):
+    """Incoming-side dq at event k from one transport out of t_ref."""
+    xq, xv = transport_between(traj, w.copy(), np.zeros_like(w), t_ref,
+                               float(traj.ev_t[k]))
+    return _apply_event_inverse(frame_for_event(traj, k), xq, xv)[0]
+
+
+def stalled_copy(traj, k):
+    """traj with the pair of event k given equal incoming velocities."""
+    i, j = traj.ev_pair[k]
+    v_pre = traj.ev_v_pre.copy()
+    v_pre[k, j] = v_pre[k, i]
+    return dataclasses.replace(traj, ev_v_pre=v_pre)
 
 
 class TestNeutralSpace:
@@ -133,6 +170,44 @@ class TestAdvance:
         assert np.all(rep.component_spread <= 1e-6)
         assert rep.parallel_residual > 0.5
 
+    def test_index_array_matches_scalar_calls(self):
+        traj = simulate(sample_state(3, P2B), 8.0, P2B)
+        W = is_sufficient(traj, P2B).result.basis[:, 0]
+        n = traj.n_events
+        assert n >= 3
+        ks = np.array([n - 1, 0, n // 2, n // 2])
+        got = advance(traj, W, ks, P2B)
+        assert got.tolist() == [advance(traj, W, k, P2B) for k in ks]
+        rep = advance_report(traj, W, P2B)
+        assert rep.advances.tolist() == [advance(traj, W, k, P2B)
+                                         for k in range(traj.n_events)]
+
+    def test_index_array_checks(self):
+        traj = tube_traj()
+        with pytest.raises(ValueError, match="out of range"):
+            advance(traj, np.zeros(6), [0, traj.n_events], P3)
+        with pytest.raises(ValueError, match="one event index"):
+            advance(traj, np.zeros(6), [0, 1], P3, method="finite_difference")
+
+    def test_ill_conditioned_event_refused(self, monkeypatch):
+        traj = simulate(sample_state(3, P3M), 20.0, P3M)
+        verdict = is_sufficient(traj, P3M)
+        stalled = stalled_copy(traj, 5)
+        W = verdict.result.basis[:, 0]
+        assert math.isfinite(advance(stalled, W, 4, P3M))
+        with pytest.raises(IllConditionedAdvanceError):
+            advance(stalled, W, 5, P3M)
+        with pytest.raises(IllConditionedAdvanceError):
+            advance(stalled, W, np.arange(traj.n_events), P3M)
+        with pytest.raises(IllConditionedAdvanceError):
+            advance_report(stalled, W, P3M)
+        # the report keeps its rank verdict and drops every column's advances
+        monkeypatch.setattr(neutral, "is_sufficient",
+                            lambda *args, **kwargs: verdict)
+        rep = neutral_report(stalled, P3M)
+        assert rep["dimension"] == verdict.result.dimension > 0
+        assert rep["advances_per_basis_vector"] == [None] * rep["dimension"]
+
     def test_connected_equal_advances_means_flow(self):
         # with one component, the only neutral direction whose advances
         # all agree is the flow line itself
@@ -142,6 +217,38 @@ class TestAdvance:
         assert rep.graph_connected
         assert np.all(rep.component_spread <= 1e-6)
         assert rep.parallel_residual <= 1e-6
+
+
+class TestPreCollisionSweep:
+    """One chained sweep per vector gives, event by event, exactly what
+    a separate transport from t_ref followed by the inverse step gives."""
+
+    @pytest.mark.parametrize("case", ["contact_start", "t_ref_zero",
+                                      "t_ref_mid"])
+    def test_sweep_matches_single_transports(self, case):
+        if case == "contact_start":
+            traj, params = contact_traj(), P3M
+            t_ref = 0.0
+        else:
+            params = P3M
+            traj = simulate(sample_state(3, params), 20.0, params)
+            t_ref = 0.0 if case == "t_ref_zero" else \
+                0.5 * float(traj.ev_t[6] + traj.ev_t[7])
+        rng = np.random.default_rng(11)
+        w = project_to_Z(rng.standard_normal(2 * params.n), params)
+        sweep = neutral._pre_collision_vectors(traj, w, t_ref)
+        assert traj.n_events > 8
+        assert not np.isnan(sweep).any()
+        ref = np.array([reference_pre_collision(traj, w, k, t_ref)
+                        for k in range(traj.n_events)])
+        assert np.array_equal(sweep, ref)
+
+    def test_requested_rows_only(self):
+        traj = contact_traj()
+        w = unit_neutral([1, 0, 0, 1, 0, 0], P3M)
+        sweep = neutral._pre_collision_vectors(traj, w, 0.0, [0, 3])
+        assert np.array_equal(sweep[3], reference_pre_collision(traj, w, 3, 0.0))
+        assert np.isnan(np.delete(sweep, [0, 3], axis=0)).all()
 
 
 class TestCollisionGraph:
@@ -256,6 +363,25 @@ class TestNeutralReport:
         assert rep["components"] == [[0, 1], [2]]
         assert rep["richness"] == 0
         assert len(rep["advances_per_basis_vector"]) == 3
+
+    def test_frames_per_event_bounded(self, monkeypatch):
+        # one sweep per basis column builds at most two frames per event
+        # (one crossing, one inverse step), on top of the kernel's walk
+        built = Counter()
+        original = tangent.frame_for_event
+
+        def counting(traj, k):
+            built[int(k)] += 1
+            return original(traj, k)
+
+        monkeypatch.setattr(tangent, "frame_for_event", counting)
+        monkeypatch.setattr(neutral, "frame_for_event", counting)
+        traj = simulate(sample_state(3, P3M), 20.0, P3M)
+        rep = neutral_report(traj, P3M)
+        assert rep["dimension"] >= 1 and traj.n_events > 10
+        assert all(vals is not None for vals in rep["advances_per_basis_vector"])
+        assert set(built) == set(range(traj.n_events))
+        assert max(built.values()) <= 2 * rep["dimension"] + 2
 
     def test_sufficient_report(self):
         traj = simulate(sample_state(3, P2B), 8.0, P2B)
