@@ -8,6 +8,14 @@ against all lattice images reachable within the chunk horizon, the
 earliest admissible root per pair enters a priority queue, and after
 each collision only the pairs touching the two participants are
 re-predicted.  Ties in the queue break lexicographically on the pair.
+
+An image l is reachable within horizon h when |x| <= |w|*h + 2r, where
+x = dq + l is the lifted relative position and w the relative
+velocity: a contact at 0 <= t0 <= h has |x + w*t0| = 2r, so by the
+triangle inequality |x| <= 2r + |w|*t0, and a root clamped up to 0
+belongs to a pair that overlaps now, |x| < 2r.  No image beyond that
+bound can hold an admissible root, so the root solve visits only the
+images within it.
 """
 from __future__ import annotations
 
@@ -36,6 +44,13 @@ FLAG_DOUBLE = "double"
 _SELF_GUARD = 1e-9
 _NEG_ROOT_SLACK = 1e-9
 _CASCADE_LIMIT = 64
+# Absolute slack on the reach bound of _earliest_root, in length units.
+# It covers the roundoff of |x + w*t0| at an accepted root.  Near
+# grazing the Newton polish divides by a slope of about
+# sqrt(discriminant); for a nonzero discriminant that keeps the error
+# below about 1e-8.  (At a discriminant of exactly zero the polish step
+# has no useful bound, and no finite slack would cover it.)
+_REACH_SLACK = 1e-6
 
 
 def _flag_label(bits: int) -> str:
@@ -70,8 +85,14 @@ class CollisionEvent:
 def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
     """Earliest admissible contact of one pair within the horizon.
 
-    The relative position dx, dy may be any lift; all lattice images
-    reachable at the relative speed within the horizon are examined.
+    The relative position dx, dy may be any lift; the lattice images
+    examined are those with |x| <= |w|*h + 2r (plus a roundoff slack),
+    where x = (dx + lx, dy + ly), w = (wx, wy) and h the horizon.  The
+    bound is exact: a root t0 in [0, h] puts x + w*t0 on the contact
+    circle |x + w*t0| = 2r, so |x| <= 2r + |w|*t0; a root in
+    [-_NEG_ROOT_SLACK, 0) of an approaching pair means the disks overlap
+    now, |x| < 2r.  No image outside the bound can hold an admissible
+    root.
     Returns (t, lx, ly, discriminant) or None.  ``guard`` is the lower
     time cutoff; small negative roots (a contact within rounding of
     "now", still approaching) clamp to zero when the guard admits them.
@@ -80,7 +101,7 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
     if a == 0.0 or horizon <= 0.0:
         return None
     four_r2 = two_r * two_r
-    reach = math.sqrt(a) * horizon + two_r + 1.0
+    reach = math.sqrt(a) * horizon + two_r + _REACH_SLACK
     reach2 = reach * reach
     best = None
     for lx in range(math.ceil(-reach - dx), math.floor(reach - dx) + 1):
@@ -260,11 +281,13 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     max_p_drift = 0.0
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    touching = {(i, j): [(a, b) for (a, b) in pairs if a in (i, j) or b in (i, j)]
-                for (i, j) in pairs}
+    pairs_of = [[] for _ in range(n)]
+    for (i, j) in pairs:
+        pairs_of[i].append((i, j))
+        pairs_of[j].append((i, j))
 
     rows_t, rows_pair, rows_image, rows_u, rows_cos, rows_flag = [], [], [], [], [], []
-    rows_q, rows_vpre, rows_vpost = [], [], []
+    rows_q, rows_vpost = [], []
 
     counters = [0] * n
     heap: list[tuple] = []
@@ -367,7 +390,6 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         s_red = math.sqrt(1.0 / m[i] + 1.0 / m[j])
         cos_phi = -rad / s_red
 
-        rows_vpre.append([(vx[k], vy[k]) for k in range(n)])
         g = 2.0 * rad / (m[i] + m[j])
         vx[i] -= m[j] * g * ux
         vy[i] -= m[j] * g * uy
@@ -411,13 +433,22 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         if max_events is not None and n_events >= max_events:
             stopped = True
             break
-        for (a, b) in touching[(i, j)]:
-            guard = _SELF_GUARD if (a, b) == (i, j) else -1.0
-            push_pair(a, b, t_now, t_block, guard)
+        for (a, b) in pairs_of[i]:
+            push_pair(a, b, t_now, t_block, _SELF_GUARD if (a, b) == (i, j) else -1.0)
+        for (a, b) in pairs_of[j]:
+            if a != i:
+                push_pair(a, b, t_now, t_block, -1.0)
 
     t_end = t_now
     final = PhaseState(np.column_stack([qx, qy]), np.column_stack([vx, vy]))
     k = n_events
+    ev_v_post = np.array(rows_vpost, dtype=float).reshape(k, n, 2)
+    # velocities change only at events, so each event's incoming
+    # velocities are the previous event's outgoing ones
+    ev_v_pre = np.empty_like(ev_v_post)
+    if k:
+        ev_v_pre[0] = state.v
+        ev_v_pre[1:] = ev_v_post[:-1]
     return TrajectorySegment(
         initial=state, final=final, t_end=t_end, params=params,
         ev_t=np.array(rows_t, dtype=float),
@@ -427,8 +458,8 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         ev_cosphi=np.array(rows_cos, dtype=float),
         ev_flags=np.array(rows_flag, dtype=np.uint8),
         ev_q=np.array(rows_q, dtype=float).reshape(k, n, 2),
-        ev_v_pre=np.array(rows_vpre, dtype=float).reshape(k, n, 2),
-        ev_v_post=np.array(rows_vpost, dtype=float).reshape(k, n, 2),
+        ev_v_pre=ev_v_pre,
+        ev_v_post=ev_v_post,
         max_energy_drift=max_e_drift,
         max_momentum_drift=max_p_drift,
         stopped_by_count=stopped)

@@ -173,15 +173,32 @@ def pair_distance(state: PhaseState, i: int, j: int) -> float:
     return float(np.hypot(d[0], d[1]))
 
 
+def _pair_gaps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-image distances of every pair i < j of the (N, 2) positions q.
+
+    Returns ``(gaps, i, j)`` in ``np.triu_indices`` order.  Per axis the
+    shortest of d + k0 - 1, d + k0, d + k0 + 1 with k0 = -floor(d) is
+    taken, the same floats ``min_image`` picks, so each gap equals
+    ``pair_distance`` bit for bit.
+    """
+    iu, ju = np.triu_indices(q.shape[0], 1)
+    d = q[iu] - q[ju]
+    k0 = -np.floor(d)
+    a = np.minimum(np.minimum(np.abs(d + (k0 - 1.0)), np.abs(d + k0)),
+                   np.abs(d + (k0 + 1.0)))
+    return np.hypot(a[:, 0], a[:, 1]), iu, ju
+
+
 def min_gap(state: PhaseState, params: SystemParams) -> tuple[float, tuple[int, int]]:
-    """Smallest pairwise min-image distance and the pair attaining it."""
-    best, pair = math.inf, (0, 1)
-    for i in range(params.n):
-        for j in range(i + 1, params.n):
-            d = pair_distance(state, i, j)
-            if d < best:
-                best, pair = d, (i, j)
-    return best, pair
+    """Smallest pairwise min-image distance and the pair attaining it.
+
+    Ties go to the first pair in (i, j) order.
+    """
+    gaps, iu, ju = _pair_gaps(state.q)
+    if not gaps.size:
+        return math.inf, (0, 1)
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), (int(iu[k]), int(ju[k]))
 
 
 def energy(state: PhaseState, params: SystemParams) -> float:
@@ -252,16 +269,7 @@ def sample_state(seed: int, params: SystemParams, *, stream: int = 0,
     two_r = 2.0 * params.radius
     for _ in range(max_tries):
         q = rng.random((params.n, 2))
-        ok = True
-        for i in range(params.n):
-            for j in range(i + 1, params.n):
-                d, _ = torus_delta(q[i], q[j])
-                if np.hypot(d[0], d[1]) <= two_r:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not np.any(_pair_gaps(q)[0] <= two_r):
             break
     else:
         raise FeasibilityError(

@@ -78,6 +78,10 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
 
 
 def _encode_str(s: str) -> str:
+    # printable text holds no control character, so only quote and
+    # backslash would need escaping
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch in _ESCAPES:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardtorus import events
 from hardtorus.errors import ValidationError
-from hardtorus.events import (read_events_jsonl, resolve_collision,
+from hardtorus.events import (_NEG_ROOT_SLACK, _SELF_GUARD, _earliest_root,
+                              read_events_jsonl, resolve_collision,
                               reverse_state, simulate, symbolic_sequence,
                               write_events_jsonl)
 from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
@@ -14,6 +16,55 @@ from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
+P32 = SystemParams(masses=tuple(1.0 + 0.05 * k for k in range(32)), radius=0.03)
+
+
+def earliest_root_reference(dx, dy, wx, wy, horizon, two_r, guard):
+    """The root solve over every image within |w|*h + 2r + 1.0.
+
+    The same root arithmetic, clamp, guard and tie-break as
+    ``events._earliest_root``; only the image enumeration is wider, by a
+    whole lattice spacing.
+    """
+    a = wx * wx + wy * wy
+    if a == 0.0 or horizon <= 0.0:
+        return None
+    four_r2 = two_r * two_r
+    reach = math.sqrt(a) * horizon + two_r + 1.0
+    reach2 = reach * reach
+    best = None
+    for lx in range(math.ceil(-reach - dx), math.floor(reach - dx) + 1):
+        x = dx + lx
+        xx = x * x
+        if xx > reach2:
+            continue
+        for ly in range(math.ceil(-reach - dy), math.floor(reach - dy) + 1):
+            y = dy + ly
+            rr = xx + y * y
+            if rr > reach2:
+                continue
+            b = x * wx + y * wy
+            if b >= 0.0:
+                continue
+            c = rr - four_r2
+            disc = b * b - a * c
+            if disc < 0.0:
+                continue
+            sq = math.sqrt(disc)
+            t0 = c / (sq - b)
+            slope = b + a * t0
+            if slope != 0.0:
+                f = (x + wx * t0) ** 2 + (y + wy * t0) ** 2 - four_r2
+                t0 -= f / (2.0 * slope)
+            if t0 < 0.0:
+                if t0 < -_NEG_ROOT_SLACK:
+                    continue
+                t0 = 0.0
+            if t0 <= guard or t0 > horizon:
+                continue
+            if best is None or (t0, lx, ly) < (best[0], best[1], best[2]):
+                best = (t0, lx, ly, disc)
+    return best
 
 
 def head_on():
@@ -175,6 +226,107 @@ class TestSimulate:
         bad = PhaseState(q=[[0.5, 0.5], [0.55, 0.5]], v=np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             simulate(bad, 1.0, P2)
+
+
+    @pytest.mark.parametrize("params, t_max", [(P3, 200.0), (P32, 20.0)],
+                             ids=["n3", "n32"])
+    def test_orbit_matches_reference_root_solve(self, monkeypatch, params, t_max):
+        state = sample_state(1, params)
+        fast = simulate(state, t_max, params)
+        monkeypatch.setattr(events, "_earliest_root", earliest_root_reference)
+        ref = simulate(state, t_max, params)
+        assert fast.n_events > 100
+        for name in ("ev_t", "ev_pair", "ev_image", "ev_u", "ev_cosphi",
+                     "ev_flags", "ev_q", "ev_v_pre", "ev_v_post"):
+            assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+        assert np.array_equal(fast.final.q, ref.final.q)
+        assert np.array_equal(fast.final.v, ref.final.v)
+
+    @pytest.mark.parametrize("params, t_max", [(P3, 200.0), (P32, 20.0)],
+                             ids=["n3", "n32"])
+    def test_incoming_velocities_are_previous_outgoing(self, params, t_max):
+        traj = simulate(sample_state(2, params), t_max, params)
+        assert traj.n_events > 100
+        assert np.array_equal(traj.ev_v_pre[0], traj.initial.v)
+        assert np.array_equal(traj.ev_v_pre[1:], traj.ev_v_post[:-1])
+        # each event changes exactly the colliding pair's velocities
+        for k in range(traj.n_events):
+            moved = np.flatnonzero(np.any(traj.ev_v_pre[k] != traj.ev_v_post[k], axis=1))
+            assert set(moved) <= set(traj.ev_pair[k])
+
+    def test_no_events_record_shape(self):
+        c = 1.0 / math.sqrt(2)
+        state = PhaseState(q=[[0.25, 0.0], [0.75, 0.0]],
+                           v=[[0.0, c], [0.0, -c]])
+        traj = simulate(state, 5.0, P2)
+        assert traj.ev_v_pre.shape == traj.ev_v_post.shape == (0, 2, 2)
+
+
+def _contact_case(px, py, wx, wy, t_c, lx, ly):
+    """A lift (dx, dy) whose image (lx, ly) touches at time t_c from the
+    contact point (px, py)."""
+    return px - wx * t_c - lx, py - wy * t_c - ly
+
+
+GUARDS = st.sampled_from([-1.0, 0.0, _SELF_GUARD])
+
+
+class TestEarliestRoot:
+    """The reachable-image solve returns what the wide enumeration does."""
+
+    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
+           st.floats(-3, 3), st.floats(0, 2), st.floats(0.01, 0.5), GUARDS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_random_lifts(self, dx, dy, wx, wy, h, two_r,
+                                               guard):
+        args = (dx, dy, wx, wy, h, two_r, guard)
+        assert _earliest_root(*args) == earliest_root_reference(*args)
+
+    @given(st.floats(0, 2 * math.pi), st.floats(-3, 3), st.floats(-3, 3),
+           st.floats(0.01, 1), st.floats(-2e-9, 1.2), st.integers(-3, 3),
+           st.integers(-3, 3), st.floats(0.01, 0.5), GUARDS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_near_contacts(self, angle, wx, wy, h, frac,
+                                             lx, ly, two_r, guard):
+        # contacts spread over [-2e-9, 1.2*h]: clamped roots, roots near
+        # the horizon and roots just beyond it
+        px, py = two_r * math.cos(angle), two_r * math.sin(angle)
+        dx, dy = _contact_case(px, py, wx, wy, frac * h, lx, ly)
+        args = (dx, dy, wx, wy, h, two_r, guard)
+        assert _earliest_root(*args) == earliest_root_reference(*args)
+
+    def test_contact_at_zero_clamps(self):
+        # overlapping by 1e-12 and approaching: the root at t = -1e-12
+        # clamps to 0 when the guard admits it
+        args = (0.25 - 1e-12, 0.0, -1.0, 0.0, 0.5, 0.25)
+        hit = _earliest_root(*args, -1.0)
+        assert hit[:3] == (0.0, 0, 0)
+        assert hit == earliest_root_reference(*args, -1.0)
+        for guard in (0.0, _SELF_GUARD):
+            assert _earliest_root(*args, guard) == earliest_root_reference(*args, guard)
+            assert _earliest_root(*args, guard) is None
+        # a fast pair that touched 5e-10 ago, solved over a tiny horizon
+        args = (0.25 - 1e4 * 5e-10, 0.0, -1e4, 0.0, 1e-12, 0.25, -1.0)
+        assert _earliest_root(*args)[:3] == (0.0, 0, 0)
+        assert _earliest_root(*args) == earliest_root_reference(*args)
+
+    def test_grazing_pass(self):
+        # the relative path runs tangent to the contact circle at t = 0.5
+        args = (0.5, 0.25, -1.0, 0.0, 1.0, 0.25, 0.0)
+        hit = _earliest_root(*args)
+        assert hit is not None and hit[1:3] == (0, 0)
+        assert math.isclose(hit[0], 0.5, abs_tol=1e-6) and hit[3] < 1e-12
+        assert hit == earliest_root_reference(*args)
+
+    def test_root_exactly_at_horizon(self):
+        # |x| = |w|*h + 2r exactly: the image sits on the reach bound
+        args = (0.5, 0.0, -1.0, 0.0)
+        hit = _earliest_root(*args, 0.25, 0.25, 0.0)
+        assert hit == (0.25, 0, 0, 0.0625)
+        assert hit == earliest_root_reference(*args, 0.25, 0.25, 0.0)
+        h = math.nextafter(0.25, 0.0)
+        assert _earliest_root(*args, h, 0.25, 0.0) is None
+        assert earliest_root_reference(*args, h, 0.25, 0.0) is None
 
 
 class TestSymbolicSequence:

@@ -12,6 +12,7 @@ from hardtorus.geometry import (PhaseState, SystemParams, cylinder_radius,
                                 project_to_Z, reduced_space, sample_state,
                                 torus_delta, transverse_basis,
                                 validate_params, validate_state)
+from hardtorus.rng import make_generator
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
@@ -190,6 +191,77 @@ class TestSampleState:
         with pytest.raises(FeasibilityError):
             sample_state(0, SystemParams(masses=(1.0, 1.0), radius=0.45),
                          max_tries=200)
+
+
+def sample_state_reference(seed, params, *, stream=0, max_tries=10000):
+    """The sampler with one ``torus_delta`` call per pair and draw."""
+    rng = make_generator(seed, stream)
+    two_r = 2.0 * params.radius
+    for _ in range(max_tries):
+        q = rng.random((params.n, 2))
+        ok = True
+        for i in range(params.n):
+            for j in range(i + 1, params.n):
+                d, _ = torus_delta(q[i], q[j])
+                if np.hypot(d[0], d[1]) <= two_r:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            break
+    else:
+        raise FeasibilityError("no admissible configuration")
+    while True:
+        v = rng.standard_normal((params.n, 2)) / np.sqrt(params.mass_array)[:, None]
+        v = project_to_Z(v, params)
+        norm = math.sqrt(float(np.sum(params.mass_array[:, None] * v**2)))
+        if norm > 1e-8:
+            break
+    return PhaseState(q, v / norm)
+
+
+def min_gap_reference(state, params):
+    """Smallest ``pair_distance`` over a double loop; first pair on ties."""
+    best, pair = math.inf, (0, 1)
+    for i in range(params.n):
+        for j in range(i + 1, params.n):
+            d = pair_distance(state, i, j)
+            if d < best:
+                best, pair = d, (i, j)
+    return best, pair
+
+
+class TestSamplerIdentity:
+    @pytest.mark.parametrize("n, radius", [(2, 0.2), (3, 0.1), (8, 0.08), (32, 0.02)])
+    def test_matches_per_pair_reference(self, n, radius):
+        params = SystemParams(masses=tuple(1.0 + 0.1 * k for k in range(n)),
+                              radius=radius)
+        for seed in range(20):
+            a = sample_state(seed, params)
+            b = sample_state_reference(seed, params)
+            assert np.array_equal(a.q, b.q) and np.array_equal(a.v, b.v), seed
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_min_gap_matches_double_loop(self, n):
+        params = SystemParams(masses=(1.0,) * n, radius=0.01)
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            # positions on a coarse dyadic grid make exact ties common
+            q = rng.integers(0, 16, size=(n, 2)) / 16.0
+            state = PhaseState(q, np.zeros((n, 2)))
+            assert min_gap(state, params) == min_gap_reference(state, params)
+            q = rng.random((n, 2))
+            state = PhaseState(q, np.zeros((n, 2)))
+            assert min_gap(state, params) == min_gap_reference(state, params)
+
+    def test_min_gap_tie_takes_first_pair(self):
+        # (1, 2) and (0, 3) are both 0.25 apart, (0, 3) across the seam
+        q = [[0.875, 0.5], [0.5, 0.0], [0.75, 0.0], [0.125, 0.5]]
+        state = PhaseState(q, np.zeros((4, 2)))
+        params = SystemParams(masses=(1.0,) * 4, radius=0.01)
+        assert min_gap(state, params) == (0.25, (0, 3))
+        assert min_gap_reference(state, params) == (0.25, (0, 3))
 
 
 class TestTorusDistances:
