@@ -18,8 +18,8 @@ from .errors import (ConfigError, FeasibilityError,
                      PerturbationTooLargeError, ResolutionError,
                      SingularSegmentError, StateCorruptionError,
                      TangentialFrameError, ValidationError)
-from .events import (CollisionEvent, TrajectorySegment, reverse_state,
-                     simulate, symbolic_sequence)
+from .events import (TrajectorySegment, reverse_state, simulate,
+                     symbolic_sequence)
 from .geometry import (PhaseState, ReducedSpace, SystemParams, Tolerances,
                        cylinder_radius, energy, mass_inner, mass_norm,
                        min_gap, min_image, momentum, pair_distance,

@@ -22,8 +22,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,27 +59,6 @@ def _flag_label(bits: int) -> str:
     if bits & TANGENTIAL_BIT:
         return FLAG_TANGENTIAL
     return FLAG_REGULAR
-
-
-@dataclass(frozen=True)
-class CollisionEvent:
-    """One resolved binary collision."""
-
-    t: float
-    i: int
-    j: int
-    image: tuple[int, int]       # lattice offset of the contact vector q_i - q_j + l
-    u: tuple[float, float]       # Euclidean unit contact direction
-    cos_phi: float               # mass-metric angle of the outgoing velocity
-    flag: str
-    v_i_pre: tuple[float, float]
-    v_j_pre: tuple[float, float]
-    v_i_post: tuple[float, float]
-    v_j_post: tuple[float, float]
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.i, self.j)
 
 
 def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
@@ -173,6 +152,12 @@ class TrajectorySegment:
     or drive tangent-space transport: time, pair, lattice image,
     contact direction, angle, flags, and snapshots of positions and of
     all velocities just before and just after the exchange.
+
+    ``simulate`` stores the velocities once, as one (k + 1, N, 2) array
+    whose row 0 is the initial velocities and row m + 1 the velocities
+    leaving event m; ``ev_v_pre`` and ``ev_v_post`` are its ``[:-1]``
+    and ``[1:]`` views.  Every record array is read-only, so nothing
+    can write through one view into the other; copy one to change it.
     """
 
     initial: PhaseState
@@ -204,23 +189,6 @@ class TrajectorySegment:
     def min_cos_phi(self) -> float:
         return float(self.ev_cosphi.min()) if self.n_events else math.inf
 
-    @cached_property
-    def events(self) -> tuple[CollisionEvent, ...]:
-        out = []
-        for k in range(self.n_events):
-            i, j = (int(x) for x in self.ev_pair[k])
-            out.append(CollisionEvent(
-                t=float(self.ev_t[k]), i=i, j=j,
-                image=(int(self.ev_image[k, 0]), int(self.ev_image[k, 1])),
-                u=(float(self.ev_u[k, 0]), float(self.ev_u[k, 1])),
-                cos_phi=float(self.ev_cosphi[k]),
-                flag=_flag_label(int(self.ev_flags[k])),
-                v_i_pre=tuple(self.ev_v_pre[k, i]),
-                v_j_pre=tuple(self.ev_v_pre[k, j]),
-                v_i_post=tuple(self.ev_v_post[k, i]),
-                v_j_post=tuple(self.ev_v_post[k, j])))
-        return tuple(out)
-
     def state_at(self, t: float) -> PhaseState:
         """State at time t in [0, T]; at an event time, post-collision."""
         if not 0.0 <= t <= self.t_end:
@@ -249,6 +217,19 @@ def symbolic_sequence(traj: TrajectorySegment) -> tuple[tuple[int, int], ...]:
             continue
         out.append((int(traj.ev_pair[k, 0]), int(traj.ev_pair[k, 1])))
     return tuple(out)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _disk_rows(bx: array, by: array, rows: int, n: int) -> np.ndarray:
+    """Read-only (rows, N, 2) array from flat x and y buffers."""
+    out = np.empty((rows, n, 2))
+    out[:, :, 0] = np.frombuffer(bx).reshape(rows, n)
+    out[:, :, 1] = np.frombuffer(by).reshape(rows, n)
+    return _frozen(out)
 
 
 def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
@@ -287,7 +268,11 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         pairs_of[j].append((i, j))
 
     rows_t, rows_pair, rows_image, rows_u, rows_cos, rows_flag = [], [], [], [], [], []
-    rows_q, rows_vpost = [], []
+    # positions and velocities go to flat per-coordinate buffers, N
+    # floats per event each; the velocity buffers open with the initial
+    # velocities, event 0's incoming ones
+    rec_qx, rec_qy = array("d"), array("d")
+    rec_vx, rec_vy = array("d", vx), array("d", vy)
 
     counters = [0] * n
     heap: list[tuple] = []
@@ -407,8 +392,10 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         rows_u.append((ux, uy))
         rows_cos.append(cos_phi)
         rows_flag.append(flag)
-        rows_q.append([(qx[k], qy[k]) for k in range(n)])
-        rows_vpost.append([(vx[k], vy[k]) for k in range(n)])
+        rec_qx.extend(qx)
+        rec_qy.extend(qy)
+        rec_vx.extend(vx)
+        rec_vy.extend(vy)
 
         e = 0.5 * sum(m[k] * (vx[k] * vx[k] + vy[k] * vy[k]) for k in range(n))
         px = sum(m[k] * vx[k] for k in range(n))
@@ -442,24 +429,25 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     t_end = t_now
     final = PhaseState(np.column_stack([qx, qy]), np.column_stack([vx, vy]))
     k = n_events
-    ev_v_post = np.array(rows_vpost, dtype=float).reshape(k, n, 2)
+    # each buffer pair is freed before the next array is built
+    ev_q = _disk_rows(rec_qx, rec_qy, k, n)
+    del rec_qx, rec_qy
     # velocities change only at events, so each event's incoming
-    # velocities are the previous event's outgoing ones
-    ev_v_pre = np.empty_like(ev_v_post)
-    if k:
-        ev_v_pre[0] = state.v
-        ev_v_pre[1:] = ev_v_post[:-1]
+    # velocities are the previous event's outgoing ones: one array of
+    # k + 1 rows serves both sides
+    ev_v = _disk_rows(rec_vx, rec_vy, k + 1, n)
+    del rec_vx, rec_vy
     return TrajectorySegment(
         initial=state, final=final, t_end=t_end, params=params,
-        ev_t=np.array(rows_t, dtype=float),
-        ev_pair=np.array(rows_pair, dtype=np.int64).reshape(k, 2),
-        ev_image=np.array(rows_image, dtype=np.int64).reshape(k, 2),
-        ev_u=np.array(rows_u, dtype=float).reshape(k, 2),
-        ev_cosphi=np.array(rows_cos, dtype=float),
-        ev_flags=np.array(rows_flag, dtype=np.uint8),
-        ev_q=np.array(rows_q, dtype=float).reshape(k, n, 2),
-        ev_v_pre=ev_v_pre,
-        ev_v_post=ev_v_post,
+        ev_t=_frozen(np.array(rows_t, dtype=float)),
+        ev_pair=_frozen(np.array(rows_pair, dtype=np.int64).reshape(k, 2)),
+        ev_image=_frozen(np.array(rows_image, dtype=np.int64).reshape(k, 2)),
+        ev_u=_frozen(np.array(rows_u, dtype=float).reshape(k, 2)),
+        ev_cosphi=_frozen(np.array(rows_cos, dtype=float)),
+        ev_flags=_frozen(np.array(rows_flag, dtype=np.uint8)),
+        ev_q=ev_q,
+        ev_v_pre=ev_v[:-1],
+        ev_v_post=ev_v[1:],
         max_energy_drift=max_e_drift,
         max_momentum_drift=max_p_drift,
         stopped_by_count=stopped)
@@ -467,22 +455,33 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
 # --- event log round-trip -------------------------------------------------
 
-def event_record(event: CollisionEvent) -> dict:
-    return {
-        "t": event.t, "i": event.i, "j": event.j,
-        "l": list(event.image), "u": list(event.u),
-        "cos_phi": event.cos_phi, "flag": event.flag,
-        "v_i_pre": list(event.v_i_pre), "v_j_pre": list(event.v_j_pre),
-        "v_i_post": list(event.v_i_post), "v_j_post": list(event.v_j_post),
-    }
+# One line per event, keys in canonical_json's sorted order.
+_EVENT_LINE = ('{"cos_phi":%s,"flag":"%s","i":%d,"j":%d,"l":[%d,%d],"t":%s,'
+               '"u":[%s,%s],"v_i_post":[%s,%s],"v_i_pre":[%s,%s],'
+               '"v_j_post":[%s,%s],"v_j_pre":[%s,%s]}\n')
 
 
 def write_events_jsonl(traj: TrajectorySegment, path) -> None:
-    from .serialize import canonical_json
+    """Write the event log as JSON lines, straight from the record arrays.
+
+    Each line is the canonical JSON (sorted keys, 17-digit floats) of
+    the event's time, pair i < j, lattice image l, contact direction u,
+    cos_phi, flag label, and the pair's incoming and outgoing
+    velocities.
+    """
+    from .serialize import fmt17
+    rows = np.arange(traj.n_events)
+    di, dj = traj.ev_pair[:, 0], traj.ev_pair[:, 1]
+    floats = np.column_stack([
+        traj.ev_cosphi, traj.ev_t, traj.ev_u,
+        traj.ev_v_post[rows, di], traj.ev_v_pre[rows, di],
+        traj.ev_v_post[rows, dj], traj.ev_v_pre[rows, dj]]).tolist()
+    ints = np.column_stack([traj.ev_pair, traj.ev_image]).tolist()
+    labels = map(_flag_label, traj.ev_flags.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for event in traj.events:
-            fh.write(canonical_json(event_record(event)))
-            fh.write("\n")
+        for f, (i, j, lx, ly), label in zip(floats, ints, labels):
+            cos_phi, t, *vecs = map(fmt17, f)
+            fh.write(_EVENT_LINE % (cos_phi, label, i, j, lx, ly, t, *vecs))
 
 
 def read_events_jsonl(path) -> list[dict]:

@@ -95,6 +95,27 @@ def fd_check_window(seed):
     return float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle))
 
 
+# Exact dyadic set-ups with r = 1/8 (2r = 1/4), so the contacts of
+# grazing_orbit and double_orbit happen at exactly t = 1/2.
+P3_DYADIC = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.125)
+
+
+def grazing_orbit():
+    """Disks 0 and 1 pass at exactly 2r and touch tangentially at t = 1/2,
+    a flagged event; regular collisions follow."""
+    state = PhaseState(q=[[0.25, 0.5], [0.75, 0.75], [0.25, 0.125]],
+                       v=[[0.5, 0.0], [-0.5, 0.0], [-0.0625, 0.125]])
+    return simulate(state, 20.0, P3_DYADIC)
+
+
+def double_orbit():
+    """Disks 0 and 2 reach the resting disk 1 together at t = 1/2, a
+    double event; regular collisions follow."""
+    state = PhaseState(q=[[0.125, 0.5], [0.5, 0.5], [0.5, 0.125]],
+                       v=[[0.25, 0.0], [0.0, 0.0], [0.0, 0.25]])
+    return simulate(state, 20.0, P3_DYADIC)
+
+
 def bfs_components(n, edges):
     """Reference connected components, sorted by smallest member."""
     adj = {i: set() for i in range(n)}

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import double_orbit, grazing_orbit
 from hardtorus import events
 from hardtorus.errors import ValidationError
 from hardtorus.events import (_NEG_ROOT_SLACK, _SELF_GUARD, _earliest_root,
@@ -13,6 +16,7 @@ from hardtorus.events import (_NEG_ROOT_SLACK, _SELF_GUARD, _earliest_root,
                               write_events_jsonl)
 from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
                                 momentum, sample_state)
+from hardtorus.serialize import canonical_json
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
@@ -349,5 +353,101 @@ class TestEventLogRoundTrip:
         path = tmp_path / "events.jsonl"
         write_events_jsonl(traj, path)
         rows = read_events_jsonl(path)
-        assert len(rows) == traj.n_events
+        assert len(rows) == traj.n_events > 0
         assert all(row["t"] == traj.ev_t[k] for k, row in enumerate(rows))
+        for k, row in enumerate(rows):
+            i, j = traj.ev_pair[k]
+            assert row["flag"] == "regular" and not traj.ev_flags[k]
+            assert (row["i"], row["j"]) == (i, j)
+            assert row["l"] == traj.ev_image[k].tolist()
+            assert row["u"] == traj.ev_u[k].tolist()
+            assert row["cos_phi"] == traj.ev_cosphi[k]
+            assert row["v_i_pre"] == traj.ev_v_pre[k, i].tolist()
+            assert row["v_j_pre"] == traj.ev_v_pre[k, j].tolist()
+            assert row["v_i_post"] == traj.ev_v_post[k, i].tolist()
+            assert row["v_j_post"] == traj.ev_v_post[k, j].tolist()
+            assert len(row) == 11
+
+
+def no_event_orbit():
+    c = 1.0 / math.sqrt(2)
+    state = PhaseState(q=[[0.25, 0.0], [0.75, 0.0]], v=[[0.0, c], [0.0, -c]])
+    return simulate(state, 5.0, P2)
+
+
+def events_jsonl_reference(traj) -> str:
+    """The event log as the per-event record path wrote it: one
+    dictionary per event through ``canonical_json``."""
+    labels = {0: "regular", 1: "tangential", 2: "double", 3: "double"}
+    lines = []
+    for k in range(traj.n_events):
+        i, j = (int(x) for x in traj.ev_pair[k])
+        record = {
+            "t": float(traj.ev_t[k]), "i": i, "j": j,
+            "l": [int(traj.ev_image[k, 0]), int(traj.ev_image[k, 1])],
+            "u": [float(traj.ev_u[k, 0]), float(traj.ev_u[k, 1])],
+            "cos_phi": float(traj.ev_cosphi[k]),
+            "flag": labels[int(traj.ev_flags[k])],
+            "v_i_pre": list(tuple(traj.ev_v_pre[k, i])),
+            "v_j_pre": list(tuple(traj.ev_v_pre[k, j])),
+            "v_i_post": list(tuple(traj.ev_v_post[k, i])),
+            "v_j_post": list(tuple(traj.ev_v_post[k, j])),
+        }
+        lines.append(canonical_json(record) + "\n")
+    return "".join(lines)
+
+
+class TestEventLogWriter:
+    """write_events_jsonl writes what the per-event record path wrote."""
+
+    @pytest.mark.parametrize("make, flags", [
+        (grazing_orbit, {"tangential"}),
+        (double_orbit, {"double"}),
+        (lambda: simulate(sample_state(2, P32), 20.0, P32), set()),
+        (no_event_orbit, None),
+    ], ids=["n3_tangential", "n3_double", "n32", "no_events"])
+    def test_matches_reference(self, tmp_path, make, flags):
+        traj = make()
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(traj, path)
+        data = path.read_bytes()
+        assert data == events_jsonl_reference(traj).encode("utf-8")
+        if flags is None:
+            assert traj.n_events == 0 and data == b""
+            return
+        rows = read_events_jsonl(path)
+        assert {row["flag"] for row in rows} == flags | {"regular"}
+
+
+RECORD_FIELDS = ("ev_t", "ev_pair", "ev_image", "ev_u", "ev_cosphi",
+                 "ev_flags", "ev_q", "ev_v_pre", "ev_v_post")
+
+
+class TestRecordMemory:
+    def test_shared_read_only_record(self):
+        traj = simulate(sample_state(2, P3), 20.0, P3)
+        assert traj.n_events > 0
+        assert np.shares_memory(traj.ev_v_pre, traj.ev_v_post)
+        for name in RECORD_FIELDS:
+            arr = getattr(traj, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        assert {f.name for f in dataclasses.fields(traj)
+                if f.name.startswith("ev_")} == set(RECORD_FIELDS)
+
+    def test_simulate_peak_memory(self):
+        # the record is the only O(kN) allocation that outlives the loop;
+        # the peak while simulating stays within 3x its size, counting
+        # the velocity rows that ev_v_pre and ev_v_post share once
+        state = sample_state(1, P32)
+        tracemalloc.start()
+        try:
+            traj = simulate(state, 20.0, P32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.n_events > 100
+        record = (sum(getattr(traj, name).nbytes for name in RECORD_FIELDS)
+                  - traj.ev_v_pre.nbytes + traj.initial.v.nbytes)
+        assert peak <= 3 * record, (peak, record)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grazing_orbit
 from hardtorus import tangent
 from hardtorus.errors import ResolutionError, ValidationError
 from hardtorus.events import simulate
@@ -16,7 +17,8 @@ from hardtorus.hyperbolic import (cone_decompose, collision_rate,
                                   summary_dict, write_series_csv, z_length)
 from hardtorus.rng import make_generator
 from hardtorus.serialize import canonical_json
-from hardtorus.tangent import TangentVector, propagate_tangent
+from hardtorus.tangent import (TangentVector, _apply_event, _walk,
+                               propagate_tangent)
 
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
@@ -217,7 +219,7 @@ class TestLyapunov:
         assert not spec.low_confidence
 
     def test_one_frame_per_regular_event(self, monkeypatch):
-        # the flow exponent rides the main walk instead of a second one
+        # one frame per regular event; the flow exponent needs none
         built = []
         original = tangent.frame_for_event
 
@@ -232,6 +234,36 @@ class TestLyapunov:
         assert spec.n_collisions == traj.n_events > 0
         assert built == [k for k in range(traj.n_events)
                          if traj.ev_flags[k] == 0]
+
+    @pytest.mark.parametrize("seed", [3, 5, 7, "grazing"])
+    def test_flow_direction_is_outgoing_velocity(self, seed):
+        # the flow vector (v, 0), carried through every collision by the
+        # tangent step, is the recorded outgoing velocity bit for bit
+        # with exactly zero dv, so the flow exponent can read the record
+        if seed == "grazing":
+            traj = grazing_orbit()
+            assert traj.ev_flags[0] and not traj.ev_flags[1:].any()
+        else:
+            traj = simulate(sample_state(seed, P3), 50.0, P3)
+            assert not traj.singular
+        flow_q = traj.initial.v.reshape(-1).copy()
+        flow_v = np.zeros_like(flow_q)
+        crossed = restarts = 0
+        for t_a, t_k, k, fr in _walk(traj, flagged=True):
+            if k is None:
+                break
+            if fr is None:
+                # no frame at a flagged event: resync from the record
+                flow_q = traj.ev_v_post[k].reshape(-1).copy()
+                restarts += 1
+                continue
+            flow_q = flow_q + (t_k - t_a) * flow_v
+            flow_q, flow_v = _apply_event(fr, flow_q, flow_v)
+            assert flow_q.tobytes() == traj.ev_v_post[k].reshape(-1).tobytes(), k
+            assert np.all(flow_v == 0.0), k
+            crossed += 1
+        assert crossed > 20 and restarts == (seed == "grazing")
+        assert flow_q.tobytes() == traj.final.v.reshape(-1).tobytes()
 
     def test_short_run_flags_low_confidence(self):
         spec = lyapunov_spectrum(sample_state(3, P2), 20.0, P2, seed=4)
