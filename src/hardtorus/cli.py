@@ -283,12 +283,14 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         run(args.subcommand, config, out_dir)
+    # LinAlgError subclasses ValueError but is a numerical failure, so
+    # this clause comes first
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import NumericalFailureError, ResolutionError, ValidationError
 from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        min_image, reduced_space, transverse_basis)
@@ -459,6 +459,14 @@ def _mass_on_frame(rng, v, params: SystemParams, m: int) -> np.ndarray:
     return q
 
 
+def _frame_failure(traj: TrajectorySegment, k: int,
+                   what: str) -> NumericalFailureError:
+    i, j = traj.ev_pair[k].tolist()
+    return NumericalFailureError(
+        f"{what} at event {k} (t = {float(traj.ev_t[k]):.17g}, "
+        f"pair ({i}, {j}))")
+
+
 def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
                       *, m_exponents: int | None = None,
                       reorth_interval: int = 10,
@@ -468,8 +476,13 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
     The frame lives on the zero-momentum subspace in scaled (mass
     orthonormal) coordinates with the flow and velocity directions
     excluded, and is re-orthonormalized every ``reorth_interval``
-    collisions.  A flagged (tangential or double) event aborts the
-    current accumulation chunk and restarts with a fresh frame.
+    collisions (Benettin et al. 1980), or sooner once an entry passes
+    1e6.  Each collision acts only on the colliding pair's eight rows of
+    the frame, through the event's pair-block map from the segment's
+    collision table (Dellago, Posch & Hoover 1996).  A flagged
+    (tangential or double) event aborts the current accumulation chunk
+    and restarts with a fresh frame.  A non-finite frame or a zero QR
+    diagonal raises ``NumericalFailureError`` naming the event.
     Standard errors are duration-weighted batch means over chunks, so
     they measure fluctuation, not systematic bias.
     """
@@ -493,7 +506,7 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
     t_accum = 0.0
     n_restarts = 0
 
-    def renormalize(fr_cols, v_now):
+    def renormalize(fr_cols, k):
         """Project onto the reduced space minus the flow/velocity plane
         and orthonormalize; returns the frame and per-column log growth.
         Rounding during a strongly expanding stretch spills noise onto
@@ -502,14 +515,14 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
         columns."""
         fr_cols[:n2] = zy @ (zy.T @ fr_cols[:n2])
         fr_cols[n2:] = zy @ (zy.T @ fr_cols[n2:])
-        vy = v_now * scale
+        vy = traj.ev_v_post[k].reshape(-1) * scale
         vy = vy / np.linalg.norm(vy)
         for excl in (np.r_[vy, np.zeros(n2)], np.r_[np.zeros(n2), vy]):
             fr_cols -= np.outer(excl, excl @ fr_cols)
         q, r = np.linalg.qr(fr_cols)
         diag = np.abs(np.diag(r))
         if np.any(diag == 0.0):
-            raise ValidationError("degenerate frame during QR")
+            raise _frame_failure(traj, k, "degenerate Lyapunov frame during QR")
         return q, np.log(diag)
 
     chunk_t0 = 0.0
@@ -530,17 +543,16 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
             chunk_logs = np.zeros(m)
             events_in_chunk = 0
             continue
-        xq = frame[:n2] / scale[:, None]
-        xv = frame[n2:] / scale[:, None]
-        xq, xv = _apply_event(fr, xq, xv)
-        frame[:n2] = xq * scale[:, None]
-        frame[n2:] = xv * scale[:, None]
+        frame[fr.rows] = fr.block @ frame[fr.rows]
         events_in_chunk += 1
         close_chunk = events_in_chunk >= reorth_interval
+        peak = float(np.abs(frame).max())
+        if not math.isfinite(peak):
+            raise _frame_failure(traj, k, "non-finite Lyapunov frame")
         # interim orthonormalization once the frame spread nears the
         # precision floor; its log growth telescopes into the chunk
-        if close_chunk or np.abs(frame).max() > 1e6:
-            frame, growth = renormalize(frame, traj.ev_v_post[k].reshape(-1))
+        if close_chunk or peak > 1e6:
+            frame, growth = renormalize(frame, k)
             chunk_logs += growth
         if close_chunk:
             span = t_k - chunk_t0

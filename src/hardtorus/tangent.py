@@ -79,6 +79,113 @@ def reverse_normal(n: NormalVector) -> NormalVector:
     return NormalVector(n.z, -n.w)
 
 
+class _lazy:
+    """Attribute computed on first access and then stored on the
+    instance.  ``functools.cached_property`` does the same but takes a
+    lock on every first access before Python 3.12, which cost more than
+    the values themselves on the transport paths."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+# Events per vectorised pass of the collision-table build: the pass
+# temporaries stay a few hundred kB however long the segment is.
+_TABLE_CHUNK = 256
+
+
+class _CollisionTable:
+    """Per-event collision data of one segment, vectorised over events.
+
+    ``scalars`` holds, per event, mi, mj, s, the base radius, cos_pre
+    and cos_phi, next to ``perp`` and the record's pair and u.  They
+    come from the same elementwise IEEE operations as an event-by-event
+    evaluation, so every frame reads the bits it would compute on its
+    own.  The event's tangent map acts on the colliding pair's eight
+    rows of a (4N, m) stack in mass-orthonormal coordinates (dq rows
+    first) as the 8x8 block [[A, 0], [B, A]], with A the reflection and
+    B = A S the pre-collision scattering: the pair-local collision map
+    of Dellago, Posch & Hoover (PRE 53, 1485, 1996).  ``block_low``
+    stores its lower half [B, A], which holds every entry in half the
+    memory; it is built for the whole segment on first use, so walks
+    that only apply the operators never pay for it.  Flagged events and
+    events within the tangency tolerance are masked: nothing is divided
+    by their cosines and their blocks stay NaN.
+    """
+
+    def __init__(self, pair, u, v_pre, v_post, flags, params: SystemParams):
+        k = len(pair)
+        self.params = params
+        self.pair, self.u, self.v_pre, self.v_post = pair, u, v_pre, v_post
+        self.flags = flags
+        self.perp = np.empty((k, 2))
+        self.scalars = np.empty((k, 6))
+        for ev in self._chunks():
+            self._fill_scalars(ev)
+
+    def _chunks(self):
+        k = len(self.pair)
+        return (np.arange(a, min(k, a + _TABLE_CHUNK))
+                for a in range(0, k, _TABLE_CHUNK))
+
+    def _relative(self, v, ev):
+        return v[ev, self.pair[ev, 0]] - v[ev, self.pair[ev, 1]]
+
+    def _fill_scalars(self, ev):
+        params = self.params
+        mi = params.mass_array[self.pair[ev, 0]]
+        mj = params.mass_array[self.pair[ev, 1]]
+        u = self.u[ev]
+        s = np.sqrt(1.0 / mi + 1.0 / mj)
+        base = 2.0 * params.radius * np.sqrt(mi * mj / (mi + mj))
+        w = self._relative(self.v_pre, ev)
+        d_post = self._relative(self.v_post, ev)
+        # cosines pinned to the frame's own dot_nu, so that its boundary
+        # projections send v_pre and v_post to exact zero
+        cos_pre = -((u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) / s)
+        cos_phi = (u[:, 0] * d_post[:, 0] + u[:, 1] * d_post[:, 1]) / s
+        self.perp[ev] = np.stack([-u[:, 1], u[:, 0]], axis=1)
+        self.scalars[ev] = np.stack([mi, mj, s, base, cos_pre, cos_phi], axis=1)
+
+    @_lazy
+    def block_low(self):
+        out = np.full((len(self.pair), 4, 8), np.nan)
+        tol = self.params.tolerances.tangency_tol
+        for ev in self._chunks():
+            cos_pre, cos_phi = self.scalars[ev, 4], self.scalars[ev, 5]
+            ok = (self.flags[ev] == 0) & (np.minimum(cos_pre, cos_phi) > tol)
+            if ok.any():
+                out[ev[ok]] = self._blocks(ev[ok])
+        return out
+
+    def _blocks(self, ev):
+        mi, mj, s, base, cos_pre, cos_phi = self.scalars[ev].T
+        u, perp = self.u[ev], self.perp[ev]
+        w = self._relative(self.v_pre, ev)
+        ri, rj = np.sqrt(mi)[:, None], np.sqrt(mj)[:, None]
+        # unit contact normal in scaled pair coordinates; A = I - 2 n n^T
+        nh = np.concatenate([rj * u, -ri * u], axis=1) / np.sqrt(mi + mj)[:, None]
+        refl = np.eye(4) - 2.0 * nh[:, :, None] * nh[:, None, :]
+        # S = c t t^T: t is the base-circle tangent slid along u until it
+        # is transverse to the incoming relative velocity w
+        t = perp + u * ((w[:, 0] * perp[:, 0] + w[:, 1] * perp[:, 1])
+                        / (s * cos_pre))[:, None]
+        ct = np.concatenate([t / ri, -t / rj], axis=1)
+        coef = 2.0 * cos_phi / (s * s * base)
+        act = ct - 2.0 * nh * (nh * ct).sum(axis=1)[:, None]
+        low = np.empty((len(ev), 4, 8))
+        low[:, :, :4] = coef[:, None, None] * act[:, :, None] * ct[:, None, :]
+        low[:, :, 4:] = refl
+        return low
+
+
 class CollisionFrame:
     """Operators of one collision in the mass metric.
 
@@ -88,38 +195,63 @@ class CollisionFrame:
     projections along the incoming and outgoing velocities convert
     between velocity-transverse vectors and the contact hyperplane.
     All apply methods accept a flat vector or a (2N, k) stack.
+
+    A frame is row k of a collision table; ``rows`` and ``block`` give
+    its pair-block map on (4N, m) stacks in mass-orthonormal
+    coordinates (see ``_CollisionTable``).
     """
 
-    def __init__(self, i: int, j: int, u, v_pre, v_post, params: SystemParams):
-        self.i, self.j = int(i), int(j)
-        self.params = params
-        mi, mj = params.masses[self.i], params.masses[self.j]
-        self.mi, self.mj = mi, mj
-        s = math.sqrt(1.0 / mi + 1.0 / mj)
-        self.s = s
-        n2 = 2 * params.n
-        self.u = np.asarray(u, dtype=float)
-        self.perp = np.array([-self.u[1], self.u[0]])
-        self.mw = params.mass_weights
-        nu = np.zeros(n2)
-        nu[2 * self.i: 2 * self.i + 2] = self.u / (mi * s)
-        nu[2 * self.j: 2 * self.j + 2] = -self.u / (mj * s)
-        self.nu = nu
-        wh = np.zeros(n2)
-        wh[2 * self.i: 2 * self.i + 2] = self.perp / (mi * s)
-        wh[2 * self.j: 2 * self.j + 2] = -self.perp / (mj * s)
-        self.w_hat = wh
-        self.base_radius = 2.0 * params.radius * math.sqrt(mi * mj / (mi + mj))
-        self.v_pre = np.asarray(v_pre, dtype=float).reshape(-1)
-        self.v_post = np.asarray(v_post, dtype=float).reshape(-1)
-        # Cosines pinned to the frame's own inner product so that the
-        # boundary projections send v_pre and v_post to exact zero.
-        self.cos_pre = -float(self.dot_nu(self.v_pre))
-        self.cos_phi = float(self.dot_nu(self.v_post))
+    def __init__(self, table: _CollisionTable, k: int):
+        self.i, self.j = table.pair[k].tolist()
+        self.params = params = table.params
+        (self.mi, self.mj, self.s, self.base_radius,
+         self.cos_pre, self.cos_phi) = table.scalars[k].tolist()
         if min(self.cos_phi, self.cos_pre) <= params.tolerances.tangency_tol:
             raise TangentialFrameError(
                 f"collision of ({self.i}, {self.j}) is tangential: "
                 f"cos_phi = {self.cos_phi:.3g}")
+        self.u = table.u[k]
+        self.perp = table.perp[k]
+        self.mw = params.mass_weights
+        self._table, self._k = table, k
+
+    @_lazy
+    def rows(self):
+        """dq then dv rows of disks i and j in a (4N, m) stack."""
+        i2, j2, n2 = 2 * self.i, 2 * self.j, 2 * self.params.n
+        return np.array([i2, i2 + 1, j2, j2 + 1,
+                         n2 + i2, n2 + i2 + 1, n2 + j2, n2 + j2 + 1])
+
+    @_lazy
+    def block(self):
+        """8x8 map [[A, 0], [B, A]] of the collision on ``rows``."""
+        low = self._table.block_low[self._k]
+        out = np.zeros((8, 8))
+        out[4:] = low
+        out[:4, :4] = low[:, 4:]
+        return out
+
+    @_lazy
+    def v_pre(self):
+        return self._table.v_pre[self._k].reshape(-1)
+
+    @_lazy
+    def v_post(self):
+        return self._table.v_post[self._k].reshape(-1)
+
+    def _pair_vector(self, a):
+        out = np.zeros(2 * self.params.n)
+        out[2 * self.i: 2 * self.i + 2] = a / (self.mi * self.s)
+        out[2 * self.j: 2 * self.j + 2] = -a / (self.mj * self.s)
+        return out
+
+    @_lazy
+    def nu(self):
+        return self._pair_vector(self.u)
+
+    @_lazy
+    def w_hat(self):
+        return self._pair_vector(self.perp)
 
     def _pair_delta(self, x):
         """Block difference x_i - x_j; exact zero on equal blocks, which
@@ -195,13 +327,24 @@ def collision_frame(state: PhaseState, i: int, j: int, image,
     post = resolve_collision(state, i, j, image, params)
     d = state.q[i] - state.q[j] + np.asarray(image, dtype=float)
     u = d / math.hypot(d[0], d[1])
-    return CollisionFrame(i, j, u, state.v, post.v, params)
+    table = _CollisionTable(np.array([[i, j]]), u[None], state.v[None],
+                            post.v[None], np.zeros(1, dtype=np.uint8), params)
+    return CollisionFrame(table, 0)
 
 
 def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
-    return CollisionFrame(
-        int(traj.ev_pair[k, 0]), int(traj.ev_pair[k, 1]), traj.ev_u[k],
-        traj.ev_v_pre[k], traj.ev_v_post[k], traj.params)
+    """Frame of event k, read from the segment's collision table.
+
+    The table is built on the first call and kept on the segment outside
+    its dataclass fields, so ``simulate`` never builds one and a copy
+    made with ``dataclasses.replace`` builds its own.
+    """
+    table = traj.__dict__.get("_collision_table")
+    if table is None:
+        table = _CollisionTable(traj.ev_pair, traj.ev_u, traj.ev_v_pre,
+                                traj.ev_v_post, traj.ev_flags, traj.params)
+        object.__setattr__(traj, "_collision_table", table)
+    return CollisionFrame(table, k)
 
 
 def _apply_event(frame, xq, xv):

@@ -8,6 +8,8 @@ comparing against junk.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from hardtorus.events import simulate, symbolic_sequence
@@ -114,6 +116,14 @@ def double_orbit():
     state = PhaseState(q=[[0.125, 0.5], [0.5, 0.5], [0.5, 0.125]],
                        v=[[0.25, 0.0], [0.0, 0.0], [0.0, 0.25]])
     return simulate(state, 20.0, P3_DYADIC)
+
+
+def stalled_copy(traj, k):
+    """traj with the pair of event k given equal incoming velocities."""
+    i, j = traj.ev_pair[k]
+    v_pre = traj.ev_v_pre.copy()
+    v_pre[k, j] = v_pre[k, i]
+    return dataclasses.replace(traj, ev_v_pre=v_pre)
 
 
 def bfs_components(n, edges):

@@ -2,6 +2,8 @@ import json
 import os
 from collections import Counter
 
+import numpy as np
+
 from hardtorus import cli, hyperbolic
 from hardtorus.config import parse_config
 
@@ -156,6 +158,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 3
+
+    def test_linalg_failure_is_three(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        def boom(config, out_dir):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli._RUNNERS, "simulate", boom)
+        cfg = write_config(tmp_path)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_env_out_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

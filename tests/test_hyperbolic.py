@@ -1,16 +1,20 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import grazing_orbit
-from hardtorus import tangent
-from hardtorus.errors import ResolutionError, ValidationError
+from hardtorus import hyperbolic, tangent
+from hardtorus.errors import (NumericalFailureError, ResolutionError,
+                              ValidationError)
 from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
-                                project_to_Z, sample_state, transverse_basis)
-from hardtorus.hyperbolic import (cone_decompose, collision_rate,
+                                project_to_Z, reduced_space, sample_state,
+                                transverse_basis)
+from hardtorus.hyperbolic import (LyapunovSpectrum, cone_decompose,
+                                  collision_rate,
                                   curvature_consistency, curvature_propagate,
                                   expansion_check, hyperbolicity_series,
                                   lyapunov_spectrum, q_evolution_audit,
@@ -21,6 +25,7 @@ from hardtorus.tangent import (TangentVector, _apply_event, _walk,
                                propagate_tangent)
 
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
+P3M = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 FREE = SystemParams(masses=(1.0, 1.0), radius=0.05)
 
@@ -210,6 +215,85 @@ class TestConeDecomposition:
                            (0, 0), P3)
 
 
+def reference_lyapunov(state, t_max, params, *, reorth_interval=10, seed=0):
+    """Reference: the whole-frame Lyapunov loop that pushes every
+    collision through ``_apply_event`` in plain coordinates, rescaling
+    the full (4N, m) frame at each event."""
+    m = 4 * (params.n - 1) - 2
+    rng = make_generator(seed, 101)
+    traj = simulate(state, t_max, params)
+    n2 = 2 * params.n
+    scale = np.sqrt(params.mass_weights)
+    zy = reduced_space(params).basis * scale[:, None]
+
+    frame = hyperbolic._mass_on_frame(rng, traj.initial.v, params, m)
+    logs = np.zeros(m)
+    chunk_rates = []
+    t_accum = 0.0
+    n_restarts = 0
+
+    def renormalize(fr_cols, v_now):
+        fr_cols[:n2] = zy @ (zy.T @ fr_cols[:n2])
+        fr_cols[n2:] = zy @ (zy.T @ fr_cols[n2:])
+        vy = v_now * scale
+        vy = vy / np.linalg.norm(vy)
+        for excl in (np.r_[vy, np.zeros(n2)], np.r_[np.zeros(n2), vy]):
+            fr_cols -= np.outer(excl, excl @ fr_cols)
+        q, r = np.linalg.qr(fr_cols)
+        return q, np.log(np.abs(np.diag(r)))
+
+    chunk_t0 = 0.0
+    chunk_logs = np.zeros(m)
+    events_in_chunk = 0
+    for t_a, t_k, k, fr in _walk(traj, flagged=True):
+        frame[:n2] += (t_k - t_a) * frame[n2:]
+        if k is None:
+            break
+        if fr is None:
+            n_restarts += 1
+            frame = hyperbolic._mass_on_frame(
+                rng, traj.ev_v_post[k].reshape(-1), params, m)
+            chunk_t0 = t_k
+            chunk_logs = np.zeros(m)
+            events_in_chunk = 0
+            continue
+        xq = frame[:n2] / scale[:, None]
+        xv = frame[n2:] / scale[:, None]
+        xq, xv = _apply_event(fr, xq, xv)
+        frame[:n2] = xq * scale[:, None]
+        frame[n2:] = xv * scale[:, None]
+        events_in_chunk += 1
+        close_chunk = events_in_chunk >= reorth_interval
+        if close_chunk or np.abs(frame).max() > 1e6:
+            frame, growth = renormalize(frame, traj.ev_v_post[k].reshape(-1))
+            chunk_logs += growth
+        if close_chunk:
+            span = t_k - chunk_t0
+            logs += chunk_logs
+            t_accum += span
+            if span > 0.0:
+                chunk_rates.append((span, chunk_logs / span))
+            chunk_t0 = t_k
+            chunk_logs = np.zeros(m)
+            events_in_chunk = 0
+
+    exponents = logs / t_accum
+    w = np.array([c[0] for c in chunk_rates])
+    g = np.stack([c[1] for c in chunk_rates])
+    var = ((w[:, None] * (g - exponents) ** 2).sum(axis=0)
+           / w.sum() / max(1, len(chunk_rates) - 1))
+    nrm0 = np.linalg.norm(scale * traj.initial.v.reshape(-1))
+    nrm1 = np.linalg.norm(scale * traj.final.v.reshape(-1))
+    return LyapunovSpectrum(
+        exponents=np.sort(exponents)[::-1],
+        standard_errors=np.sort(np.sqrt(var))[::-1],
+        flow_exponent=float(math.log(nrm1 / nrm0) / traj.t_end),
+        t_total=float(t_accum), n_collisions=traj.n_events,
+        n_chunks=len(chunk_rates), n_restarts=n_restarts,
+        low_confidence=bool(len(chunk_rates) < 8
+                            or traj.n_events < 4 * reorth_interval))
+
+
 class TestLyapunov:
     def test_two_disk_spectrum(self):
         spec = lyapunov_spectrum(sample_state(3, P2), 2000.0, P2, seed=4)
@@ -264,6 +348,64 @@ class TestLyapunov:
             crossed += 1
         assert crossed > 20 and restarts == (seed == "grazing")
         assert flow_q.tobytes() == traj.final.v.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("case", ["criterion_11", 1, 2, 3, "grazing"])
+    def test_matches_whole_frame_reference(self, case):
+        # the pair-block step moves the frame at roundoff, which chaos
+        # amplifies in the contracting exponents; the expanding half
+        # agrees to 1e-9 and every exponent to a twentieth of its error
+        if case == "criterion_11":
+            args = (sample_state(3, P2), 2000.0, P2)
+            seed = 4
+        elif case == "grazing":
+            traj = grazing_orbit()
+            args = (traj.initial, traj.t_end, traj.params)
+            seed = 0
+        else:
+            # the lyapunov_n3 benchmark configuration, first member
+            args = (sample_state(case, P3M, stream=0), 1500.0, P3M)
+            seed = case
+        got = lyapunov_spectrum(*args, seed=seed)
+        want = reference_lyapunov(*args, seed=seed)
+        m = want.exponents.size
+        top = math.ceil(m / 2)
+        assert np.abs(got.exponents[:top] - want.exponents[:top]).max() <= 1e-9
+        assert np.all(np.abs(got.exponents - want.exponents)
+                      <= 0.05 * want.standard_errors)
+        for name in ("n_collisions", "n_chunks", "n_restarts",
+                     "low_confidence", "flow_exponent"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.n_restarts == (case == "grazing")
+
+    @pytest.mark.parametrize("fault", ["nan", "zero_column"])
+    def test_numerical_failure_names_event(self, fault, monkeypatch):
+        # a NaN in the frame or a zero QR diagonal is a numerical failure
+        # at an event, not a configuration error
+        original = hyperbolic._mass_on_frame
+
+        def faulty(*args):
+            frame = original(*args)
+            if fault == "nan":
+                frame[0, 0] = np.nan
+            else:
+                frame[:, 1] = 0.0
+            return frame
+
+        monkeypatch.setattr(hyperbolic, "_mass_on_frame", faulty)
+        state = sample_state(3, P3)
+        traj = simulate(state, 50.0, P3)
+        with pytest.raises(NumericalFailureError) as err:
+            lyapunov_spectrum(state, 50.0, P3, seed=4)
+        assert not isinstance(err.value, ValueError)
+        msg = str(err.value)
+        # the NaN shows at the first event; the zero column at the first
+        # QR, which comes no later than the tenth event
+        k = int(re.search(r"at event (\d+) ", msg).group(1))
+        assert k == 0 if fault == "nan" else 0 <= k <= 9
+        i, j = traj.ev_pair[k]
+        assert f"at event {k} (t = {float(traj.ev_t[k]):.17g}, " \
+               f"pair ({i}, {j}))" in msg
+        assert ("non-finite" if fault == "nan" else "QR") in msg
 
     def test_short_run_flags_low_confidence(self):
         spec = lyapunov_spectrum(sample_state(3, P2), 20.0, P2, seed=4)

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import bfs_components
+from conftest import bfs_components, stalled_copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,14 +66,6 @@ def reference_pre_collision(traj, w, k, t_ref):
     xq, xv = transport_between(traj, w.copy(), np.zeros_like(w), t_ref,
                                float(traj.ev_t[k]))
     return _apply_event_inverse(frame_for_event(traj, k), xq, xv)[0]
-
-
-def stalled_copy(traj, k):
-    """traj with the pair of event k given equal incoming velocities."""
-    i, j = traj.ev_pair[k]
-    v_pre = traj.ev_v_pre.copy()
-    v_pre[k, j] = v_pre[k, i]
-    return dataclasses.replace(traj, ev_v_pre=v_pre)
 
 
 class TestNeutralSpace:

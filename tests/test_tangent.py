@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import fd_check_window
+from conftest import fd_check_window, stalled_copy
 
+from hardtorus import tangent
 from hardtorus.errors import SingularSegmentError, TangentialFrameError
-from hardtorus.events import simulate
+from hardtorus.events import TrajectorySegment, simulate
 from hardtorus.geometry import (PhaseState, SystemParams, cylinder_radius,
                                 mass_inner, mass_norm, sample_state,
                                 transverse_basis)
@@ -17,6 +19,7 @@ from hardtorus.tangent import (NormalVector, TangentVector, _apply_event,
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
+P3M = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
 
 
 def eventful(seed=3, params=P3, t=8.0):
@@ -89,6 +92,109 @@ class TestCollisionFrame:
         state = contact([1.0, 0.0], [[0.0, 0.3], [1e-12, -0.2]], P2)
         with pytest.raises(TangentialFrameError):
             collision_frame(state, 0, 1, (0, 0), P2)
+
+
+def table_orbit(n):
+    """Eventful orbit at N = 2, 3, 5 or 8 with unequal masses."""
+    radius = {2: 0.1, 3: 0.1, 5: 0.08, 8: 0.06}[n]
+    params = SystemParams(masses=tuple(np.linspace(0.5, 2.0, n)), radius=radius)
+    traj = simulate(sample_state(1, params), 80.0, params)
+    assert traj.n_events >= 20
+    return traj
+
+
+def event_by_event_frame(traj, k):
+    """Reference: the frame data of event k evaluated for that event
+    alone, with the scalar arithmetic frames used before the table."""
+    params = traj.params
+    i, j = int(traj.ev_pair[k, 0]), int(traj.ev_pair[k, 1])
+    mi, mj = params.masses[i], params.masses[j]
+    s = math.sqrt(1.0 / mi + 1.0 / mj)
+    u = np.asarray(traj.ev_u[k], dtype=float)
+    perp = np.array([-u[1], u[0]])
+
+    def dot_nu(x):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        d = x[2 * i: 2 * i + 2] - x[2 * j: 2 * j + 2]
+        return (u[0] * d[0] + u[1] * d[1]) / s
+
+    def pair_vector(a):
+        out = np.zeros(2 * params.n)
+        out[2 * i: 2 * i + 2] = a / (mi * s)
+        out[2 * j: 2 * j + 2] = -a / (mj * s)
+        return out
+
+    return {"i": i, "j": j, "mi": mi, "mj": mj, "s": s,
+            "base_radius": 2.0 * params.radius * math.sqrt(mi * mj / (mi + mj)),
+            "cos_pre": -float(dot_nu(traj.ev_v_pre[k])),
+            "cos_phi": float(dot_nu(traj.ev_v_post[k])),
+            "u": u, "perp": perp, "nu": pair_vector(u),
+            "w_hat": pair_vector(perp)}
+
+
+class TestCollisionTable:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_frames_match_event_by_event_bitwise(self, n):
+        traj = table_orbit(n)
+        for k in range(traj.n_events):
+            if traj.ev_flags[k]:
+                continue
+            f = frame_for_event(traj, k)
+            for name, want in event_by_event_frame(traj, k).items():
+                got = getattr(f, name)
+                assert type(got) is type(want), (k, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_block_matches_apply_event(self, n):
+        # the pair block on a scaled (4N, m) stack is _apply_event in
+        # plain coordinates, and leaves every other row untouched
+        traj = table_orbit(n)
+        if n == 8:
+            assert traj.n_events > tangent._TABLE_CHUNK
+        scale = np.sqrt(traj.params.mass_weights)[:, None]
+        n2 = 2 * n
+        rng = np.random.default_rng(n)
+        worst = 0.0
+        for k in range(traj.n_events):
+            if traj.ev_flags[k]:
+                continue
+            f = frame_for_event(traj, k)
+            y = rng.standard_normal((2 * n2, 5))
+            xq, xv = _apply_event(f, y[:n2] / scale, y[n2:] / scale)
+            want = np.vstack([xq * scale, xv * scale])
+            got = y.copy()
+            got[f.rows] = f.block @ y[f.rows]
+            others = np.setdiff1d(np.arange(2 * n2), f.rows)
+            assert np.array_equal(got[others], y[others]), k
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert worst <= 1e-13
+
+    def test_tangency_refused_per_event(self):
+        traj = simulate(sample_state(3, P3M), 20.0, P3M)
+        assert "_collision_table" not in vars(traj)
+        assert [f.name for f in dataclasses.fields(TrajectorySegment)] == [
+            "initial", "final", "t_end", "params", "ev_t", "ev_pair",
+            "ev_image", "ev_u", "ev_cosphi", "ev_flags", "ev_q", "ev_v_pre",
+            "ev_v_post", "max_energy_drift", "max_momentum_drift",
+            "stopped_by_count"]
+        stalled = stalled_copy(traj, 5)
+        # a window that ends before the stalled event builds the whole
+        # table and still transports, bit for bit as on the original
+        t_mid = 0.5 * float(traj.ev_t[4] + traj.ev_t[5])
+        rng = np.random.default_rng(8)
+        xq, xv = rng.standard_normal(6), rng.standard_normal(6)
+        got = transport_between(stalled, xq, xv, 0.0, t_mid)
+        want = transport_between(traj, xq, xv, 0.0, t_mid)
+        assert "_collision_table" in vars(stalled)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # the pair blocks are built for the whole segment as well, with
+        # the stalled event masked rather than divided by
+        assert np.isfinite(frame_for_event(stalled, 4).block).all()
+        with pytest.raises(TangentialFrameError):
+            frame_for_event(stalled, 5)
+        with pytest.raises(TangentialFrameError):
+            transport_between(stalled, xq, xv, 0.0, traj.t_end)
 
 
 class TestPropagators:
