@@ -29,7 +29,7 @@ class Tolerances:
     collision_root_tol: float = 1e-12   # |distance - 2r| at a resolved contact
     tangency_tol: float = 1e-10        # cos(phi) at or below this is tangential
     double_event_tol: float = 1e-12    # events closer than this may be double
-    rank_rel_tol: float = 1e-8         # relative singular-value cut for rank decisions
+    rank_rel_tol: float = 1e-8         # relative cut for rank decisions
 
 
 @dataclass(frozen=True)

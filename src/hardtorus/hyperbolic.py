@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, ResolutionError, ValidationError
+from .errors import ResolutionError, ValidationError
 from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        min_image, reduced_space, transverse_basis)
 from .rng import make_generator
-from .tangent import TangentVector, _apply_event, _walk, propagate_tangent
+from .tangent import (TangentVector, _apply_event, _frame_failure, _walk,
+                      propagate_tangent)
 
 __all__ = [
     "QEvolutionAudit", "JumpRecord", "q_evolution_audit",
@@ -457,14 +458,6 @@ def _mass_on_frame(rng, v, params: SystemParams, m: int) -> np.ndarray:
         frame -= np.outer(excl, excl @ frame)
     q, _ = np.linalg.qr(frame)
     return q
-
-
-def _frame_failure(traj: TrajectorySegment, k: int,
-                   what: str) -> NumericalFailureError:
-    i, j = traj.ev_pair[k].tolist()
-    return NumericalFailureError(
-        f"{what} at event {k} (t = {float(traj.ev_t[k]):.17g}, "
-        f"pair ({i}, {j}))")
 
 
 def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import (IllConditionedAdvanceError, PerturbationTooLargeError,
                      SingularSegmentError, TangentialFrameError)
-from .events import (TrajectorySegment, reverse_state, simulate,
-                     symbolic_sequence)
+from .events import TrajectorySegment, simulate, symbolic_sequence
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        reduced_space)
 from .tangent import (_apply_event_inverse, _walk, frame_for_event,
@@ -42,15 +41,15 @@ def _check_window(traj: TrajectorySegment, a: float, b: float, t_ref: float):
 
 @dataclass(frozen=True)
 class NeutralSpaceResult:
-    """Kernel of the velocity-variation map of a trajectory window.
+    """Neutral space of a trajectory window.
 
     ``basis`` columns are mass-orthonormal vectors of Z attached at
-    ``t_ref``; ``singular_values`` is the full profile the rank cut was
-    made on (descending), ``threshold`` the cut value.  ``gap_ok`` is
-    False when some singular value falls inside (threshold/10,
-    threshold*10), which makes the dimension unreliable.
-    ``validation_errors`` holds the worst finite-perturbation velocity
-    deviation per basis vector (NaN when validation was skipped).
+    ``t_ref``.  Each collision of the window puts one linear condition
+    on them; ``cut_margins`` holds, per condition that removed a
+    direction and in walk order, the relative size of the violation it
+    removed, and ``max_kept_residual`` the largest relative violation
+    left on the kept space.  Margins far above and residuals far below
+    ``rank_rel_tol`` make the dimension trustworthy.
     """
 
     a: float
@@ -58,94 +57,75 @@ class NeutralSpaceResult:
     t_ref: float
     dimension: int
     basis: np.ndarray
-    singular_values: np.ndarray
-    threshold: float
-    gap_ok: bool
+    cut_margins: np.ndarray
+    max_kept_residual: float
     flow_residual: float
-    validation_errors: np.ndarray
-
-    @property
-    def validated(self) -> bool:
-        errs = self.validation_errors
-        if errs.size == 0:
-            return True
-        return bool(not np.any(np.isnan(errs)) and np.all(errs <= 1e-8))
 
 
-def _velocity_at(traj: TrajectorySegment, state: PhaseState, t_from: float,
-                 t_to: float, params: SystemParams) -> np.ndarray:
-    """Velocity a re-simulation reaches at t_to starting from ``state``
-    placed at t_from; backward reach uses the velocity involution."""
-    if t_to >= t_from:
-        seg = simulate(state, t_to - t_from, params)
-        return seg.final.v
-    seg = simulate(reverse_state(state), t_from - t_to, params)
-    return reverse_state(seg.final).v
+def _null_of_row(g: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (m, m - 1) of the vectors orthogonal to g: the
+    last columns of the Householder reflection that sends g to an axis."""
+    h = g / np.linalg.norm(g)
+    h[0] += math.copysign(1.0, h[0])
+    refl = np.eye(g.size) - np.outer(h, h) / abs(h[0])
+    return refl[:, 1:]
 
 
 def neutral_space(traj: TrajectorySegment, a: float, b: float, t_ref: float,
-                  params: SystemParams, *, validate: bool = True,
-                  perturbation: float = 1e-5) -> NeutralSpaceResult:
+                  params: SystemParams) -> NeutralSpaceResult:
     """Neutral space of the window [a, b] attached at t_ref.
 
-    First-order kernel: transport the basis (W, 0) of Z x {0} from
-    t_ref to both window ends and cut the stacked velocity parts at
-    singular values below rank_rel_tol times the largest.  Each kernel
-    vector is then re-checked by a finite configuration shift of size
-    ``perturbation``, re-simulating to both ends and measuring the
-    velocity deviation (genuine neutral vectors stay below 1e-8).
+    A neutral W keeps every velocity, so at the collision of pair
+    (i, j) its relative block W_i - W_j is parallel to the pair's
+    relative velocity w, and crossing the collision adds
+    alpha (v+ - v-), with alpha = w.(W_i - W_j) / |w|^2 the advance
+    (Simanyi & Szasz, Ann. Math. 1999).  The sweep carries
+    mass-orthonormal coefficients C on the basis of Z together with the
+    image B of their vectors, walking forward from t_ref to b (w
+    incoming) and then backward to a (w outgoing).  At each collision
+    the condition g = perp(w).(B_i - B_j) / |w| is cut away when it
+    exceeds rank_rel_tol * max(1, |B_i - B_j|), by restricting C and B
+    to the null space of g; nothing is transported through the
+    exponentially growing tangent map.
     """
     _check_window(traj, a, b, t_ref)
     zb = reduced_space(params).basis
-    d = zb.shape[1]
-    mw = params.mass_weights
-    rows = []
-    for end in (a, b):
-        xq, xv = transport_between(traj, zb.copy(), np.zeros_like(zb), t_ref, end)
-        rows.append((zb.T * mw) @ xv)
-    stacked = np.vstack(rows)
-    _, svals, vt = np.linalg.svd(stacked)
-    smax = float(svals[0]) if svals.size else 0.0
     tol = params.tolerances.rank_rel_tol
-    if smax <= 1e-14:
-        threshold = 0.0
-        kernel_coords = np.eye(d)
-        gap_ok = True
-    else:
-        threshold = tol * smax
-        rank = int((svals >= threshold).sum())
-        kernel_coords = vt[rank:].T
-        gap_ok = not np.any((svals > threshold / 10.0) & (svals < threshold * 10.0))
-    basis = zb @ kernel_coords
+    coeffs = np.eye(zb.shape[1])
+    margins, kept = [], 0.0
+    for end, side in ((b, 1.0), (a, -1.0)):
+        img = zb @ coeffs
+        for _, _, _, frame in _walk(traj, t_ref, end):
+            if frame is None:
+                break
+            i, j = frame.i, frame.j
+            v_in = frame.v_pre if side > 0 else frame.v_post
+            w = v_in[2 * i: 2 * i + 2] - v_in[2 * j: 2 * j + 2]
+            nw = math.hypot(w[0], w[1])
+            delta = img[2 * i: 2 * i + 2] - img[2 * j: 2 * j + 2]
+            g = (w[0] * delta[1] - w[1] * delta[0]) / nw
+            scale = max(1.0, float(np.linalg.norm(delta)))
+            rel = float(np.linalg.norm(g)) / scale
+            if rel > tol:
+                margins.append(rel)
+                null = _null_of_row(g)
+                coeffs, img, delta, g = (coeffs @ null, img @ null,
+                                         delta @ null, g @ null)
+                rel = float(np.linalg.norm(g)) / scale
+            kept = max(kept, rel)
+            alpha = (w @ delta) / (nw * nw)
+            img = img + side * np.outer(frame.v_post - frame.v_pre, alpha)
+    basis = zb @ coeffs
     dim = basis.shape[1]
 
     v_ref = traj.state_at(t_ref).v.reshape(-1)
     vn = mass_norm(v_ref, params)
-    coeff = (basis.T * mw) @ v_ref
+    coeff = (basis.T * params.mass_weights) @ v_ref
     flow_residual = mass_norm(v_ref - basis @ coeff, params) / vn if dim else 1.0
-
-    errors = np.full(dim, np.nan)
-    if validate and dim:
-        ref_state = traj.state_at(t_ref)
-        va = traj.state_at(a).v
-        vb = traj.state_at(b).v
-        for k in range(dim):
-            wq = basis[:, k].reshape(-1, 2)
-            pert = PhaseState(q=(ref_state.q + perturbation * wq) % 1.0,
-                              v=ref_state.v)
-            worst = 0.0
-            for end, v_end in ((a, va), (b, vb)):
-                try:
-                    v_new = _velocity_at(traj, pert, t_ref, end, params)
-                except Exception:
-                    worst = float("inf")
-                    break
-                worst = max(worst, mass_norm(v_new - v_end, params))
-            errors[k] = worst
     return NeutralSpaceResult(
         a=a, b=b, t_ref=t_ref, dimension=dim, basis=basis,
-        singular_values=svals, threshold=threshold, gap_ok=gap_ok,
-        flow_residual=flow_residual, validation_errors=errors)
+        cut_margins=np.array(margins), max_kept_residual=kept,
+        flow_residual=flow_residual)
 
 
 @dataclass(frozen=True)
@@ -159,8 +139,9 @@ def is_sufficient(traj: TrajectorySegment, params: SystemParams,
                   t_ref: float | None = None) -> SufficiencyVerdict:
     """Sufficient iff the neutral space is the flow line alone.
 
-    Borderline rank cuts (singular values inside the gap guard) and
-    failed finite-perturbation validation give ``undecidable``.
+    The verdict is ``undecidable`` only when a rank decision sits near
+    roundoff: a cut margin below 100 * rank_rel_tol, a kept residual
+    above rank_rel_tol / 100, or no direction kept at all.
     """
     if a is None:
         a = 0.0
@@ -171,12 +152,12 @@ def is_sufficient(traj: TrajectorySegment, params: SystemParams,
     if t_ref is None:
         t_ref = a
     res = neutral_space(traj, a, b, t_ref, params)
-    if not res.gap_ok or not res.validated:
+    tol = params.tolerances.rank_rel_tol
+    if (res.dimension == 0 or res.max_kept_residual > tol / 100.0
+            or np.any(res.cut_margins < 100.0 * tol)):
         return SufficiencyVerdict("undecidable", res)
     if res.dimension == 1:
         return SufficiencyVerdict("sufficient", res)
-    if res.dimension == 0:
-        return SufficiencyVerdict("undecidable", res)
     return SufficiencyVerdict("not_sufficient", res)
 
 
@@ -441,8 +422,9 @@ def neutral_translate(state: PhaseState, w0, tau1: float, tau2: float,
 def neutral_report(traj: TrajectorySegment, params: SystemParams,
                    *, a: float | None = None, b: float | None = None,
                    t_ref: float | None = None) -> dict:
-    """JSON-ready summary: dimensions, singular values, sufficiency,
-    per-collision advances of the neutral basis, components, richness."""
+    """JSON-ready summary: dimension, cut margins and largest kept
+    residual of the neutral space, sufficiency, per-collision advances
+    of the neutral basis, components, richness."""
     verdict = is_sufficient(traj, params, a=a, b=b, t_ref=t_ref)
     res = verdict.result
     graph = collision_graph(symbolic_sequence(traj), params.n)
@@ -459,9 +441,8 @@ def neutral_report(traj: TrajectorySegment, params: SystemParams,
     return {
         "window": {"a": res.a, "b": res.b, "t_ref": res.t_ref},
         "dimension": res.dimension,
-        "singular_values": [float(s) for s in res.singular_values],
-        "threshold": res.threshold,
-        "gap_ok": res.gap_ok,
+        "cut_margins": res.cut_margins.tolist(),
+        "max_kept_residual": res.max_kept_residual,
         "flow_residual": res.flow_residual,
         "verdict": verdict.verdict,
         "advances_per_basis_vector": advances,

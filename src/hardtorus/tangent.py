@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSegmentError, TangentialFrameError
+from .errors import (NumericalFailureError, SingularSegmentError,
+                     TangentialFrameError)
 from .events import TrajectorySegment, resolve_collision
 from .geometry import (PhaseState, SystemParams, mass_inner, reduced_space)
 
@@ -357,6 +358,22 @@ def _apply_event_inverse(frame, xq, xv):
     return frame.reflect(xq), frame.reflect(xv) - frame.reflect(frame.scatter_post(xq))
 
 
+def _frame_failure(traj: TrajectorySegment, k: int,
+                   what: str) -> NumericalFailureError:
+    """Typed failure naming event k, its time and its pair."""
+    i, j = traj.ev_pair[k].tolist()
+    return NumericalFailureError(
+        f"{what} at event {k} (t = {float(traj.ev_t[k]):.17g}, "
+        f"pair ({i}, {j}))")
+
+
+def _check_finite(traj: TrajectorySegment, k: int, *vectors):
+    """Refuse a transport whose vectors left the floats at event k."""
+    for x in vectors:
+        if not np.isfinite(x).all():
+            raise _frame_failure(traj, k, "non-finite transported vector")
+
+
 def _walk(traj: TrajectorySegment, t_from: float | None = None,
           t_to: float | None = None, *, flagged: bool = False):
     """The one loop that crosses collisions, as a sequence of flights.
@@ -412,6 +429,7 @@ def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: floa
         xq = xq + (t_b - t_a) * xv
         if frame is not None:
             xq, xv = step(frame, xq, xv)
+            _check_finite(traj, k, xq, xv)
     return xq, xv
 
 
@@ -448,6 +466,7 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
             break
         xq = xq + (t_b - t) * xv
         xq, xv = _apply_event(frame, xq, xv)
+        _check_finite(traj, k, xq, xv)
         if identify:
             pull = pull @ frame.reflection_matrix()
     return out
@@ -478,6 +497,7 @@ def tangent_map(traj: TrajectorySegment, *, identify: bool = False) -> TangentMa
         xq = xq + (t_b - t_a) * xv
         if frame is not None:
             xq, xv = _apply_event(frame, xq, xv)
+            _check_finite(traj, k, xq, xv)
             if identify:
                 pull = pull @ frame.reflection_matrix()
     if identify:
@@ -541,6 +561,7 @@ def propagate_normal(traj: TrajectorySegment, n0: NormalVector) -> NormalTranspo
         scale = math.sqrt(float((mw * z) @ z + (mw * w) @ w))
         z /= scale
         w /= scale
+        _check_finite(traj, k, z, w)
         log_scale += math.log(scale)
         times.append(t_b)
         logs.append(log_scale)

@@ -12,8 +12,9 @@ import dataclasses
 
 import numpy as np
 
-from hardtorus.events import simulate, symbolic_sequence
-from hardtorus.geometry import PhaseState, SystemParams, project_to_Z, sample_state
+from hardtorus.events import reverse_state, simulate, symbolic_sequence
+from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
+                                project_to_Z, sample_state)
 from hardtorus.rng import make_generator
 from hardtorus.tangent import TangentVector, propagate_tangent
 
@@ -95,6 +96,34 @@ def fd_check_window(seed):
     out = propagate_tangent(base, TangentVector(dq, dv), [tw])[0]
     got = np.hstack([out.dq, out.dv])
     return float(np.linalg.norm(got - oracle) / np.linalg.norm(oracle))
+
+
+def neutral_deviations(traj, w, a, b, t_ref, params, eps=1e-5):
+    """Worst end-velocity deviation of the configuration shift w, at
+    step eps and at eps/10.
+
+    The state at t_ref, shifted by step * w, is re-simulated forward to
+    b and, through the velocity involution, backward to a; the
+    deviation is the mass norm of the velocity change at either end.
+    A neutral w deviates at second order or at the roundoff floor, a
+    non-neutral one at first order, so the ratio of the two values
+    (about 10 for first order) tells them apart where one value alone
+    cannot.  Roundoff in the shifted start grows with the orbit's
+    Lyapunov exponent, so the floor rises with the window length.
+    """
+    ref = traj.state_at(t_ref)
+    w = np.asarray(w, dtype=float).reshape(-1, 2)
+    out = []
+    for step in (eps, eps / 10.0):
+        shifted = PhaseState(q=(ref.q + step * w) % 1.0, v=ref.v)
+        v_b = simulate(shifted, b - t_ref, params).final.v
+        worst = mass_norm(v_b - traj.state_at(b).v, params)
+        if t_ref > a:
+            back = simulate(reverse_state(shifted), t_ref - a, params)
+            v_a = reverse_state(back.final).v
+            worst = max(worst, mass_norm(v_a - traj.state_at(a).v, params))
+        out.append(worst)
+    return tuple(out)
 
 
 # Exact dyadic set-ups with r = 1/8 (2r = 1/4), so the contacts of

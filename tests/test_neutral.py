@@ -1,9 +1,10 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import bfs_components, stalled_copy
+from conftest import bfs_components, neutral_deviations, stalled_copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +12,9 @@ from hardtorus import neutral, tangent
 from hardtorus.errors import (IllConditionedAdvanceError,
                               PerturbationTooLargeError)
 from hardtorus.events import simulate, symbolic_sequence
-from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
-                                project_to_Z, sample_state)
+from hardtorus.geometry import (PhaseState, SystemParams, Tolerances,
+                                mass_inner, mass_norm, project_to_Z,
+                                reduced_space, sample_state)
 from hardtorus.neutral import (advance, advance_report, collision_graph,
                                component_stats, is_sufficient, neutral_report,
                                neutral_space, neutral_translate,
@@ -26,6 +28,24 @@ P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P2B = SystemParams(masses=(1.0, 1.5), radius=0.15)
 P3 = SystemParams(masses=(1.0, 1.0, 1.0), radius=0.1)
 P3M = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
+P8 = SystemParams(masses=tuple(np.linspace(0.5, 2.0, 8)), radius=0.06)
+
+
+def seed3_orbit(t_max):
+    return simulate(sample_state(3, P3M), t_max, P3M)
+
+
+def n8_orbit():
+    """N = 8, seed 9, 18 events: a transported-basis SVD kept one
+    direction besides the flow here, whose effect is first order."""
+    return simulate(sample_state(9, P8), 5.0, P8)
+
+
+def assert_decided(res, params):
+    """Every cut far above roundoff, every kept residual far below."""
+    tol = params.tolerances.rank_rel_tol
+    assert np.all(res.cut_margins >= 100.0 * tol)
+    assert res.max_kept_residual <= tol / 100.0
 
 
 def tube_state():
@@ -77,7 +97,7 @@ class TestNeutralSpace:
         res = neutral_space(traj, 0.0, 3.0, 0.5, P2)
         assert res.dimension == 2
         assert res.flow_residual <= 1e-8
-        assert res.validated
+        assert res.cut_margins.size == 0 and res.max_kept_residual == 0.0
         assert is_sufficient(traj, P2).verdict == "not_sufficient"
 
     def test_collisionless_dimension_three_disks(self):
@@ -88,11 +108,9 @@ class TestNeutralSpace:
         assert traj.n_events == 0
         res = neutral_space(traj, 0.0, 4.0, 1.0, p)
         assert res.dimension == 4
+        assert res.cut_margins.size == 0 and res.max_kept_residual == 0.0
 
     def test_two_disks_sufficient_after_collision(self):
-        # the window closes shortly after the first collision: long
-        # windows amplify the validation re-simulation noise past its
-        # acceptance threshold without changing the kernel
         for seed in range(12):
             state = sample_state(seed, P2B)
             probe = simulate(state, 30.0, P2B, max_events=1)
@@ -102,13 +120,127 @@ class TestNeutralSpace:
             assert verdict.verdict == "sufficient"
             assert verdict.result.dimension == 1
             assert verdict.result.flow_residual <= 1e-8
+            assert_decided(verdict.result, P2B)
 
     def test_tube_scenario_not_sufficient(self):
         traj = tube_traj()
         res = neutral_space(traj, 0.0, 6.0, 0.05, P3)
         assert res.dimension == 3
-        assert res.validated
+        assert res.cut_margins.size == 1
+        assert_decided(res, P3)
         assert is_sufficient(traj, P3).verdict == "not_sufficient"
+
+    def test_walks_both_ways_from_t_ref(self):
+        traj = seed3_orbit(20.0)
+        t_ref = 0.5 * float(traj.ev_t[6] + traj.ev_t[7])
+        res = neutral_space(traj, 0.0, 19.99, t_ref, P3M)
+        assert res.dimension == 1
+        assert res.flow_residual <= 1e-12
+        assert_decided(res, P3M)
+
+
+def svd_kernel(traj, a, b, t_ref, params):
+    """Kernel of the window by the older route: transport the basis
+    (W, 0) of Z to both ends and cut the stacked velocity parts at
+    rank_rel_tol times the top singular value."""
+    zb = reduced_space(params).basis
+    rows = []
+    for end in (a, b):
+        _, xv = transport_between(traj, zb.copy(), np.zeros_like(zb),
+                                  t_ref, end)
+        rows.append((zb.T * params.mass_weights) @ xv)
+    _, svals, vt = np.linalg.svd(np.vstack(rows))
+    rank = int((svals >= params.tolerances.rank_rel_tol * svals[0]).sum())
+    return zb @ vt[rank:].T
+
+
+class TestNeutralSpaceGate:
+    """Windows the transported-basis SVD could not decide, or decided
+    wrongly, and the finite-difference oracle that settles them."""
+
+    @pytest.mark.parametrize("t_max", [8.0, 20.0, 200.0])
+    def test_seed3_windows_sufficient(self, t_max):
+        verdict = is_sufficient(seed3_orbit(t_max), P3M)
+        assert verdict.verdict == "sufficient"
+        assert verdict.result.flow_residual <= 1e-12
+
+    def test_n8_window_sufficient(self):
+        traj = n8_orbit()
+        assert traj.n_events == 18
+        verdict = is_sufficient(traj, P8)
+        assert verdict.verdict == "sufficient"
+        assert verdict.result.flow_residual <= 1e-12
+
+    def test_n8_extra_svd_direction_is_first_order(self):
+        traj = n8_orbit()
+        res = is_sufficient(traj, P8).result
+        kernel = svd_kernel(traj, res.a, res.b, res.t_ref, P8)
+        assert kernel.shape[1] == 2
+        # the kernel direction mass-orthogonal to the flow
+        v = traj.state_at(res.t_ref).v.reshape(-1)
+        c = (kernel.T * P8.mass_weights) @ v
+        extra = kernel @ np.array([c[1], -c[0]])
+        extra /= mass_norm(extra, P8)
+        dev, dev10 = neutral_deviations(traj, extra, res.a, res.b,
+                                        res.t_ref, P8)
+        assert 5.0 <= dev / dev10 <= 20.0
+
+    # windows short enough that the oracle's roundoff floor stays under
+    # 1e-8 at both steps; on the seed-3 orbit it passes 1e-8 by t = 8
+    @pytest.mark.parametrize("case", ["seed3", "n8", "tube"])
+    def test_kept_vectors_pass_finite_differences(self, case):
+        traj, params, t_ref = {"seed3": (seed3_orbit(5.0), P3M, 0.0),
+                               "n8": (n8_orbit(), P8, 0.0),
+                               "tube": (tube_traj(), P3, 0.05)}[case]
+        b = traj.t_end
+        res = neutral_space(traj, 0.0, b, t_ref, params)
+        assert res.dimension == (3 if case == "tube" else 1)
+        for col in res.basis.T:
+            devs = neutral_deviations(traj, col, 0.0, b, t_ref, params)
+            assert max(devs) <= 1e-8
+
+    # the closed form carries W through the tangent map, which amplifies
+    # the roundoff of W off the flow line, so these windows are short too
+    @pytest.mark.parametrize("case", ["seed3", "n8", "two_disks"])
+    def test_basis_advances_match_flow(self, case):
+        traj, params = {"seed3": (seed3_orbit(5.0), P3M),
+                        "n8": (n8_orbit(), P8),
+                        "two_disks": (simulate(sample_state(3, P2B), 8.0, P2B),
+                                      P2B)}[case]
+        verdict = is_sufficient(traj, params)
+        assert verdict.verdict == "sufficient"
+        w = verdict.result.basis[:, 0]
+        v = traj.state_at(0.0).v.reshape(-1)
+        c = mass_inner(w, v, params) / mass_inner(v, v, params)
+        every = np.arange(traj.n_events)
+        got = advance(traj, w, every, params)
+        assert np.abs(got - c * advance(traj, v, every, params)).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["margin", "residual", "empty"])
+    def test_near_roundoff_decisions_undecidable(self, case):
+        # n8's smallest cut margin is 7.4e-3 and seed 3's largest kept
+        # residual 6.6e-16; at rank_rel_tol 1e-15 the n8 sweep cuts the
+        # flow line too
+        traj, params, tol = {"margin": (n8_orbit(), P8, 1e-4),
+                             "residual": (seed3_orbit(8.0), P3M, 1e-14),
+                             "empty": (n8_orbit(), P8, 1e-15)}[case]
+        params = dataclasses.replace(
+            params, tolerances=Tolerances(rank_rel_tol=tol))
+        verdict = is_sufficient(traj, params)
+        assert verdict.verdict == "undecidable"
+        res = verdict.result
+        if case == "empty":
+            assert res.dimension == 0
+        else:
+            assert res.dimension == 1
+            assert (res.cut_margins.min() < 100.0 * tol) == (case == "margin")
+            assert (res.max_kept_residual > tol / 100.0) == (case == "residual")
+
+    def test_analysis_windows_decided(self):
+        # the N = 3 orbits of the benchmark's analysis workload
+        for seed in range(1, 41):
+            traj = simulate(sample_state(seed, P3M), 20.0, P3M)
+            assert is_sufficient(traj, P3M).verdict != "undecidable", seed
 
 
 class TestAdvance:

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import fd_check_window, stalled_copy
 
 from hardtorus import tangent
-from hardtorus.errors import SingularSegmentError, TangentialFrameError
+from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
+                              TangentialFrameError)
 from hardtorus.events import TrajectorySegment, simulate
 from hardtorus.geometry import (PhaseState, SystemParams, cylinder_radius,
                                 mass_inner, mass_norm, sample_state,
@@ -279,6 +281,43 @@ class TestPropagators:
         bad = dataclasses.replace(traj, ev_flags=flags)
         with pytest.raises(SingularSegmentError):
             propagate_tangent(bad, TangentVector(np.zeros(6), np.zeros(6)))
+
+
+def assert_names_event(err, traj, k=None):
+    """The failure message names the event index, its time and pair."""
+    msg = str(err.value)
+    got = int(re.search(r"at event (\d+) ", msg).group(1))
+    assert k is None or got == k
+    i, j = traj.ev_pair[got]
+    assert f"at event {got} (t = {float(traj.ev_t[got]):.17g}, " \
+           f"pair ({i}, {j}))" in msg
+    assert "non-finite" in msg
+
+
+class TestNonFiniteTransport:
+    def test_tangent_map_overflow_raises(self):
+        # 1,115 events: the transported basis passes the float range
+        traj = simulate(sample_state(3, P3M), 800.0, P3M)
+        assert traj.n_events == 1115 and not traj.singular
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError) as err:
+                tangent_map(traj)
+        assert_names_event(err, traj)
+
+    def test_nan_input_refused_at_first_event(self):
+        traj = eventful()
+        bad = np.zeros(6)
+        bad[0] = np.nan
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalFailureError) as err:
+                transport_between(traj, bad, np.zeros(6), 0.0, traj.t_end)
+            assert_names_event(err, traj, 0)
+            with pytest.raises(NumericalFailureError) as err:
+                propagate_tangent(traj, TangentVector(bad, np.zeros(6)))
+            assert_names_event(err, traj, 0)
+            with pytest.raises(NumericalFailureError) as err:
+                propagate_normal(traj, NormalVector(bad, np.zeros(6)))
+            assert_names_event(err, traj, 0)
 
 
 class TestTangentMap:
