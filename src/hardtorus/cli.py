@@ -201,7 +201,9 @@ def _scan_point(task) -> dict:
         rate = collision_rate(traj)
         row["conservation"] = _conservation(traj)
         row["collision_rate"] = summary_dict(rate=rate)["collision_rate"]
-    except ValueError as exc:
+    # a numerical failure at one point (RuntimeError: drift, overlap) is
+    # that point's result, like an invalid point, and not the scan's
+    except (ValueError, RuntimeError) as exc:
         row["error"] = str(exc)
     return row
 

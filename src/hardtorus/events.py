@@ -254,9 +254,14 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     vx = [float(x) for x in state.v[:, 0]]
     vy = [float(x) for x in state.v[:, 1]]
 
-    e0 = 0.5 * sum(m[k] * (vx[k] * vx[k] + vy[k] * vy[k]) for k in range(n))
-    px0 = sum(m[k] * vx[k] for k in range(n))
-    py0 = sum(m[k] * vy[k] for k in range(n))
+    # per-disk terms of the drift audit; a collision changes only its
+    # pair's terms, and every sum runs over all disks in index order
+    e_terms = [m[k] * (vx[k] * vx[k] + vy[k] * vy[k]) for k in range(n)]
+    px_terms = [m[k] * vx[k] for k in range(n)]
+    py_terms = [m[k] * vy[k] for k in range(n)]
+    e0 = 0.5 * sum(e_terms)
+    px0 = sum(px_terms)
+    py0 = sum(py_terms)
     e_scale = max(abs(e0), 1e-300)
     max_e_drift = 0.0
     max_p_drift = 0.0
@@ -286,7 +291,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
                                   counters[i], counters[j]))
 
     def chunk_length():
-        vmax = max(math.hypot(vx[k], vy[k]) for k in range(n))
+        vmax = max(map(math.hypot, vx, vy))
         if vmax <= 0.0:
             return 1.0
         return min(1.0, max(0.05, 0.25 / vmax))
@@ -383,7 +388,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
         flag = TANGENTIAL_BIT if cos_phi <= tol.tangency_tol else 0
         if rows_t and t_ev - rows_t[-1] <= tol.double_event_tol and \
-                {i, j} & set(rows_pair[-1]):
+                (i in rows_pair[-1] or j in rows_pair[-1]):
             flag |= DOUBLE_BIT
             rows_flag[-1] |= DOUBLE_BIT
         rows_t.append(t_ev)
@@ -397,9 +402,13 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         rec_vx.extend(vx)
         rec_vy.extend(vy)
 
-        e = 0.5 * sum(m[k] * (vx[k] * vx[k] + vy[k] * vy[k]) for k in range(n))
-        px = sum(m[k] * vx[k] for k in range(n))
-        py = sum(m[k] * vy[k] for k in range(n))
+        for k in (i, j):
+            e_terms[k] = m[k] * (vx[k] * vx[k] + vy[k] * vy[k])
+            px_terms[k] = m[k] * vx[k]
+            py_terms[k] = m[k] * vy[k]
+        e = 0.5 * sum(e_terms)
+        px = sum(px_terms)
+        py = sum(py_terms)
         e_drift = abs(e - e0) / e_scale
         p_drift = max(abs(px - px0), abs(py - py0))
         max_e_drift = max(max_e_drift, e_drift)

@@ -28,7 +28,7 @@ from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        min_image, reduced_space, transverse_basis)
 from .rng import make_generator
-from .tangent import (TangentVector, _apply_event, _frame_failure, _walk,
+from .tangent import (TangentVector, _frame_failure, _lazy, _walk,
                       propagate_tangent)
 
 __all__ = [
@@ -92,6 +92,39 @@ class QEvolutionAudit:
         return bool(np.all(np.diff(q) >= floor))
 
 
+def _mass_dots(a: np.ndarray, b: np.ndarray, mw: np.ndarray) -> np.ndarray:
+    """Row-wise mass inner products of two (rows, 2N) stacks.
+
+    Each row goes through the same dot kernel as ``mass_inner``
+    (a (1, 2N) @ (2N, 1) matmul is a plain dot), so every value carries
+    the bits of the per-row call.
+    """
+    return np.matmul((mw * a)[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _mass_norms(a: np.ndarray, mw: np.ndarray) -> np.ndarray:
+    """Row-wise ``mass_norm`` of a (rows, 2N) stack."""
+    return np.sqrt(np.maximum(_mass_dots(a, a, mw), 0.0))
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 taken on Python floats, as a scalar ``mass_norm(...) ** 2``
+    is; numpy squares by multiplication, which may round differently
+    from the libm power."""
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _max_of(values: np.ndarray) -> float:
+    """The running ``acc = max(acc, value)`` from acc = 0.0: NaN values
+    never win a comparison, and fmax skips them too."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+def _local_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(1.0, a, b) per row, NaN terms skipped as by ``max``."""
+    return np.fmax(np.fmax(1.0, a), b)
+
+
 def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
                       *, n_samples: int = 64) -> QEvolutionAudit:
     """Walk the trajectory recording (t, Q, ||dq||, ||dv||) and the jump
@@ -99,67 +132,114 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     free-flight laws.  Between collisions dv is constant, so the Q
     increment is dt*||dv||^2 on the nose and ||dq||^2 is a quadratic,
     for which the midpoint rule is exact; both residuals are pure
-    floating-point noise on a healthy transport."""
+    floating-point noise on a healthy transport.
+
+    Each flight's samples are its two ends and the grid points strictly
+    inside it, at dq + (t - t_a) dv; a collision adds the outgoing row at
+    its time.  One walk collects the flight starts and the collision
+    vectors; the rows and residuals are then taken over whole stacks.
+    """
     params = traj.params
+    mw = params.mass_weights
     dq = np.array(tau0.dq, dtype=float)
     dv = np.array(tau0.dv, dtype=float)
+    n2 = dq.size
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
-    times, qs, nq, nv, crossed = [], [], [], [], []
-    jumps = []
-    flight_res = 0.0
-    mid_res = 0.0
-    jump_defect = 0.0
-
-    def record(t, dq_t, dv_t):
-        times.append(t)
-        qs.append(mass_inner(dq_t, dv_t, params))
-        nq.append(mass_norm(dq_t, params))
-        nv.append(mass_norm(dv_t, params))
-        crossed.append(len(jumps))
-
-    for t_a, t_b, k, frame in _walk(traj):
-        inner = grid[(grid > t_a) & (grid < t_b)]
-        samples = np.r_[t_a, inner, t_b]
-        prev_t, prev_dq = None, None
-        for t in samples:
-            dq_t = dq + (t - t_a) * dv
-            record(t, dq_t, dv)
-            if prev_t is not None and t > prev_t:
-                # midpoint rule is exact on the quadratic ||dq||^2
-                mid = dq + (0.5 * (t + prev_t) - t_a) * dv
-                n2_new = mass_norm(dq_t, params) ** 2
-                n2_old = mass_norm(prev_dq, params) ** 2
-                rhs = 2.0 * mass_inner(mid, dv, params) * (t - prev_t)
-                mid_res = max(mid_res, abs(n2_new - n2_old - rhs)
-                              / max(1.0, n2_new, n2_old))
-            prev_t, prev_dq = t, dq_t
-        q_start = mass_inner(dq, dv, params)
-        dq_end = dq + (t_b - t_a) * dv
-        q_end = mass_inner(dq_end, dv, params)
-        flight_res = max(flight_res, abs(
-            q_end - q_start - (t_b - t_a) * mass_norm(dv, params) ** 2)
-            / max(1.0, abs(q_end), abs(q_start)))
+    t_a, t_b, start_q, start_v = [], [], [], []
+    pairs, end_q, scatter, post_q, post_v = [], [], [], [], []
+    for t0, t1, _, frame in _walk(traj):
+        t_a.append(t0)
+        t_b.append(t1)
+        start_q.append(dq)
+        start_v.append(dv)
         if frame is None:
             break
-        formula = mass_inner(frame.scatter_pre(dq_end), dq_end, params)
-        dq_post, dv_post = _apply_event(frame, dq_end, dv)
-        q_post = mass_inner(dq_post, dv_post, params)
-        jumps.append(JumpRecord(t=t_b, pair=(frame.i, frame.j), q_pre=q_end,
-                                q_post=q_post, jump=q_post - q_end,
-                                formula=formula))
-        jump_defect = max(jump_defect, abs((q_post - q_end) - formula)
-                          / max(1.0, abs(q_post), abs(q_end)))
-        record(t_b, dq_post, dv_post)
-        dq, dv = dq_post, dv_post
+        # _apply_event, keeping the scattering term for the jump formula
+        dq_end = dq + (t1 - t0) * dv
+        sp = frame.scatter_pre(dq_end)
+        dq, dv = frame.reflect(dq_end), frame.reflect(dv + sp)
+        pairs.append((frame.i, frame.j))
+        end_q.append(dq_end)
+        scatter.append(sp)
+        post_q.append(dq)
+        post_v.append(dv)
 
+    ta, tb = np.array(t_a), np.array(t_b)
+    sq, sv = np.array(start_q), np.array(start_v)
+    n_ev = len(pairs)
+    end_q, scatter, post_q, post_v = (np.array(x, dtype=float).reshape(n_ev, n2)
+                                      for x in (end_q, scatter, post_q, post_v))
+
+    # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b
+    lo = np.searchsorted(grid, ta, side="right")
+    hi = np.maximum(np.searchsorted(grid, tb, side="left"), lo)
+    size = hi - lo + 2
+    first = np.cumsum(size) - size
+    last = first + size - 1
+    fl = np.repeat(np.arange(ta.size), size)
+    at = np.arange(fl.size) - first[fl]
+    # inner slots read the grid; the clipped end slots are overwritten
+    t = grid[np.clip(lo[fl] + at - 1, 0, grid.size - 1)]
+    t[first] = ta
+    t[last] = tb
+    s_dv = sv[fl]
+    s_dq = sq[fl] + (t - ta[fl])[:, None] * s_dv
+    s_q = _mass_dots(s_dq, s_dv, mw)
+    s_nq = _mass_norms(s_dq, mw)
+    f_nv = _mass_norms(sv, mw)
+
+    # midpoint rule, exact on the quadratic ||dq||^2, between consecutive
+    # samples of one flight
+    cur = np.flatnonzero(at > 0)
+    prev = cur - 1
+    step = t[cur] - t[prev]
+    keep = step > 0
+    cur, prev, step = cur[keep], prev[keep], step[keep]
+    mid = sq[fl[cur]] + (0.5 * (t[cur] + t[prev]) - ta[fl[cur]])[:, None] * s_dv[cur]
+    rhs = 2.0 * _mass_dots(mid, s_dv[cur], mw) * step
+    n2_s = _squares(s_nq)
+    mid_res = _max_of(np.abs(n2_s[cur] - n2_s[prev] - rhs)
+                      / _local_scale(n2_s[cur], n2_s[prev]))
+
+    # Q increment over each whole flight against dt * ||dv||^2
+    q_start = _mass_dots(sq, sv, mw)
+    q_end = s_q[last]
+    flight_res = _max_of(np.abs(q_end - q_start - (tb - ta) * _squares(f_nv))
+                         / _local_scale(np.abs(q_end), np.abs(q_start)))
+
+    p_q = _mass_dots(post_q, post_v, mw)
+    jumps = []
+    jump_defect = 0.0
+    for t_ev, pair, q_pre, q_post, formula in zip(
+            t_b, pairs, q_end.tolist(), p_q.tolist(),
+            _mass_dots(scatter, end_q, mw).tolist()):
+        jumps.append(JumpRecord(t=t_ev, pair=pair, q_pre=q_pre,
+                                q_post=q_post, jump=q_post - q_pre,
+                                formula=formula))
+        jump_defect = max(jump_defect, abs((q_post - q_pre) - formula)
+                          / max(1.0, abs(q_post), abs(q_pre)))
     min_jump_rel = min(
         (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
         default=0.0)
+
+    # every row in walk order: each collision's outgoing row follows the
+    # last sample of its incoming flight
+    rows = fl.size + n_ev
+    s_at = np.arange(fl.size) + fl
+    p_at = last[:n_ev] + 1 + np.arange(n_ev)
+
+    def column(samples, posts, dtype=float):
+        out = np.empty(rows, dtype=dtype)
+        out[s_at] = samples
+        out[p_at] = posts
+        return out
+
     return QEvolutionAudit(
-        times=np.array(times), q_values=np.array(qs),
-        dq_norms=np.array(nq), dv_norms=np.array(nv),
-        collisions_before=np.array(crossed, dtype=int),
+        times=column(t, tb[:n_ev]), q_values=column(s_q, p_q),
+        dq_norms=column(s_nq, _mass_norms(post_q, mw)),
+        dv_norms=column(f_nv[fl], _mass_norms(post_v, mw)),
+        collisions_before=column(fl, np.arange(1, n_ev + 1), dtype=int),
         jumps=tuple(jumps), max_flight_residual=flight_res,
         max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
         min_jump_relative=min_jump_rel)
@@ -175,11 +255,18 @@ class CurvatureOperator:
 
     ``basis`` is a mass-orthonormal co-moving basis of that space and
     ``matrix`` the operator in it; ``time`` is the attachment time
-    (outgoing side when it coincides with a collision)."""
+    (outgoing side when it coincides with a collision).  ``inverse`` is
+    computed once, on first use."""
 
     time: float
     basis: np.ndarray
     matrix: np.ndarray
+
+    @_lazy
+    def inverse(self) -> np.ndarray:
+        inv = np.linalg.inv(self.matrix)
+        inv.setflags(write=False)
+        return inv
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -224,7 +311,7 @@ def _shift(op: CurvatureOperator, t: float) -> CurvatureOperator:
     s = t - op.time
     if s == 0.0:
         return op
-    binv = np.linalg.inv(op.matrix) + s * np.eye(op.matrix.shape[0])
+    binv = op.inverse + s * np.eye(op.matrix.shape[0])
     b = np.linalg.inv(binv)
     return CurvatureOperator(time=t, basis=op.basis, matrix=0.5 * (b + b.T))
 
@@ -262,17 +349,18 @@ def curvature_propagate(b0, traj: TrajectorySegment,
 
     mw = params.mass_weights
     eye = np.eye(dim)
-    binv = np.linalg.inv(b)
     ops = [CurvatureOperator(time=0.0, basis=u, matrix=b)]
+    binv = ops[0].inverse
     samp_t, samp_e = [], []
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
     for t_a, t_b, k, frame in _walk(traj):
-        for t in grid[(grid >= t_a) & (grid < t_b)]:
+        ts = grid[(grid >= t_a) & (grid < t_b)]
+        if ts.size:
             # eig_min(B) through the better-conditioned inverse
-            top = np.linalg.eigvalsh(binv + (t - t_a) * eye)[-1]
-            samp_t.append(float(t))
-            samp_e.append(1.0 / top)
+            tops = np.linalg.eigvalsh(binv + (ts - t_a)[:, None, None] * eye)[:, -1]
+            samp_t.extend(ts.tolist())
+            samp_e.extend(1.0 / tops)
         binv = binv + (t_b - t_a) * eye
         if frame is None:
             top = np.linalg.eigvalsh(binv)[-1]
@@ -287,8 +375,8 @@ def curvature_propagate(b0, traj: TrajectorySegment,
         b = b + 0.5 * (add + add.T)
         b = 0.5 * (b + b.T)
         u = frame.reflect(u)
-        binv = np.linalg.inv(b)
         ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
+        binv = ops[-1].inverse
 
     return CurvaturePath(operators=tuple(ops),
                          sample_times=np.array(samp_t),
@@ -355,9 +443,8 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
             "Q(0) < 0: no positive semi-definite operator sends this "
             "dq(0) to this dv(0)")
     times = np.linspace(0.0, traj.t_end, max(2, n_samples))
-    taus = propagate_tangent(traj, tau0, times)
-    ratios = np.array([mass_norm(tau.dq, params) / ((1.0 + c0 * t) * norm0)
-                       for t, tau in zip(times, taus)])
+    dq = np.array([tau.dq for tau in propagate_tangent(traj, tau0, times)])
+    ratios = _mass_norms(dq, params.mass_weights) / ((1.0 + c0 * times) * norm0)
     k = int(np.argmin(ratios))
     return ExpansionCheck(min_ratio=float(ratios[k]), t_argmin=float(times[k]),
                           times=times, ratios=ratios)
@@ -389,12 +476,17 @@ class ConeDecomposition:
         return max(self.ratio_q, self.ratio_v)
 
 
-def cone_decompose(tau: TangentVector, l0, params: SystemParams) -> ConeDecomposition:
+def _lattice_unit(l0) -> tuple[tuple[int, int], np.ndarray]:
     l0 = (int(l0[0]), int(l0[1]))
     if l0 == (0, 0):
         raise ValueError("lattice direction must be nonzero")
     e = np.array(l0, dtype=float)
     e /= math.hypot(e[0], e[1])
+    return l0, e
+
+
+def cone_decompose(tau: TangentVector, l0, params: SystemParams) -> ConeDecomposition:
+    l0, e = _lattice_unit(l0)
 
     def split(x):
         blocks = np.asarray(x, dtype=float).reshape(-1, 2)
@@ -411,6 +503,16 @@ def cone_decompose(tau: TangentVector, l0, params: SystemParams) -> ConeDecompos
     return ConeDecomposition(
         l0=l0, dq_par=dq_par, dq_perp=dq_perp, dv_par=dv_par, dv_perp=dv_perp,
         ratio_q=ratio(dq_par, tau.dq), ratio_v=ratio(dv_par, tau.dv))
+
+
+def _cone_ratios(x: np.ndarray, l0, params: SystemParams) -> np.ndarray:
+    """``cone_decompose``'s ratio of each row of a (rows, 2N) stack."""
+    _, e = _lattice_unit(l0)
+    mw = params.mass_weights
+    par = ((x.reshape(len(x), -1, 2) @ e)[:, :, None] * e).reshape(x.shape)
+    denom = _mass_norms(x, mw)
+    return np.divide(_mass_norms(par, mw), denom, out=np.zeros_like(denom),
+                     where=denom > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +543,20 @@ class LyapunovSpectrum:
                          default=0.0))
 
 
+def _project_out_flow(frame: np.ndarray, vy: np.ndarray) -> None:
+    """Remove the flow (vy, 0) and then the velocity (0, vy) direction
+    from the columns of a (4N, m) frame, in place.  Both directions are
+    filled into one zero buffer, so each projection dots the same
+    zero-padded vector as a freshly built one would."""
+    n2 = vy.size
+    excl = np.zeros(2 * n2)
+    excl[:n2] = vy
+    frame -= np.outer(excl, excl @ frame)
+    excl[:n2] = 0.0
+    excl[n2:] = vy
+    frame -= np.outer(excl, excl @ frame)
+
+
 def _mass_on_frame(rng, v, params: SystemParams, m: int) -> np.ndarray:
     """Random (4N, m) frame in Z + Z, mass-orthonormal, with the flow
     direction (v, 0) and the velocity direction (0, v) projected out."""
@@ -454,8 +570,7 @@ def _mass_on_frame(rng, v, params: SystemParams, m: int) -> np.ndarray:
     frame = np.zeros((2 * n2, m))
     frame[:n2] = zy @ coeff[: z.dimension]
     frame[n2:] = zy @ coeff[z.dimension:]
-    for excl in (np.r_[vy, np.zeros(n2)], np.r_[np.zeros(n2), vy]):
-        frame -= np.outer(excl, excl @ frame)
+    _project_out_flow(frame, vy)
     q, _ = np.linalg.qr(frame)
     return q
 
@@ -509,9 +624,7 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
         fr_cols[:n2] = zy @ (zy.T @ fr_cols[:n2])
         fr_cols[n2:] = zy @ (zy.T @ fr_cols[n2:])
         vy = traj.ev_v_post[k].reshape(-1) * scale
-        vy = vy / np.linalg.norm(vy)
-        for excl in (np.r_[vy, np.zeros(n2)], np.r_[np.zeros(n2), vy]):
-            fr_cols -= np.outer(excl, excl @ fr_cols)
+        _project_out_flow(fr_cols, vy / np.linalg.norm(vy))
         q, r = np.linalg.qr(fr_cols)
         diag = np.abs(np.diag(r))
         if np.any(diag == 0.0):
@@ -665,23 +778,46 @@ def hyperbolicity_series(traj: TrajectorySegment, tau0: TangentVector,
         "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
     crossed = audit.collisions_before
     if path is not None:
-        # operators[n] is the attachment after n collisions
-        series["b_eig_min"] = np.array([
-            _shift(path.operators[n], float(t)).eig_min
-            for n, t in zip(crossed, audit.times)])
+        series["b_eig_min"] = _b_eig_min(path, crossed, audit.times)
     if l0 is not None:
         taus = propagate_tangent(traj, tau0, audit.times)
+        dq = np.array([tau.dq for tau in taus])
+        dv = np.array([tau.dv for tau in taus])
         # propagate_tangent lands on the outgoing side of a collision
         # time; a collision's first row takes the incoming side, which is
         # the previous row carried by its free flight
-        for i in np.flatnonzero(crossed[1:] > crossed[:-1]):
-            prev = taus[i - 1]
-            dt = audit.times[i] - audit.times[i - 1]
-            taus[i] = TangentVector(prev.dq + dt * prev.dv, prev.dv)
-        cones = [cone_decompose(tau, l0, traj.params) for tau in taus]
-        series["cone_ratio_q"] = np.array([c.ratio_q for c in cones])
-        series["cone_ratio_v"] = np.array([c.ratio_v for c in cones])
+        i = np.flatnonzero(crossed[1:] > crossed[:-1])
+        dt = audit.times[i] - audit.times[i - 1]
+        dq[i] = dq[i - 1] + dt[:, None] * dv[i - 1]
+        dv[i] = dv[i - 1]
+        series["cone_ratio_q"] = _cone_ratios(dq, l0, traj.params)
+        series["cone_ratio_v"] = _cone_ratios(dv, l0, traj.params)
     return series
+
+
+def _b_eig_min(path: CurvaturePath, crossed: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
+    """``_shift(path.operators[n], t).eig_min`` per row (n, t).
+
+    operators[n] is the attachment after n collisions.  Each run of rows
+    on one operator shifts its cached inverse, then inverts and takes
+    eigenvalues of the whole run in single batched calls, which give
+    every matrix the bits of its own call.
+    """
+    out = np.empty(times.size)
+    cuts = np.flatnonzero(crossed[1:] != crossed[:-1]) + 1
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), times.size]):
+        op = path.operators[crossed[a]]
+        s = times[a:b] - op.time
+        mats = np.repeat(op.matrix[None], b - a, axis=0)
+        moved = s != 0.0
+        if moved.any():
+            eye = np.eye(op.matrix.shape[0])
+            binv = op.inverse + s[moved, None, None] * eye
+            inv = np.linalg.inv(binv)
+            mats[moved] = 0.5 * (inv + inv.transpose(0, 2, 1))
+        out[a:b] = np.linalg.eigvalsh(mats)[:, 0]
+    return out
 
 
 def write_series_csv(path, series: dict) -> None:

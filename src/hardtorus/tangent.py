@@ -440,28 +440,27 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
     Times must be nondecreasing; default is the segment end.  At an
     event time the output is on the outgoing side.  With ``identify``
     the output is pulled back through the accumulated collision
-    reflections into the initial frame.
+    reflections into the initial frame.  The vectors' dq and dv are
+    read-only rows of one stacked array per component.
     """
     if times is None:
         times = [traj.t_end]
     times = [float(t) for t in times]
     if any(b < a for a, b in zip([0.0] + times, times)):
         raise ValueError("times must be nondecreasing and nonnegative")
-    out = []
     if not times:
-        return out
+        return []
+    out_q, out_v = [], []
     xq, xv = np.array(tau.dq), np.array(tau.dv)
     pull = np.eye(xq.size) if identify else None
     for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
         t = t_a
         # stops before the event's time; the closing flight takes the rest
-        while len(out) < len(times) and (k is None or times[len(out)] < t_b):
-            xq = xq + (times[len(out)] - t) * xv
-            t = times[len(out)]
-            if identify:
-                out.append(TangentVector(pull @ xq, pull @ xv))
-            else:
-                out.append(TangentVector(xq, xv))
+        while len(out_q) < len(times) and (k is None or times[len(out_q)] < t_b):
+            xq = xq + (times[len(out_q)] - t) * xv
+            t = times[len(out_q)]
+            out_q.append(pull @ xq if identify else xq)
+            out_v.append(pull @ xv if identify else xv)
         if k is None:
             break
         xq = xq + (t_b - t) * xv
@@ -469,7 +468,23 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
         _check_finite(traj, k, xq, xv)
         if identify:
             pull = pull @ frame.reflection_matrix()
-    return out
+    return _tangent_rows(np.array(out_q), np.array(out_v))
+
+
+def _tangent_rows(dq: np.ndarray, dv: np.ndarray) -> list[TangentVector]:
+    """One TangentVector per row of stacked (rows, 2N) arrays.
+
+    The arrays are made read-only and each vector holds row views of
+    them, so no row is copied as ``TangentVector(dq, dv)`` would.
+    """
+    dq.setflags(write=False)
+    dv.setflags(write=False)
+    rows = []
+    for a, b in zip(dq, dv):
+        tau = object.__new__(TangentVector)
+        tau.__dict__.update(dq=a, dv=b)
+        rows.append(tau)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,15 @@ import dataclasses
 import numpy as np
 
 from hardtorus.events import reverse_state, simulate, symbolic_sequence
-from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
-                                project_to_Z, sample_state)
+from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
+                                mass_norm, project_to_Z, sample_state,
+                                transverse_basis)
+from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
+                                  ExpansionCheck, JumpRecord, QEvolutionAudit,
+                                  _as_operator_matrix, cone_decompose)
 from hardtorus.rng import make_generator
-from hardtorus.tangent import TangentVector, propagate_tangent
+from hardtorus.tangent import (TangentVector, _apply_event, _walk,
+                               propagate_tangent)
 
 
 def flow_endpoint(q0, v0, t, params, base_seq):
@@ -176,3 +181,171 @@ def bfs_components(n, edges):
                     stack.append(nb)
         comps.append(tuple(sorted(comp)))
     return tuple(sorted(comps))
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row reference diagnostics.  These are the per-row bodies of the
+# audit diagnostics (one mass_inner / mass_norm / inv / eigvalsh call per
+# row); the library computes the same columns over whole stacks and must
+# match them bit for bit.
+
+
+def ref_propagate_tangent(traj, tau, times):
+    """Per-row propagate_tangent: one TangentVector built per time."""
+    times = [float(t) for t in times]
+    out = []
+    xq, xv = np.array(tau.dq), np.array(tau.dv)
+    for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
+        t = t_a
+        while len(out) < len(times) and (k is None or times[len(out)] < t_b):
+            xq = xq + (times[len(out)] - t) * xv
+            t = times[len(out)]
+            out.append(TangentVector(xq, xv))
+        if k is None:
+            break
+        xq = xq + (t_b - t) * xv
+        xq, xv = _apply_event(frame, xq, xv)
+    return out
+
+
+def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
+    params = traj.params
+    dq = np.array(tau0.dq, dtype=float)
+    dv = np.array(tau0.dv, dtype=float)
+    grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
+
+    times, qs, nq, nv, crossed = [], [], [], [], []
+    jumps = []
+    flight_res = 0.0
+    mid_res = 0.0
+    jump_defect = 0.0
+
+    def record(t, dq_t, dv_t):
+        times.append(t)
+        qs.append(mass_inner(dq_t, dv_t, params))
+        nq.append(mass_norm(dq_t, params))
+        nv.append(mass_norm(dv_t, params))
+        crossed.append(len(jumps))
+
+    for t_a, t_b, k, frame in _walk(traj):
+        inner = grid[(grid > t_a) & (grid < t_b)]
+        samples = np.r_[t_a, inner, t_b]
+        prev_t, prev_dq = None, None
+        for t in samples:
+            dq_t = dq + (t - t_a) * dv
+            record(t, dq_t, dv)
+            if prev_t is not None and t > prev_t:
+                mid = dq + (0.5 * (t + prev_t) - t_a) * dv
+                n2_new = mass_norm(dq_t, params) ** 2
+                n2_old = mass_norm(prev_dq, params) ** 2
+                rhs = 2.0 * mass_inner(mid, dv, params) * (t - prev_t)
+                mid_res = max(mid_res, abs(n2_new - n2_old - rhs)
+                              / max(1.0, n2_new, n2_old))
+            prev_t, prev_dq = t, dq_t
+        q_start = mass_inner(dq, dv, params)
+        dq_end = dq + (t_b - t_a) * dv
+        q_end = mass_inner(dq_end, dv, params)
+        flight_res = max(flight_res, abs(
+            q_end - q_start - (t_b - t_a) * mass_norm(dv, params) ** 2)
+            / max(1.0, abs(q_end), abs(q_start)))
+        if frame is None:
+            break
+        formula = mass_inner(frame.scatter_pre(dq_end), dq_end, params)
+        dq_post, dv_post = _apply_event(frame, dq_end, dv)
+        q_post = mass_inner(dq_post, dv_post, params)
+        jumps.append(JumpRecord(t=t_b, pair=(frame.i, frame.j), q_pre=q_end,
+                                q_post=q_post, jump=q_post - q_end,
+                                formula=formula))
+        jump_defect = max(jump_defect, abs((q_post - q_end) - formula)
+                          / max(1.0, abs(q_post), abs(q_end)))
+        record(t_b, dq_post, dv_post)
+        dq, dv = dq_post, dv_post
+
+    min_jump_rel = min(
+        (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
+        default=0.0)
+    return QEvolutionAudit(
+        times=np.array(times), q_values=np.array(qs),
+        dq_norms=np.array(nq), dv_norms=np.array(nv),
+        collisions_before=np.array(crossed, dtype=int),
+        jumps=tuple(jumps), max_flight_residual=flight_res,
+        max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
+        min_jump_relative=min_jump_rel)
+
+
+def ref_curvature_propagate(b0, traj, *, n_samples=64):
+    params = traj.params
+    u = transverse_basis(traj.initial.v, params)
+    dim = u.shape[1]
+    b = _as_operator_matrix(b0, dim)
+    mw = params.mass_weights
+    eye = np.eye(dim)
+    binv = np.linalg.inv(b)
+    ops = [CurvatureOperator(time=0.0, basis=u, matrix=b)]
+    samp_t, samp_e = [], []
+    grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
+    for t_a, t_b, k, frame in _walk(traj):
+        for t in grid[(grid >= t_a) & (grid < t_b)]:
+            top = np.linalg.eigvalsh(binv + (t - t_a) * eye)[-1]
+            samp_t.append(float(t))
+            samp_e.append(1.0 / top)
+        binv = binv + (t_b - t_a) * eye
+        if frame is None:
+            top = np.linalg.eigvalsh(binv)[-1]
+            samp_t.append(t_b)
+            samp_e.append(1.0 / top)
+            b = np.linalg.inv(binv)
+            ops.append(CurvatureOperator(time=t_b, basis=u,
+                                         matrix=0.5 * (b + b.T)))
+            break
+        b = np.linalg.inv(binv)
+        add = (u.T * mw) @ frame.scatter_pre(u)
+        b = b + 0.5 * (add + add.T)
+        b = 0.5 * (b + b.T)
+        u = frame.reflect(u)
+        binv = np.linalg.inv(b)
+        ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
+    return CurvaturePath(operators=tuple(ops), sample_times=np.array(samp_t),
+                         sample_eig_min=np.array(samp_e))
+
+
+def ref_eig_min_shifted(op, t):
+    """eig_min of the attachment operator carried by free flight to t."""
+    s = t - op.time
+    if s == 0.0:
+        return float(np.linalg.eigvalsh(op.matrix)[0])
+    binv = np.linalg.inv(op.matrix) + s * np.eye(op.matrix.shape[0])
+    b = np.linalg.inv(binv)
+    return float(np.linalg.eigvalsh(0.5 * (b + b.T))[0])
+
+
+def ref_expansion_check(traj, tau0, c0, *, n_samples=256):
+    params = traj.params
+    norm0 = mass_norm(tau0.dq, params)
+    times = np.linspace(0.0, traj.t_end, max(2, n_samples))
+    taus = ref_propagate_tangent(traj, tau0, times)
+    ratios = np.array([mass_norm(tau.dq, params) / ((1.0 + c0 * t) * norm0)
+                       for t, tau in zip(times, taus)])
+    k = int(np.argmin(ratios))
+    return ExpansionCheck(min_ratio=float(ratios[k]), t_argmin=float(times[k]),
+                          times=times, ratios=ratios)
+
+
+def ref_hyperbolicity_series(traj, tau0, audit, *, path=None, l0=None):
+    series = {"t": audit.times, "Q": audit.q_values,
+              "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
+    crossed = audit.collisions_before
+    if path is not None:
+        series["b_eig_min"] = np.array([
+            ref_eig_min_shifted(path.operators[n], float(t))
+            for n, t in zip(crossed, audit.times)])
+    if l0 is not None:
+        taus = ref_propagate_tangent(traj, tau0, audit.times)
+        for i in np.flatnonzero(crossed[1:] > crossed[:-1]):
+            prev = taus[i - 1]
+            dt = audit.times[i] - audit.times[i - 1]
+            taus[i] = TangentVector(prev.dq + dt * prev.dv, prev.dv)
+        cones = [cone_decompose(tau, l0, traj.params) for tau in taus]
+        series["cone_ratio_q"] = np.array([c.ratio_q for c in cones])
+        series["cone_ratio_v"] = np.array([c.ratio_v for c in cones])
+    return series

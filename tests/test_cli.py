@@ -6,6 +6,7 @@ import numpy as np
 
 from hardtorus import cli, hyperbolic
 from hardtorus.config import parse_config
+from hardtorus.errors import NumericalFailureError
 
 BASE = """\
 [system]
@@ -104,6 +105,17 @@ class TestSubcommands:
         flags = [row["radius_flags"]["degenerate"] for row in rows]
         assert flags == [False, True, False]
         assert all("error" not in row for row in rows)
+
+    def test_scan_records_point_runtime_failure(self, tmp_path, monkeypatch):
+        def drift(state, t_max, params, **kwargs):
+            raise NumericalFailureError("conservation drift at event 7")
+
+        monkeypatch.setattr(cli, "simulate", drift)
+        text = SCAN.replace("0.24, 0.25, 0.26", "0.24")
+        [row] = run_cli(tmp_path, "scan", text)["rows"]
+        assert row["error"] == "conservation drift at event 7"
+        assert row["radius"] == 0.24 and "radius_flags" in row
+        assert "conservation" not in row
 
 
 class TestDeterminism:

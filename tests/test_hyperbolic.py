@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import grazing_orbit
+from conftest import (grazing_orbit, ref_curvature_propagate,
+                      ref_expansion_check, ref_hyperbolicity_series,
+                      ref_q_evolution_audit)
 from hardtorus import hyperbolic, tangent
 from hardtorus.errors import (NumericalFailureError, ResolutionError,
                               ValidationError)
@@ -513,3 +515,125 @@ class TestSeriesAndSummary:
         text = canonical_json(summ)
         assert json.loads(text)["collision_rate"]["count"] == traj.n_events
         assert "lyapunov" in json.loads(text)
+
+
+P5 = SystemParams(masses=(1.0, 1.3, 0.7, 1.1, 0.9), radius=0.08)
+
+
+def bitwise(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def cone_seed(params, seed, c0=1.0):
+    """The CLI's audit seed: a random momentum-zero dq with dv = c0 dq."""
+    dq = project_to_Z(make_generator(seed, 7).standard_normal(2 * params.n),
+                      params)
+    return TangentVector(dq, c0 * dq)
+
+
+def event_on_grid_point():
+    """An N = 3 segment of length 2 t_e whose 65-point sample grid has
+    its middle point exactly on the event time t_e."""
+    state = sample_state(4, P3M)
+    t_e = float(simulate(state, 20.0, P3M).ev_t[5])
+    traj = simulate(state, 2.0 * t_e, P3M)
+    assert traj.t_end == 2.0 * t_e and t_e in traj.ev_t
+    assert np.linspace(0.0, traj.t_end, 65)[32] == t_e
+    return traj, 65
+
+
+def _segment(case):
+    if case == "collisionless":
+        traj = collisionless_3()
+        return traj, 64
+    if case == "event_on_grid":
+        return event_on_grid_point()
+    params, seed, t_max = {
+        "n3_seed1": (P3M, 1, 20.0), "n3_seed2": (P3M, 2, 20.0),
+        "n3_seed7": (P3M, 7, 20.0), "n3_seed13": (P3M, 13, 20.0),
+        "n5_seed3": (P5, 3, 10.0)}[case]
+    traj = simulate(sample_state(seed, params), t_max, params)
+    assert traj.n_events >= 5 and not traj.singular
+    return traj, 64
+
+
+class TestStackedMatchesRowReference:
+    """The stacked diagnostics reproduce the row-by-row reference bodies
+    (tests/conftest.py) bit for bit: every column, jump and residual."""
+
+    CASES = ("n3_seed1", "n3_seed2", "n3_seed7", "n3_seed13", "n5_seed3",
+             "collisionless", "event_on_grid")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_q_evolution_audit(self, case):
+        traj, n_samples = _segment(case)
+        for tau in (cone_seed(traj.params, 1), cone_seed(traj.params, 2, c0=-0.5)):
+            got = q_evolution_audit(traj, tau, n_samples=n_samples)
+            ref = ref_q_evolution_audit(traj, tau, n_samples=n_samples)
+            for name in ("times", "q_values", "dq_norms", "dv_norms",
+                         "collisions_before"):
+                assert bitwise(getattr(got, name), getattr(ref, name)), name
+            assert len(got.jumps) == len(ref.jumps) == traj.n_events
+            for a, b in zip(got.jumps, ref.jumps):
+                assert a.pair == b.pair
+                for name in ("t", "q_pre", "q_post", "jump", "formula"):
+                    assert bitwise(getattr(a, name), getattr(b, name)), name
+            for name in ("max_flight_residual", "max_midpoint_residual",
+                         "max_jump_defect", "min_jump_relative", "min_jump"):
+                assert bitwise(getattr(got, name), getattr(ref, name)), name
+            assert got.q_monotone == ref.q_monotone
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_curvature_propagate(self, case):
+        traj, n_samples = _segment(case)
+        got = curvature_propagate(1.0, traj, n_samples=n_samples)
+        ref = ref_curvature_propagate(1.0, traj, n_samples=n_samples)
+        assert bitwise(got.sample_times, ref.sample_times)
+        assert bitwise(got.sample_eig_min, ref.sample_eig_min)
+        assert len(got.operators) == len(ref.operators)
+        for a, b in zip(got.operators, ref.operators):
+            assert a.time == b.time
+            assert bitwise(a.basis, b.basis) and bitwise(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_expansion_check(self, case):
+        traj, n_samples = _segment(case)
+        tau = cone_seed(traj.params, 3, c0=0.5)
+        got = expansion_check(traj, tau, 0.5, n_samples=n_samples)
+        ref = ref_expansion_check(traj, tau, 0.5, n_samples=n_samples)
+        for name in ("min_ratio", "t_argmin", "times", "ratios"):
+            assert bitwise(getattr(got, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("with_path, l0", [
+        (True, (1, 0)), (True, None), (False, (1, 2)), (False, None)])
+    def test_hyperbolicity_series(self, case, with_path, l0):
+        traj, n_samples = _segment(case)
+        tau = cone_seed(traj.params, 4)
+        audit = q_evolution_audit(traj, tau, n_samples=n_samples)
+        path = curvature_propagate(1.0, traj, n_samples=n_samples)
+        got = hyperbolicity_series(traj, tau, audit,
+                                   path=path if with_path else None, l0=l0)
+        ref = ref_hyperbolicity_series(traj, tau, audit,
+                                       path=path if with_path else None, l0=l0)
+        assert list(got) == list(ref)
+        for key in ref:
+            assert bitwise(got[key], ref[key]), key
+
+    def test_squares_take_the_python_float_power(self):
+        # x ** 2 on a Python float goes through libm pow, which rounds
+        # differently from x * x on about one value in a thousand; the
+        # residuals square norms the scalar way
+        x = make_generator(0, 0).standard_normal(20000)
+        want = np.array([v ** 2 for v in x.tolist()])
+        assert np.any(want != x * x)
+        assert bitwise(hyperbolic._squares(x), want)
+
+    def test_propagated_rows_are_read_only_views(self):
+        traj, _ = _segment("n3_seed1")
+        taus = propagate_tangent(traj, cone_seed(P3M, 1), [0.0, 5.0, 5.0, 20.0])
+        assert len(taus) == 4
+        for tau in taus:
+            assert not tau.dq.flags.writeable and not tau.dv.flags.writeable
+        assert bitwise(taus[1].dq, taus[2].dq)
