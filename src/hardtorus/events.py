@@ -16,6 +16,22 @@ triangle inequality |x| <= 2r + |w|*t0, and a root clamped up to 0
 belongs to a pair that overlaps now, |x| < 2r.  No image beyond that
 bound can hold an admissible root, so the root solve visits only the
 images within it.
+
+Every prediction pass (the first, each chunk boundary, and the 2N - 3
+re-predictions after an event) solves one candidate list of pairs.  A
+list of at least _SCREEN_MIN_PAIRS pairs is first screened in one numpy
+pass, which drops every pair whose nearest image lies beyond the solve's
+reach, widened by a relative 1e-9.  The screen cannot change a result:
+the nearest image has the smallest |x| of all images, so a dropped
+pair's solve would have returned None; the survivors are solved from
+the same Python floats, horizon and guard as without the screen; no
+numpy value reaches a solve, the queue or the record; and since queue
+keys are distinct, the pop order does not depend on the push order.
+
+At a chunk boundary every pair is solved with guard -1, so a pair that
+touches and approaches at the boundary instant is found there.  Only a
+pair resolved at that same instant keeps _SELF_GUARD, which refuses the
+echo of its own contact.
 """
 from __future__ import annotations
 
@@ -24,6 +40,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -51,6 +68,15 @@ _CASCADE_LIMIT = 64
 # below about 1e-8.  (At a discriminant of exactly zero the polish step
 # has no useful bound, and no finite slack would cover it.)
 _REACH_SLACK = 1e-6
+# Candidate lists at least this long are screened before the root solve
+# (see _screen); shorter ones go straight to it, where the numpy pass
+# costs more than the solves it saves.  In interleaved timings at
+# N = 5-16, screened lists of 15-19 pairs ran 3-8 % slower, 21 pairs
+# about even and 28 or more faster.
+_SCREEN_MIN_PAIRS = 24
+# Relative margin on the screen's reach, far above the roundoff by which
+# its reach and the solve's can differ.
+_SCREEN_MARGIN = 1e-9
 
 
 def _flag_label(bits: int) -> str:
@@ -115,6 +141,23 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
             if best is None or (t0, lx, ly) < (best[0], best[1], best[2]):
                 best = (t0, lx, ly, disc)
     return best
+
+
+def _screen(d, w, horizon, two_r):
+    """Mask of the pairs whose root solve can find a contact.
+
+    ``d`` and ``w`` are complex arrays of relative positions (any lift)
+    and relative velocities.  The nearest lattice image, d - rint(d) per
+    axis, has the smallest |x| of all images, so when it lies beyond the
+    solve's reach |w|*h + 2r + _REACH_SLACK every image does, and
+    _earliest_root returns None.  The reach is widened by _SCREEN_MARGIN,
+    so no pair the solve could accept is dropped.
+    """
+    x = d.view(np.float64)
+    near = (x - np.rint(x)).view(np.complex128)
+    widen = 1.0 + _SCREEN_MARGIN
+    return np.abs(near) <= (np.abs(w) * (horizon * widen)
+                            + (two_r + _REACH_SLACK) * widen)
 
 
 def resolve_collision(state: PhaseState, i: int, j: int, image, params: SystemParams,
@@ -282,13 +325,41 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     counters = [0] * n
     heap: list[tuple] = []
 
-    def push_pair(i, j, t_now, t_block, guard):
-        dx, dy = qx[i] - qx[j], qy[i] - qy[j]
-        wx, wy = vx[i] - vx[j], vy[i] - vy[j]
-        hit = _earliest_root(dx, dy, wx, wy, t_block - t_now, two_r, guard)
-        if hit is not None:
-            heapq.heappush(heap, (t_now + hit[0], i, j, hit[1], hit[2],
-                                  counters[i], counters[j]))
+    # complex mirrors for the screen, built only when the longest
+    # candidate list, all pairs, is long enough to be screened: (2, L)
+    # pair endpoints, the positions (copied in per screen) and the
+    # velocities (updated at each exchange)
+    screening = len(pairs) >= _SCREEN_MIN_PAIRS
+    if screening:
+        ends_all = np.array(pairs, dtype=np.intp).T
+        ends_of = [np.array(ps, dtype=np.intp).T for ps in pairs_of]
+        q_buf = np.empty(2 * n)
+        zq = q_buf.view(complex)
+        zv = np.array(vx) + 1j * np.array(vy)
+
+    def predict(cands, ends, t_now, t_block, self_pair):
+        """Push each candidate pair's earliest root within the horizon.
+
+        ``ends()`` gives the candidates' (2, L) endpoint indices; it is
+        called only when the list is screened.  ``self_pair`` (or (),
+        none) is solved with _SELF_GUARD, every other pair with guard -1.
+        """
+        horizon = t_block - t_now
+        if len(cands) >= _SCREEN_MIN_PAIRS:
+            q_buf[0::2] = qx
+            q_buf[1::2] = qy
+            e = ends()
+            zd, zw = zq[e], zv[e]
+            keep = _screen(zd[0] - zd[1], zw[0] - zw[1], horizon, two_r)
+            cands = compress(cands, keep.tolist())
+        for pair in cands:
+            i, j = pair
+            hit = _earliest_root(qx[i] - qx[j], qy[i] - qy[j],
+                                 vx[i] - vx[j], vy[i] - vy[j], horizon, two_r,
+                                 _SELF_GUARD if pair == self_pair else -1.0)
+            if hit is not None:
+                heapq.heappush(heap, (t_now + hit[0], i, j, hit[1], hit[2],
+                                      counters[i], counters[j]))
 
     def chunk_length():
         vmax = max(map(math.hypot, vx, vy))
@@ -298,8 +369,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
     t_now = 0.0
     t_block = min(chunk_length(), t_max)
-    for (i, j) in pairs:
-        push_pair(i, j, 0.0, t_block, guard=-1.0)
+    predict(pairs, lambda: ends_all, 0.0, t_block, ())
 
     n_events = 0
     cascade = 0
@@ -324,8 +394,10 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
             if t_block >= t_max:
                 break
             t_block = min(t_now + chunk_length(), t_max)
-            for (i, j) in pairs:
-                push_pair(i, j, t_now, t_block, guard=0.0)
+            # a pair resolved at this very instant keeps its echo guard;
+            # every other pair may touch now
+            predict(pairs, lambda: ends_all, t_now, t_block,
+                    rows_pair[-1] if rows_t and rows_t[-1] == t_now else ())
             continue
 
         t_ev, i, j = ev[0], ev[1], ev[2]
@@ -385,6 +457,9 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         vy[i] -= m[j] * g * uy
         vx[j] += m[i] * g * ux
         vy[j] += m[i] * g * uy
+        if screening:
+            zv[i] = complex(vx[i], vy[i])
+            zv[j] = complex(vx[j], vy[j])
 
         flag = TANGENTIAL_BIT if cos_phi <= tol.tangency_tol else 0
         if rows_t and t_ev - rows_t[-1] <= tol.double_event_tol and \
@@ -429,11 +504,13 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         if max_events is not None and n_events >= max_events:
             stopped = True
             break
-        for (a, b) in pairs_of[i]:
-            push_pair(a, b, t_now, t_block, _SELF_GUARD if (a, b) == (i, j) else -1.0)
-        for (a, b) in pairs_of[j]:
-            if a != i:
-                push_pair(a, b, t_now, t_block, -1.0)
+        # pairs_of[j][i] is (i, j) itself, already in pairs_of[i]; the
+        # defaults bind the pair now, so i and j stay plain locals here
+        predict(pairs_of[i] + pairs_of[j][:i] + pairs_of[j][i + 1:],
+                lambda i=i, j=j: np.concatenate(
+                    (ends_of[i], ends_of[j][:, :i], ends_of[j][:, i + 1:]),
+                    axis=1),
+                t_now, t_block, (i, j))
 
     t_end = t_now
     final = PhaseState(np.column_stack([qx, qy]), np.column_stack([vx, vy]))
@@ -464,10 +541,11 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
 # --- event log round-trip -------------------------------------------------
 
-# One line per event, keys in canonical_json's sorted order.
-_EVENT_LINE = ('{"cos_phi":%s,"flag":"%s","i":%d,"j":%d,"l":[%d,%d],"t":%s,'
-               '"u":[%s,%s],"v_i_post":[%s,%s],"v_i_pre":[%s,%s],'
-               '"v_j_post":[%s,%s],"v_j_pre":[%s,%s]}\n')
+# One line per event, keys in canonical_json's sorted order; "%.17g" is
+# the 17-significant-digit form of serialize.fmt17.
+_EVENT_LINE = ('{"cos_phi":%.17g,"flag":"%s","i":%d,"j":%d,"l":[%d,%d],"t":%.17g,'
+               '"u":[%.17g,%.17g],"v_i_post":[%.17g,%.17g],"v_i_pre":[%.17g,%.17g],'
+               '"v_j_post":[%.17g,%.17g],"v_j_pre":[%.17g,%.17g]}\n')
 
 
 def write_events_jsonl(traj: TrajectorySegment, path) -> None:
@@ -476,20 +554,24 @@ def write_events_jsonl(traj: TrajectorySegment, path) -> None:
     Each line is the canonical JSON (sorted keys, 17-digit floats) of
     the event's time, pair i < j, lattice image l, contact direction u,
     cos_phi, flag label, and the pair's incoming and outgoing
-    velocities.
+    velocities.  A non-finite value raises ValueError before anything
+    is written, as fmt17 does.
     """
-    from .serialize import fmt17
     rows = np.arange(traj.n_events)
     di, dj = traj.ev_pair[:, 0], traj.ev_pair[:, 1]
     floats = np.column_stack([
         traj.ev_cosphi, traj.ev_t, traj.ev_u,
         traj.ev_v_post[rows, di], traj.ev_v_pre[rows, di],
-        traj.ev_v_post[rows, dj], traj.ev_v_pre[rows, dj]]).tolist()
+        traj.ev_v_post[rows, dj], traj.ev_v_pre[rows, dj]])
+    if not np.isfinite(floats).all():
+        bad = floats[~np.isfinite(floats)][0]
+        raise ValueError(f"non-finite value {float(bad)!r} cannot be serialized")
+    floats = floats.tolist()
     ints = np.column_stack([traj.ev_pair, traj.ev_image]).tolist()
     labels = map(_flag_label, traj.ev_flags.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for f, (i, j, lx, ly), label in zip(floats, ints, labels):
-            cos_phi, t, *vecs = map(fmt17, f)
+        for (cos_phi, t, *vecs), (i, j, lx, ly), label in zip(
+                floats, ints, labels):
             fh.write(_EVENT_LINE % (cos_phi, label, i, j, lx, ly, t, *vecs))
 
 

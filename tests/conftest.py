@@ -9,6 +9,7 @@ comparing against junk.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -150,6 +151,61 @@ def double_orbit():
     state = PhaseState(q=[[0.125, 0.5], [0.5, 0.5], [0.5, 0.125]],
                        v=[[0.25, 0.0], [0.0, 0.0], [0.0, 0.25]])
     return simulate(state, 20.0, P3_DYADIC)
+
+
+def boundary_orbit():
+    """Disk 0 grazes disk 1 at t = 1/2, the end of the first prediction
+    chunk, while disk 2 reaches disk 1 at that same instant; (1, 2) and
+    then (0, 1) collide at t = 1/2 too."""
+    state = PhaseState(q=[[0.25, 0.75], [0.5, 0.5], [0.5, 0.125]],
+                       v=[[0.5, 0.0], [0.0, 0.0], [0.0, 0.25]])
+    return simulate(state, 20.0, P3_DYADIC)
+
+
+def no_overlap_headroom(traj, tol=1e-9):
+    """Certify that no two disks overlap anywhere along the trajectory.
+
+    Between consecutive events every pair's relative position moves on
+    a straight line x(s) = d + l + w*s, 0 <= s <= T, for each lattice
+    image l.  Its closest approach to the origin is at
+    s* = clip(-(d + l).w / |w|^2, 0, T), in closed form, so the check
+    needs no time sampling.  Only images with |d + l| <= |w|*T + 2r can
+    come within 2r; with d the nearest image, |d| <= 1/2 per axis, so
+    they all lie in the box |l| <= floor(|w|*T + 2r + 1/2) per axis, and
+    every image in that box is checked.  Asserts that each closest
+    approach is at least 2r - tol and returns the smallest headroom,
+    closest approach - 2r, over all pairs, flights and images.
+    """
+    params = traj.params
+    two_r = 2.0 * params.radius
+    a, b = np.triu_indices(params.n, k=1)
+    starts = np.r_[0.0, traj.ev_t]
+    ends = np.r_[traj.ev_t, traj.t_end]
+    qs = np.concatenate([traj.initial.q[None], traj.ev_q])
+    vs = np.concatenate([traj.initial.v[None], traj.ev_v_post])
+    worst = np.inf
+    for f in range(len(starts)):
+        span = ends[f] - starts[f]
+        d = qs[f, a] - qs[f, b]
+        d -= np.rint(d)
+        w = vs[f, a] - vs[f, b]
+        ww = np.einsum("pk,pk->p", w, w)
+        k = math.floor(math.sqrt(ww.max(initial=0.0)) * span + two_r + 0.5)
+        grid = np.arange(-k, k + 1, dtype=float)
+        lat = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
+        x = d[:, None, :] + lat[None, :, :]
+        proj = -np.einsum("pmk,pk->pm", x, w)
+        s = np.divide(proj, ww[:, None], out=np.zeros_like(proj),
+                      where=ww[:, None] > 0.0)
+        s = np.clip(s, 0.0, span)
+        closest = np.hypot(*np.moveaxis(x + s[..., None] * w[:, None, :], -1, 0))
+        m = np.unravel_index(np.argmin(closest), closest.shape)
+        headroom = float(closest[m]) - two_r
+        assert headroom >= -tol, (
+            f"pair ({a[m[0]]}, {b[m[0]]}) overlaps by {-headroom:.3g} in the "
+            f"flight [{starts[f]:.17g}, {ends[f]:.17g}]")
+        worst = min(worst, headroom)
+    return worst
 
 
 def stalled_copy(traj, k):

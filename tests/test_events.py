@@ -7,20 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import double_orbit, grazing_orbit
+from conftest import (boundary_orbit, double_orbit, grazing_orbit,
+                      no_overlap_headroom)
 from hardtorus import events
 from hardtorus.errors import ValidationError
-from hardtorus.events import (_NEG_ROOT_SLACK, _SELF_GUARD, _earliest_root,
-                              read_events_jsonl, resolve_collision,
-                              reverse_state, simulate, symbolic_sequence,
-                              write_events_jsonl)
+from hardtorus.events import (_NEG_ROOT_SLACK, _REACH_SLACK, _SELF_GUARD,
+                              _earliest_root, _screen, read_events_jsonl,
+                              resolve_collision, reverse_state, simulate,
+                              symbolic_sequence, write_events_jsonl)
 from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
                                 momentum, sample_state)
 from hardtorus.serialize import canonical_json
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
+P5 = SystemParams(masses=tuple(1.0 + 0.05 * k for k in range(5)), radius=0.08)
+P8 = SystemParams(masses=tuple(1.0 + 0.05 * k for k in range(8)), radius=0.06)
 P32 = SystemParams(masses=tuple(1.0 + 0.05 * k for k in range(32)), radius=0.03)
+
+RECORD_FIELDS = ("ev_t", "ev_pair", "ev_image", "ev_u", "ev_cosphi",
+                 "ev_flags", "ev_q", "ev_v_pre", "ev_v_post")
+
+
+def assert_same_orbit(a, b):
+    """Every record field and the final state are bitwise equal."""
+    for name in RECORD_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.final.q, b.final.q)
+    assert np.array_equal(a.final.v, b.final.v)
+    assert a.t_end == b.t_end
 
 
 def earliest_root_reference(dx, dy, wx, wy, horizon, two_r, guard):
@@ -240,11 +255,7 @@ class TestSimulate:
         monkeypatch.setattr(events, "_earliest_root", earliest_root_reference)
         ref = simulate(state, t_max, params)
         assert fast.n_events > 100
-        for name in ("ev_t", "ev_pair", "ev_image", "ev_u", "ev_cosphi",
-                     "ev_flags", "ev_q", "ev_v_pre", "ev_v_post"):
-            assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
-        assert np.array_equal(fast.final.q, ref.final.q)
-        assert np.array_equal(fast.final.v, ref.final.v)
+        assert_same_orbit(fast, ref)
 
     @pytest.mark.parametrize("params, t_max", [(P3, 200.0), (P32, 20.0)],
                              ids=["n3", "n32"])
@@ -333,6 +344,111 @@ class TestEarliestRoot:
         assert earliest_root_reference(*args, h, 0.25, 0.0) is None
 
 
+def screen_keeps(dx, dy, wx, wy, h, two_r):
+    """_screen's verdict on one pair."""
+    return bool(_screen(np.array([complex(dx, dy)]), np.array([complex(wx, wy)]),
+                        h, two_r)[0])
+
+
+class TestScreen:
+    """The screen keeps every pair whose root solve finds a contact."""
+
+    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
+           st.floats(-3, 3), st.floats(0, 2), st.floats(0.01, 0.5), GUARDS)
+    @settings(max_examples=400, deadline=None)
+    def test_keeps_every_root_on_random_lifts(self, dx, dy, wx, wy, h, two_r,
+                                              guard):
+        if _earliest_root(dx, dy, wx, wy, h, two_r, guard) is not None:
+            assert screen_keeps(dx, dy, wx, wy, h, two_r)
+
+    @given(st.floats(-1e-3, 1e-3), st.floats(0.01, 3), st.floats(0, 2 * math.pi),
+           st.floats(0.01, 1),
+           st.one_of(st.floats(1 - 1e-6, 1 + 1e-6), st.floats(-2e-9, 1.2)),
+           st.integers(-3, 3), st.integers(-3, 3), st.floats(0.01, 0.5), GUARDS)
+    @settings(max_examples=400, deadline=None)
+    def test_keeps_contacts_at_the_reach(self, tilt, speed, heading, h, frac,
+                                         lx, ly, two_r, guard):
+        # a contact point tilted slightly off head-on, reached at
+        # frac * h: for frac near 1 the lift lies within roundoff of the
+        # reach |w|*h + 2r, on either side
+        wx, wy = speed * math.cos(heading), speed * math.sin(heading)
+        px = -two_r * math.cos(heading + tilt)
+        py = -two_r * math.sin(heading + tilt)
+        dx, dy = _contact_case(px, py, wx, wy, frac * h, lx, ly)
+        if _earliest_root(dx, dy, wx, wy, h, two_r, guard) is not None:
+            assert screen_keeps(dx, dy, wx, wy, h, two_r)
+
+    def test_reach_edges(self):
+        # head-on contact exactly at the horizon h = 1/8, |x| = |w|*h + 2r
+        args = (-1.0, 0.0, 0.125, 0.25)
+        assert _earliest_root(0.375, 0.0, *args, 0.0)[:3] == (0.125, 0, 0)
+        assert screen_keeps(0.375, 0.0, *args)
+        # a lift on the solve's own reach bound is kept, one beyond it
+        # by more than the margin is dropped
+        assert screen_keeps(0.375 + _REACH_SLACK, 0.0, *args)
+        assert not screen_keeps(0.375 + 2 * _REACH_SLACK, 0.0, *args)
+        # the nearest image is what counts, whatever the lift
+        assert screen_keeps(-2.625, 3.0, *args)
+        assert not screen_keeps(-2.625 + 2 * _REACH_SLACK, 3.0, *args)
+
+    @pytest.mark.parametrize("params, t_max, min_pairs, screened", [
+        (P3, 200.0, 1, True), (P5, 100.0, 1, True), (P32, 20.0, 10 ** 9, False),
+    ], ids=["n3_screened", "n5_screened", "n32_plain"])
+    def test_forced_path_matches_default(self, monkeypatch, params, t_max,
+                                         min_pairs, screened):
+        calls = []
+
+        def counting_screen(*args):
+            calls.append(1)
+            return _screen(*args)
+
+        monkeypatch.setattr(events, "_screen", counting_screen)
+        state = sample_state(1, params)
+        default = simulate(state, t_max, params)
+        # the default path screens at N = 32 only
+        assert bool(calls) is not screened
+        calls.clear()
+        monkeypatch.setattr(events, "_SCREEN_MIN_PAIRS", min_pairs)
+        forced = simulate(state, t_max, params)
+        assert bool(calls) is screened
+        assert default.n_events > 100
+        assert_same_orbit(default, forced)
+
+
+class TestNoOverlap:
+    """The closed-form certificate holds along whole orbits."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: simulate(sample_state(1, P3), 200.0, P3),
+        lambda: simulate(sample_state(1, P8), 40.0, P8),
+        lambda: simulate(sample_state(1, P32), 20.0, P32),
+        grazing_orbit, double_orbit, boundary_orbit,
+    ], ids=["n3", "n8", "n32", "n3_tangential", "n3_double", "n3_boundary"])
+    def test_certificate(self, make):
+        traj = make()
+        # contacts touch at the events, so the headroom reaches zero
+        assert no_overlap_headroom(traj) <= 1e-9
+
+    def test_contact_at_chunk_boundary(self):
+        # disk 0 grazes disk 1 at t = 1/2, where the first prediction
+        # chunk ends, while disk 2 reaches disk 1 at that same instant
+        traj = boundary_orbit()
+        at_half = [tuple(p) for p, t in zip(traj.ev_pair.tolist(), traj.ev_t)
+                   if t == 0.5]
+        assert at_half == [(0, 1), (1, 2), (0, 1)]
+        gap, _ = min_gap(traj.state_at(1.5), traj.params)
+        assert gap >= 2 * traj.params.radius - 1e-9
+
+    def test_certificate_detects_missed_contact(self):
+        # the record up to t = 3/2 without the contact of (1, 2) at
+        # t = 1/2: disks 1 and 2 pass through each other
+        traj = boundary_orbit()
+        cut = dataclasses.replace(traj, t_end=1.5, **{
+            name: getattr(traj, name)[:1] for name in RECORD_FIELDS})
+        with pytest.raises(AssertionError, match=r"pair \(1, 2\) overlaps"):
+            no_overlap_headroom(cut)
+
+
 class TestSymbolicSequence:
     def test_empty(self):
         c = 1.0 / math.sqrt(2)
@@ -418,9 +534,16 @@ class TestEventLogWriter:
         rows = read_events_jsonl(path)
         assert {row["flag"] for row in rows} == flags | {"regular"}
 
-
-RECORD_FIELDS = ("ev_t", "ev_pair", "ev_image", "ev_u", "ev_cosphi",
-                 "ev_flags", "ev_q", "ev_v_pre", "ev_v_post")
+    @pytest.mark.parametrize("field", ["ev_t", "ev_u", "ev_v_post"])
+    def test_non_finite_value_refused(self, tmp_path, field):
+        traj = grazing_orbit()
+        bad = getattr(traj, field).copy()
+        # the last event's entry; for the velocities, those of its disk j
+        bad[(-1, traj.ev_pair[-1, 1]) if field == "ev_v_post" else -1] = math.inf
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            write_events_jsonl(dataclasses.replace(traj, **{field: bad}), path)
+        assert not path.exists()
 
 
 class TestRecordMemory:
