@@ -149,8 +149,7 @@ def _run_audit(config: ExperimentConfig, out_dir: Path) -> dict:
     audit = q_evolution_audit(traj, tau0)
     path = curvature_propagate(config.c0, traj)
     expansion = expansion_check(traj, tau0, config.c0)
-    series = hyperbolicity_series(traj, tau0, audit, path=path,
-                                  l0=config.l0)
+    series = hyperbolicity_series(traj, audit, path=path, l0=config.l0)
     write_series_csv(out_dir / "series.csv", series)
     rate = collision_rate(traj)
     data = {

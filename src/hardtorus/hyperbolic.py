@@ -28,8 +28,8 @@ from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        min_image, reduced_space, transverse_basis)
 from .rng import make_generator
-from .tangent import (TangentVector, _frame_failure, _lazy, _walk,
-                      propagate_tangent)
+from .tangent import (TangentVector, _check_finite, _frame_failure, _lazy,
+                      _walk, propagate_tangent)
 
 __all__ = [
     "QEvolutionAudit", "JumpRecord", "q_evolution_audit",
@@ -65,10 +65,13 @@ class QEvolutionAudit:
 
     A collision time has rows on both sides of the collision;
     ``collisions_before`` (collisions crossed before each row) tells the
-    incoming row from the outgoing ones.
+    incoming row from the outgoing ones.  ``dq_rows`` and ``dv_rows`` are
+    the read-only (rows, 2N) vectors the columns are taken from.
     """
 
     times: np.ndarray
+    dq_rows: np.ndarray
+    dv_rows: np.ndarray
     q_values: np.ndarray
     dq_norms: np.ndarray
     dv_norms: np.ndarray
@@ -107,13 +110,6 @@ def _mass_norms(a: np.ndarray, mw: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(_mass_dots(a, a, mw), 0.0))
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 taken on Python floats, as a scalar ``mass_norm(...) ** 2``
-    is; numpy squares by multiplication, which may round differently
-    from the libm power."""
-    return np.array([v ** 2 for v in x.tolist()])
-
-
 def _max_of(values: np.ndarray) -> float:
     """The running ``acc = max(acc, value)`` from acc = 0.0: NaN values
     never win a comparison, and fmax skips them too."""
@@ -137,7 +133,9 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     Each flight's samples are its two ends and the grid points strictly
     inside it, at dq + (t - t_a) dv; a collision adds the outgoing row at
     its time.  One walk collects the flight starts and the collision
-    vectors; the rows and residuals are then taken over whole stacks.
+    vectors, and refuses a non-finite vector with
+    ``NumericalFailureError`` naming the event; the rows and residuals
+    are then taken over whole stacks.
     """
     params = traj.params
     mw = params.mass_weights
@@ -147,8 +145,8 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
     t_a, t_b, start_q, start_v = [], [], [], []
-    pairs, end_q, scatter, post_q, post_v = [], [], [], [], []
-    for t0, t1, _, frame in _walk(traj):
+    pairs, scatter, post_q, post_v = [], [], [], []
+    for t0, t1, k, frame in _walk(traj):
         t_a.append(t0)
         t_b.append(t1)
         start_q.append(dq)
@@ -159,8 +157,8 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         dq_end = dq + (t1 - t0) * dv
         sp = frame.scatter_pre(dq_end)
         dq, dv = frame.reflect(dq_end), frame.reflect(dv + sp)
+        _check_finite(traj, k, dq, dv)
         pairs.append((frame.i, frame.j))
-        end_q.append(dq_end)
         scatter.append(sp)
         post_q.append(dq)
         post_v.append(dv)
@@ -168,8 +166,8 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     ta, tb = np.array(t_a), np.array(t_b)
     sq, sv = np.array(start_q), np.array(start_v)
     n_ev = len(pairs)
-    end_q, scatter, post_q, post_v = (np.array(x, dtype=float).reshape(n_ev, n2)
-                                      for x in (end_q, scatter, post_q, post_v))
+    scatter, post_q, post_v = (np.array(x, dtype=float).reshape(n_ev, n2)
+                               for x in (scatter, post_q, post_v))
 
     # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b
     lo = np.searchsorted(grid, ta, side="right")
@@ -185,9 +183,24 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     t[last] = tb
     s_dv = sv[fl]
     s_dq = sq[fl] + (t - ta[fl])[:, None] * s_dv
-    s_q = _mass_dots(s_dq, s_dv, mw)
-    s_nq = _mass_norms(s_dq, mw)
-    f_nv = _mass_norms(sv, mw)
+
+    # every row in walk order: each collision's outgoing row follows the
+    # last sample of its incoming flight
+    s_at = np.arange(fl.size) + fl
+    p_at = last[:n_ev] + 1 + np.arange(n_ev)
+
+    def column(samples, posts):
+        out = np.empty((fl.size + n_ev,) + samples.shape[1:], samples.dtype)
+        out[s_at] = samples
+        out[p_at] = posts
+        return out
+
+    dq_rows, dv_rows = column(s_dq, post_q), column(s_dv, post_v)
+    dq_rows.setflags(write=False)
+    dv_rows.setflags(write=False)
+    q_values = _mass_dots(dq_rows, dv_rows, mw)
+    dq_norms = _mass_norms(dq_rows, mw)
+    dv_norms = _mass_norms(dv_rows, mw)
 
     # midpoint rule, exact on the quadratic ||dq||^2, between consecutive
     # samples of one flight
@@ -198,22 +211,23 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     cur, prev, step = cur[keep], prev[keep], step[keep]
     mid = sq[fl[cur]] + (0.5 * (t[cur] + t[prev]) - ta[fl[cur]])[:, None] * s_dv[cur]
     rhs = 2.0 * _mass_dots(mid, s_dv[cur], mw) * step
-    n2_s = _squares(s_nq)
+    n2_s = dq_norms[s_at] * dq_norms[s_at]
     mid_res = _max_of(np.abs(n2_s[cur] - n2_s[prev] - rhs)
                       / _local_scale(n2_s[cur], n2_s[prev]))
 
     # Q increment over each whole flight against dt * ||dv||^2
     q_start = _mass_dots(sq, sv, mw)
-    q_end = s_q[last]
-    flight_res = _max_of(np.abs(q_end - q_start - (tb - ta) * _squares(f_nv))
+    q_end = q_values[s_at[last]]
+    f_nv = dv_norms[s_at[first]]
+    flight_res = _max_of(np.abs(q_end - q_start - (tb - ta) * (f_nv * f_nv))
                          / _local_scale(np.abs(q_end), np.abs(q_start)))
 
-    p_q = _mass_dots(post_q, post_v, mw)
+    p_q = q_values[p_at]
     jumps = []
     jump_defect = 0.0
     for t_ev, pair, q_pre, q_post, formula in zip(
             t_b, pairs, q_end.tolist(), p_q.tolist(),
-            _mass_dots(scatter, end_q, mw).tolist()):
+            _mass_dots(scatter, dq_rows[s_at[last[:n_ev]]], mw).tolist()):
         jumps.append(JumpRecord(t=t_ev, pair=pair, q_pre=q_pre,
                                 q_post=q_post, jump=q_post - q_pre,
                                 formula=formula))
@@ -223,23 +237,10 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
         default=0.0)
 
-    # every row in walk order: each collision's outgoing row follows the
-    # last sample of its incoming flight
-    rows = fl.size + n_ev
-    s_at = np.arange(fl.size) + fl
-    p_at = last[:n_ev] + 1 + np.arange(n_ev)
-
-    def column(samples, posts, dtype=float):
-        out = np.empty(rows, dtype=dtype)
-        out[s_at] = samples
-        out[p_at] = posts
-        return out
-
     return QEvolutionAudit(
-        times=column(t, tb[:n_ev]), q_values=column(s_q, p_q),
-        dq_norms=column(s_nq, _mass_norms(post_q, mw)),
-        dv_norms=column(f_nv[fl], _mass_norms(post_v, mw)),
-        collisions_before=column(fl, np.arange(1, n_ev + 1), dtype=int),
+        times=column(t, tb[:n_ev]), dq_rows=dq_rows, dv_rows=dv_rows,
+        q_values=q_values, dq_norms=dq_norms, dv_norms=dv_norms,
+        collisions_before=column(fl, np.arange(1, n_ev + 1)),
         jumps=tuple(jumps), max_flight_residual=flight_res,
         max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
         min_jump_relative=min_jump_rel)
@@ -765,14 +766,14 @@ def z_length(curve, params: SystemParams) -> float:
 # series and summary output
 
 
-def hyperbolicity_series(traj: TrajectorySegment, tau0: TangentVector,
-                         audit: QEvolutionAudit, *,
+def hyperbolicity_series(traj: TrajectorySegment, audit: QEvolutionAudit, *,
                          path: CurvaturePath | None = None,
                          l0=None) -> dict[str, np.ndarray]:
-    """Per-row arrays of the audit of tau0: t, Q, ||dq||, ||dv||,
+    """Per-row arrays of an audit of ``traj``: t, Q, ||dq||, ||dv||,
     optionally the minimum eigenvalue of B along ``path`` and the cone
-    ratios against l0.  Every column of a row is taken on the same side
-    of a collision, the incoming one on a collision's first row."""
+    ratios of the audit's own row vectors against l0.  Every column of a
+    row is taken on the same side of a collision, the incoming one on a
+    collision's first row."""
     series: dict[str, np.ndarray] = {
         "t": audit.times, "Q": audit.q_values,
         "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
@@ -780,18 +781,8 @@ def hyperbolicity_series(traj: TrajectorySegment, tau0: TangentVector,
     if path is not None:
         series["b_eig_min"] = _b_eig_min(path, crossed, audit.times)
     if l0 is not None:
-        taus = propagate_tangent(traj, tau0, audit.times)
-        dq = np.array([tau.dq for tau in taus])
-        dv = np.array([tau.dv for tau in taus])
-        # propagate_tangent lands on the outgoing side of a collision
-        # time; a collision's first row takes the incoming side, which is
-        # the previous row carried by its free flight
-        i = np.flatnonzero(crossed[1:] > crossed[:-1])
-        dt = audit.times[i] - audit.times[i - 1]
-        dq[i] = dq[i - 1] + dt[:, None] * dv[i - 1]
-        dv[i] = dv[i - 1]
-        series["cone_ratio_q"] = _cone_ratios(dq, l0, traj.params)
-        series["cone_ratio_v"] = _cone_ratios(dv, l0, traj.params)
+        series["cone_ratio_q"] = _cone_ratios(audit.dq_rows, l0, traj.params)
+        series["cone_ratio_v"] = _cone_ratios(audit.dv_rows, l0, traj.params)
     return series
 
 

@@ -8,6 +8,11 @@ the mass metric the transported pair is exactly the derivative of the
 flow map in plain phase coordinates, which is what the finite
 difference tests check.
 
+Every walk follows one flight rule: a vector at t inside a flight from
+t_a is (dq + (t - t_a) dv, dv) of the flight's start vector, never
+chained through earlier stops, so walks that stop at equal times agree
+bit for bit.
+
 Normal vectors (z, w) transport by the adjoint (inverse-transpose)
 rule: w is the configuration component, z the momentum-like one, and
 the form <z, w> never increases along the flow.
@@ -438,37 +443,39 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
     """Transport tau from the segment start to each requested time.
 
     Times must be nondecreasing; default is the segment end.  At an
-    event time the output is on the outgoing side.  With ``identify``
-    the output is pulled back through the accumulated collision
-    reflections into the initial frame.  The vectors' dq and dv are
-    read-only rows of one stacked array per component.
+    event time the output is on the outgoing side.  The stops of one
+    flight follow the flight rule in one stacked step, so they carry the
+    bits of ``q_evolution_audit``'s rows at the same times.  With
+    ``identify`` the output is pulled back through the accumulated
+    collision reflections into the initial frame.  The vectors' dq and
+    dv are read-only rows of one stacked array per component.
     """
     if times is None:
         times = [traj.t_end]
-    times = [float(t) for t in times]
-    if any(b < a for a, b in zip([0.0] + times, times)):
+    times = np.array([float(t) for t in times])
+    if np.any(np.diff(times, prepend=0.0) < 0.0):
         raise ValueError("times must be nondecreasing and nonnegative")
-    if not times:
+    if not times.size:
         return []
     out_q, out_v = [], []
     xq, xv = np.array(tau.dq), np.array(tau.dv)
     pull = np.eye(xq.size) if identify else None
-    for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
-        t = t_a
+    done = 0
+    for t_a, t_b, k, frame in _walk(traj, t_to=float(times[-1])):
         # stops before the event's time; the closing flight takes the rest
-        while len(out_q) < len(times) and (k is None or times[len(out_q)] < t_b):
-            xq = xq + (times[len(out_q)] - t) * xv
-            t = times[len(out_q)]
-            out_q.append(pull @ xq if identify else xq)
-            out_v.append(pull @ xv if identify else xv)
+        stop = times.size if k is None else int(np.searchsorted(times, t_b))
+        dq = xq + (times[done:stop] - t_a)[:, None] * xv
+        dv = np.repeat(xv[None], len(dq), axis=0)
+        out_q.append(dq @ pull.T if identify else dq)
+        out_v.append(dv @ pull.T if identify else dv)
+        done = stop
         if k is None:
             break
-        xq = xq + (t_b - t) * xv
-        xq, xv = _apply_event(frame, xq, xv)
+        xq, xv = _apply_event(frame, xq + (t_b - t_a) * xv, xv)
         _check_finite(traj, k, xq, xv)
         if identify:
             pull = pull @ frame.reflection_matrix()
-    return _tangent_rows(np.array(out_q), np.array(out_v))
+    return _tangent_rows(np.concatenate(out_q), np.concatenate(out_v))
 
 
 def _tangent_rows(dq: np.ndarray, dv: np.ndarray) -> list[TangentVector]:

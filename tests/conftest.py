@@ -247,20 +247,17 @@ def bfs_components(n, edges):
 
 
 def ref_propagate_tangent(traj, tau, times):
-    """Per-row propagate_tangent: one TangentVector built per time."""
+    """Per-row propagate_tangent: one TangentVector built per time, each
+    from its flight's start vector."""
     times = [float(t) for t in times]
     out = []
     xq, xv = np.array(tau.dq), np.array(tau.dv)
     for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
-        t = t_a
         while len(out) < len(times) and (k is None or times[len(out)] < t_b):
-            xq = xq + (times[len(out)] - t) * xv
-            t = times[len(out)]
-            out.append(TangentVector(xq, xv))
+            out.append(TangentVector(xq + (times[len(out)] - t_a) * xv, xv))
         if k is None:
             break
-        xq = xq + (t_b - t) * xv
-        xq, xv = _apply_event(frame, xq, xv)
+        xq, xv = _apply_event(frame, xq + (t_b - t_a) * xv, xv)
     return out
 
 
@@ -270,7 +267,7 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
     dv = np.array(tau0.dv, dtype=float)
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
-    times, qs, nq, nv, crossed = [], [], [], [], []
+    times, rows_q, rows_v, qs, nq, nv, crossed = [], [], [], [], [], [], []
     jumps = []
     flight_res = 0.0
     mid_res = 0.0
@@ -278,6 +275,8 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
 
     def record(t, dq_t, dv_t):
         times.append(t)
+        rows_q.append(dq_t)
+        rows_v.append(dv_t)
         qs.append(mass_inner(dq_t, dv_t, params))
         nq.append(mass_norm(dq_t, params))
         nv.append(mass_norm(dv_t, params))
@@ -292,8 +291,9 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
             record(t, dq_t, dv)
             if prev_t is not None and t > prev_t:
                 mid = dq + (0.5 * (t + prev_t) - t_a) * dv
-                n2_new = mass_norm(dq_t, params) ** 2
-                n2_old = mass_norm(prev_dq, params) ** 2
+                n_new = mass_norm(dq_t, params)
+                n_old = mass_norm(prev_dq, params)
+                n2_new, n2_old = n_new * n_new, n_old * n_old
                 rhs = 2.0 * mass_inner(mid, dv, params) * (t - prev_t)
                 mid_res = max(mid_res, abs(n2_new - n2_old - rhs)
                               / max(1.0, n2_new, n2_old))
@@ -301,8 +301,9 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
         q_start = mass_inner(dq, dv, params)
         dq_end = dq + (t_b - t_a) * dv
         q_end = mass_inner(dq_end, dv, params)
+        n_dv = mass_norm(dv, params)
         flight_res = max(flight_res, abs(
-            q_end - q_start - (t_b - t_a) * mass_norm(dv, params) ** 2)
+            q_end - q_start - (t_b - t_a) * (n_dv * n_dv))
             / max(1.0, abs(q_end), abs(q_start)))
         if frame is None:
             break
@@ -321,7 +322,8 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
         (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
         default=0.0)
     return QEvolutionAudit(
-        times=np.array(times), q_values=np.array(qs),
+        times=np.array(times), dq_rows=np.array(rows_q),
+        dv_rows=np.array(rows_v), q_values=np.array(qs),
         dq_norms=np.array(nq), dv_norms=np.array(nv),
         collisions_before=np.array(crossed, dtype=int),
         jumps=tuple(jumps), max_flight_residual=flight_res,
@@ -387,7 +389,7 @@ def ref_expansion_check(traj, tau0, c0, *, n_samples=256):
                           times=times, ratios=ratios)
 
 
-def ref_hyperbolicity_series(traj, tau0, audit, *, path=None, l0=None):
+def ref_hyperbolicity_series(traj, audit, *, path=None, l0=None):
     series = {"t": audit.times, "Q": audit.q_values,
               "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
     crossed = audit.collisions_before
@@ -396,12 +398,8 @@ def ref_hyperbolicity_series(traj, tau0, audit, *, path=None, l0=None):
             ref_eig_min_shifted(path.operators[n], float(t))
             for n, t in zip(crossed, audit.times)])
     if l0 is not None:
-        taus = ref_propagate_tangent(traj, tau0, audit.times)
-        for i in np.flatnonzero(crossed[1:] > crossed[:-1]):
-            prev = taus[i - 1]
-            dt = audit.times[i] - audit.times[i - 1]
-            taus[i] = TangentVector(prev.dq + dt * prev.dv, prev.dv)
-        cones = [cone_decompose(tau, l0, traj.params) for tau in taus]
+        cones = [cone_decompose(TangentVector(dq, dv), l0, traj.params)
+                 for dq, dv in zip(audit.dq_rows, audit.dv_rows)]
         series["cone_ratio_q"] = np.array([c.ratio_q for c in cones])
         series["cone_ratio_v"] = np.array([c.ratio_v for c in cones])
     return series

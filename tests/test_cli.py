@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 
-from hardtorus import cli, hyperbolic
+from hardtorus import cli, hyperbolic, tangent
 from hardtorus.config import parse_config
 from hardtorus.errors import NumericalFailureError
 
@@ -82,17 +82,23 @@ class TestSubcommands:
         assert (tmp_path / "out" / "series.csv").exists()
 
     def test_audit_runs_each_pass_once(self, tmp_path, monkeypatch):
+        # the series reads the audit's rows, so the seed vector goes
+        # through propagate_tangent once, for the expansion check
         calls = Counter()
-        for name in ("q_evolution_audit", "curvature_propagate"):
+        for name, modules in (("q_evolution_audit", (hyperbolic, cli)),
+                              ("curvature_propagate", (hyperbolic, cli)),
+                              ("propagate_tangent", (tangent, hyperbolic))):
             def counting(*args, _name=name, _fn=getattr(hyperbolic, name),
                          **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(hyperbolic, name, counting)
-            monkeypatch.setattr(cli, name, counting)
-        cli.run("audit", parse_config(BASE), tmp_path / "out")
-        assert calls == {"q_evolution_audit": 1, "curvature_propagate": 1}
+            for module in modules:
+                monkeypatch.setattr(module, name, counting)
+        config = parse_config(BASE + "\n[analysis]\nl0 = 1, 0\n")
+        cli.run("audit", config, tmp_path / "out")
+        assert calls == {"q_evolution_audit": 1, "curvature_propagate": 1,
+                         "propagate_tangent": 1}
 
     def test_degeneracy(self, tmp_path):
         summary = run_cli(tmp_path, "degeneracy")

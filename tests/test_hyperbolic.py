@@ -474,7 +474,7 @@ class TestSeriesAndSummary:
         tau = random_tau()
         audit = q_evolution_audit(traj, tau, n_samples=16)
         path = curvature_propagate(1.0, traj, n_samples=16)
-        series = hyperbolicity_series(traj, tau, audit, path=path, l0=(1, 0))
+        series = hyperbolicity_series(traj, audit, path=path, l0=(1, 0))
         assert set(series) == {"t", "Q", "dq_norm", "dv_norm", "b_eig_min",
                                "cone_ratio_q", "cone_ratio_v"}
         path = tmp_path / "series.csv"
@@ -490,7 +490,7 @@ class TestSeriesAndSummary:
         tau = random_tau()
         audit = q_evolution_audit(traj, tau, n_samples=16)
         path = curvature_propagate(1.0, traj, n_samples=16)
-        series = hyperbolicity_series(traj, tau, audit, path=path, l0=(1, 0))
+        series = hyperbolicity_series(traj, audit, path=path, l0=(1, 0))
         crossed = audit.collisions_before
         rows = np.flatnonzero(crossed[1:] > crossed[:-1])
         assert rows.size == traj.n_events
@@ -571,8 +571,8 @@ class TestStackedMatchesRowReference:
         for tau in (cone_seed(traj.params, 1), cone_seed(traj.params, 2, c0=-0.5)):
             got = q_evolution_audit(traj, tau, n_samples=n_samples)
             ref = ref_q_evolution_audit(traj, tau, n_samples=n_samples)
-            for name in ("times", "q_values", "dq_norms", "dv_norms",
-                         "collisions_before"):
+            for name in ("times", "dq_rows", "dv_rows", "q_values",
+                         "dq_norms", "dv_norms", "collisions_before"):
                 assert bitwise(getattr(got, name), getattr(ref, name)), name
             assert len(got.jumps) == len(ref.jumps) == traj.n_events
             for a, b in zip(got.jumps, ref.jumps):
@@ -583,6 +583,39 @@ class TestStackedMatchesRowReference:
                          "max_jump_defect", "min_jump_relative", "min_jump"):
                 assert bitwise(getattr(got, name), getattr(ref, name)), name
             assert got.q_monotone == ref.q_monotone
+            assert not (got.dq_rows.flags.writeable
+                        or got.dv_rows.flags.writeable)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_audit_rows_are_the_propagated_rows(self, case):
+        # one flight rule: propagate_tangent at the audit's times lands
+        # on the audit's outgoing rows bit for bit, and each collision's
+        # incoming row is its flight's start carried to the event, the
+        # vector the collision is then applied to
+        traj, n_samples = _segment(case)
+        for tau in (cone_seed(traj.params, 1), cone_seed(traj.params, 2, c0=-0.5)):
+            audit = q_evolution_audit(traj, tau, n_samples=n_samples)
+            taus = propagate_tangent(traj, tau, audit.times)
+            dq = np.array([x.dq for x in taus])
+            dv = np.array([x.dv for x in taus])
+            crossed = audit.collisions_before
+            incoming = np.flatnonzero(crossed[1:] > crossed[:-1])
+            assert incoming.size == traj.n_events
+            out = np.setdiff1d(np.arange(crossed.size), incoming)
+            assert bitwise(dq[out], audit.dq_rows[out])
+            assert bitwise(dv[out], audit.dv_rows[out])
+            for i in incoming:
+                k = crossed[i]
+                start = np.searchsorted(crossed, k)
+                t_a = audit.times[start]
+                assert audit.times[i] == traj.ev_t[k]
+                carried = dq[start] + (audit.times[i] - t_a) * dv[start]
+                assert bitwise(audit.dq_rows[i], carried)
+                assert bitwise(audit.dv_rows[i], dv[start])
+                post_q, post_v = _apply_event(tangent.frame_for_event(traj, k),
+                                              carried, dv[start])
+                assert bitwise(post_q, audit.dq_rows[i + 1])
+                assert bitwise(post_v, audit.dv_rows[i + 1])
 
     @pytest.mark.parametrize("case", CASES)
     def test_curvature_propagate(self, case):
@@ -613,22 +646,13 @@ class TestStackedMatchesRowReference:
         tau = cone_seed(traj.params, 4)
         audit = q_evolution_audit(traj, tau, n_samples=n_samples)
         path = curvature_propagate(1.0, traj, n_samples=n_samples)
-        got = hyperbolicity_series(traj, tau, audit,
+        got = hyperbolicity_series(traj, audit,
                                    path=path if with_path else None, l0=l0)
-        ref = ref_hyperbolicity_series(traj, tau, audit,
+        ref = ref_hyperbolicity_series(traj, audit,
                                        path=path if with_path else None, l0=l0)
         assert list(got) == list(ref)
         for key in ref:
             assert bitwise(got[key], ref[key]), key
-
-    def test_squares_take_the_python_float_power(self):
-        # x ** 2 on a Python float goes through libm pow, which rounds
-        # differently from x * x on about one value in a thousand; the
-        # residuals square norms the scalar way
-        x = make_generator(0, 0).standard_normal(20000)
-        want = np.array([v ** 2 for v in x.tolist()])
-        assert np.any(want != x * x)
-        assert bitwise(hyperbolic._squares(x), want)
 
     def test_propagated_rows_are_read_only_views(self):
         traj, _ = _segment("n3_seed1")

@@ -13,6 +13,7 @@ from hardtorus.events import TrajectorySegment, simulate
 from hardtorus.geometry import (PhaseState, SystemParams, cylinder_radius,
                                 mass_inner, mass_norm, sample_state,
                                 transverse_basis)
+from hardtorus.hyperbolic import q_evolution_audit
 from hardtorus.tangent import (NormalVector, TangentVector, _apply_event,
                                _apply_event_inverse, collision_frame,
                                frame_for_event, propagate_normal,
@@ -317,6 +318,9 @@ class TestNonFiniteTransport:
             assert_names_event(err, traj, 0)
             with pytest.raises(NumericalFailureError) as err:
                 propagate_normal(traj, NormalVector(bad, np.zeros(6)))
+            assert_names_event(err, traj, 0)
+            with pytest.raises(NumericalFailureError) as err:
+                q_evolution_audit(traj, TangentVector(bad, np.zeros(6)))
             assert_names_event(err, traj, 0)
 
 
