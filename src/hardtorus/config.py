@@ -19,14 +19,15 @@ Sections and keys:
                   mass_grid (semicolon-separated mass lists)
 
 [system] with masses and radius is required; everything else has
-documented defaults.  Unknown sections or keys and malformed values
-raise ConfigError with the offending line number.  serialize_config
-writes every field back in a fixed order with 17-significant-digit
-floats, so parse -> serialize is a canonical normal form and
-serializing twice is byte-identical.
+documented defaults.  Unknown sections or keys, malformed values and
+non-finite numbers (nan, inf) raise ConfigError with the offending line
+number.  serialize_config writes every field back in a fixed order with
+17-significant-digit floats, so parse -> serialize is a canonical
+normal form and serializing twice is byte-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -67,19 +68,18 @@ class ExperimentConfig:
         validate_params(self.params)
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.t_max <= 0.0:
-            raise ConfigError("t_max must be positive")
-        for name in ("c0", "delta0", "horizon"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("t_max", "c0", "delta0", "horizon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         for name in ("ensemble", "reorth_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.max_group is not None and self.max_group < 1:
             raise ConfigError("max_group must be at least 1")
         for tf in fields(Tolerances):
-            if getattr(self.tolerances, tf.name) <= 0.0:
-                raise ConfigError(f"tolerance {tf.name} must be positive")
+            if not 0.0 < getattr(self.tolerances, tf.name) < math.inf:
+                raise ConfigError(
+                    f"tolerance {tf.name} must be positive and finite")
 
     @property
     def params(self) -> SystemParams:
@@ -106,10 +106,13 @@ _SECTIONS = ("system", "run", "tolerances", "analysis", "scan")
 
 def _parse_float(raw: str, line: int, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {raw!r}",
                           line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} expects a finite number, got {raw!r}", line)
+    return value
 
 
 def _parse_int(raw: str, line: int, key: str) -> int:

@@ -281,10 +281,12 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
     Energy and momentum are drift-checked at every event against the
     entry values; relative energy drift or absolute momentum drift
-    beyond 1e-9 aborts with a numerical failure.
+    beyond 1e-9 aborts with a numerical failure.  A negative or
+    non-finite t_max raises ValueError.
     """
-    if t_max < 0.0:
-        raise ValueError("t_max must be nonnegative; reverse via reverse_state")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}; "
+                         "reverse via reverse_state")
     validate_state(state, params, require_shell=False)
     n = params.n
     m = [float(x) for x in params.masses]

@@ -7,8 +7,11 @@ through d/dt ||dq||^2 = 2Q.  The curvature operator B is the matrix
 of the map dq -> dv on the velocity-transverse part of the reduced
 space; between collisions its inverse shifts by s*I (exactly, which
 is why the inverse is what gets propagated), and a collision adds the
-scattering form in a co-moving basis.  From a positive lower bound
-B(0) >= c0*I one gets the guaranteed expansion
+scattering form in a co-moving basis.  Along a free flight from the
+attachment at t_n, the minimum eigenvalue is therefore closed form,
+eig_min(B(t)) = 1 / (mu_n + t - t_n) with mu_n the top eigenvalue of
+B(t_n)^-1 (Sinai 1970; Chernov & Sinai 1987).  From a positive lower
+bound B(0) >= c0*I one gets the guaranteed expansion
 ||dq(t)|| >= (1 + c0*t) ||dq(0)||, checked here on sampled orbits.
 
 Lyapunov exponents come from a chunked renormalized-frame estimate in
@@ -288,7 +291,13 @@ class CurvatureOperator:
 @dataclass(frozen=True)
 class CurvaturePath:
     """Attachment operators (initial, after each collision, final) plus
-    a sampled minimum-eigenvalue curve along the flight intervals."""
+    the minimum eigenvalue of B on the ``n_samples`` grid.
+
+    A time t after n collisions reads the attachment operators[n], and
+    eig_min(B(t)) = 1 / (mu_n + (t - operators[n].time)), where mu_n is
+    the top eigenvalue of operators[n].inverse: the free flight shifts
+    the inverse by (t - t_n)*I.  One batched ``eigvalsh`` gives every
+    mu_n, on first use."""
 
     operators: tuple[CurvatureOperator, ...]
     sample_times: np.ndarray
@@ -306,6 +315,19 @@ class CurvaturePath:
     def min_eig_min(self) -> float:
         return float(self.sample_eig_min.min())
 
+    @_lazy
+    def _tops(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu_n, t_n) of every attachment n; the closing operator starts
+        no flight."""
+        attached = self.operators[:-1]
+        tops = np.linalg.eigvalsh(np.stack([op.inverse for op in attached]))
+        return tops[:, -1], np.array([op.time for op in attached])
+
+    def _eig_min(self, crossed: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """eig_min(B) per row at ``times``, after ``crossed`` collisions."""
+        tops, t_n = self._tops
+        return 1.0 / (tops[crossed] + (times - t_n[crossed]))
+
 
 def _shift(op: CurvatureOperator, t: float) -> CurvatureOperator:
     """Carry an attachment operator along its free flight to time t."""
@@ -318,9 +340,11 @@ def _shift(op: CurvatureOperator, t: float) -> CurvatureOperator:
 
 
 def _as_operator_matrix(b0, dim: int) -> np.ndarray:
+    b = np.array(b0, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("curvature operator must be finite")
     if np.isscalar(b0):
         return float(b0) * np.eye(dim)
-    b = np.array(b0, dtype=float)
     if b.shape != (dim, dim):
         raise ValueError(f"operator must be {dim}x{dim}, got {b.shape}")
     return b
@@ -334,7 +358,10 @@ def curvature_propagate(b0, traj: TrajectorySegment,
     which is exact and keeps positive operators positive.  A collision
     conjugates by the reflection and adds the scattering form; in the
     co-moving basis U -> RU the update is purely additive.  The matrix
-    is symmetrized after every update.
+    is symmetrized after every update.  The samples read the closed
+    form of ``CurvaturePath`` on the ``n_samples`` grid, and a
+    non-finite, nonsymmetric or non-positive b0 raises
+    ``ValidationError``.
     """
     params = traj.params
     u = transverse_basis(traj.initial.v, params)
@@ -351,37 +378,23 @@ def curvature_propagate(b0, traj: TrajectorySegment,
     mw = params.mass_weights
     eye = np.eye(dim)
     ops = [CurvatureOperator(time=0.0, basis=u, matrix=b)]
-    binv = ops[0].inverse
-    samp_t, samp_e = [], []
-    grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
-
-    for t_a, t_b, k, frame in _walk(traj):
-        ts = grid[(grid >= t_a) & (grid < t_b)]
-        if ts.size:
-            # eig_min(B) through the better-conditioned inverse
-            tops = np.linalg.eigvalsh(binv + (ts - t_a)[:, None, None] * eye)[:, -1]
-            samp_t.extend(ts.tolist())
-            samp_e.extend(1.0 / tops)
-        binv = binv + (t_b - t_a) * eye
+    for t_a, t_b, _, frame in _walk(traj):
         if frame is None:
-            top = np.linalg.eigvalsh(binv)[-1]
-            samp_t.append(t_b)
-            samp_e.append(1.0 / top)
-            b = np.linalg.inv(binv)
-            ops.append(CurvatureOperator(time=t_b, basis=u,
-                                         matrix=0.5 * (b + b.T)))
             break
-        b = np.linalg.inv(binv)
+        b = np.linalg.inv(ops[-1].inverse + (t_b - t_a) * eye)
         add = (u.T * mw) @ frame.scatter_pre(u)
         b = b + 0.5 * (add + add.T)
         b = 0.5 * (b + b.T)
         u = frame.reflect(u)
         ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
-        binv = ops[-1].inverse
+    ops.append(_shift(ops[-1], traj.t_end))
 
-    return CurvaturePath(operators=tuple(ops),
-                         sample_times=np.array(samp_t),
-                         sample_eig_min=np.array(samp_e))
+    grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
+    path = CurvaturePath(operators=tuple(ops), sample_times=grid,
+                         sample_eig_min=np.empty(grid.size))
+    path.sample_eig_min[:] = path._eig_min(
+        np.searchsorted(traj.ev_t, grid, side="right"), grid)
+    return path
 
 
 def curvature_consistency(path: CurvaturePath, traj: TrajectorySegment,
@@ -429,13 +442,16 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
 
     The caller asserts dv(0) = B(0) dq(0) for some B(0) >= c0*I; what
     is actually verifiable from one vector is Q(0) >= 0, and a negative
-    Q(0) (impossible for any positive semi-definite operator) or a
-    nonpositive c0 is rejected as a usage error.
+    Q(0) (impossible for any positive semi-definite operator) or a c0
+    outside (0, inf) is rejected as a usage error.  ``t_argmin`` is the
+    earliest sample within 1e-12 * max(1, |min_ratio|) of the minimum,
+    so a plateau of ratios equal up to roundoff (1 along the first
+    flight of a cone seed dv = c0 dq) reports its start.
     """
     params = traj.params
     norm0 = mass_norm(tau0.dq, params)
-    if c0 <= 0.0:
-        raise ValueError(f"c0 must be positive, got {c0:g}")
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0:g}")
     if norm0 == 0.0:
         raise ValueError("dq(0) must be nonzero")
     q0 = mass_inner(tau0.dq, tau0.dv, params)
@@ -446,8 +462,10 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
     times = np.linspace(0.0, traj.t_end, max(2, n_samples))
     dq = np.array([tau.dq for tau in propagate_tangent(traj, tau0, times)])
     ratios = _mass_norms(dq, params.mass_weights) / ((1.0 + c0 * times) * norm0)
-    k = int(np.argmin(ratios))
-    return ExpansionCheck(min_ratio=float(ratios[k]), t_argmin=float(times[k]),
+    min_ratio = float(ratios[np.argmin(ratios)])
+    near = ratios <= min_ratio + 1e-12 * max(1.0, abs(min_ratio))
+    return ExpansionCheck(min_ratio=min_ratio,
+                          t_argmin=float(times[np.argmax(near)]),
                           times=times, ratios=ratios)
 
 
@@ -777,38 +795,13 @@ def hyperbolicity_series(traj: TrajectorySegment, audit: QEvolutionAudit, *,
     series: dict[str, np.ndarray] = {
         "t": audit.times, "Q": audit.q_values,
         "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
-    crossed = audit.collisions_before
     if path is not None:
-        series["b_eig_min"] = _b_eig_min(path, crossed, audit.times)
+        series["b_eig_min"] = path._eig_min(audit.collisions_before,
+                                            audit.times)
     if l0 is not None:
         series["cone_ratio_q"] = _cone_ratios(audit.dq_rows, l0, traj.params)
         series["cone_ratio_v"] = _cone_ratios(audit.dv_rows, l0, traj.params)
     return series
-
-
-def _b_eig_min(path: CurvaturePath, crossed: np.ndarray,
-               times: np.ndarray) -> np.ndarray:
-    """``_shift(path.operators[n], t).eig_min`` per row (n, t).
-
-    operators[n] is the attachment after n collisions.  Each run of rows
-    on one operator shifts its cached inverse, then inverts and takes
-    eigenvalues of the whole run in single batched calls, which give
-    every matrix the bits of its own call.
-    """
-    out = np.empty(times.size)
-    cuts = np.flatnonzero(crossed[1:] != crossed[:-1]) + 1
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), times.size]):
-        op = path.operators[crossed[a]]
-        s = times[a:b] - op.time
-        mats = np.repeat(op.matrix[None], b - a, axis=0)
-        moved = s != 0.0
-        if moved.any():
-            eye = np.eye(op.matrix.shape[0])
-            binv = op.inverse + s[moved, None, None] * eye
-            inv = np.linalg.inv(binv)
-            mats[moved] = 0.5 * (inv + inv.transpose(0, 2, 1))
-        out[a:b] = np.linalg.eigvalsh(mats)[:, 0]
-    return out
 
 
 def write_series_csv(path, series: dict) -> None:

@@ -340,21 +340,15 @@ def ref_curvature_propagate(b0, traj, *, n_samples=64):
     eye = np.eye(dim)
     binv = np.linalg.inv(b)
     ops = [CurvatureOperator(time=0.0, basis=u, matrix=b)]
-    samp_t, samp_e = [], []
-    grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
     for t_a, t_b, k, frame in _walk(traj):
-        for t in grid[(grid >= t_a) & (grid < t_b)]:
-            top = np.linalg.eigvalsh(binv + (t - t_a) * eye)[-1]
-            samp_t.append(float(t))
-            samp_e.append(1.0 / top)
         binv = binv + (t_b - t_a) * eye
         if frame is None:
-            top = np.linalg.eigvalsh(binv)[-1]
-            samp_t.append(t_b)
-            samp_e.append(1.0 / top)
-            b = np.linalg.inv(binv)
-            ops.append(CurvatureOperator(time=t_b, basis=u,
-                                         matrix=0.5 * (b + b.T)))
+            if t_b == ops[-1].time:
+                ops.append(ops[-1])
+            else:
+                b = np.linalg.inv(binv)
+                ops.append(CurvatureOperator(time=t_b, basis=u,
+                                             matrix=0.5 * (b + b.T)))
             break
         b = np.linalg.inv(binv)
         add = (u.T * mw) @ frame.scatter_pre(u)
@@ -363,18 +357,22 @@ def ref_curvature_propagate(b0, traj, *, n_samples=64):
         u = frame.reflect(u)
         binv = np.linalg.inv(b)
         ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
-    return CurvaturePath(operators=tuple(ops), sample_times=np.array(samp_t),
+    grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
+    samp_e = []
+    for t in grid:
+        # the attachment after every collision at or before t
+        n = sum(1 for t_k in traj.ev_t if t_k <= t)
+        samp_e.append(ref_eig_min_shifted(ops[n], float(t)))
+    return CurvaturePath(operators=tuple(ops), sample_times=grid,
                          sample_eig_min=np.array(samp_e))
 
 
 def ref_eig_min_shifted(op, t):
-    """eig_min of the attachment operator carried by free flight to t."""
-    s = t - op.time
-    if s == 0.0:
-        return float(np.linalg.eigvalsh(op.matrix)[0])
-    binv = np.linalg.inv(op.matrix) + s * np.eye(op.matrix.shape[0])
-    b = np.linalg.inv(binv)
-    return float(np.linalg.eigvalsh(0.5 * (b + b.T))[0])
+    """eig_min of the attachment operator carried by free flight to t:
+    the flight shifts the inverse by (t - op.time)*I, so its top
+    eigenvalue mu becomes mu + (t - op.time)."""
+    top = np.linalg.eigvalsh(np.linalg.inv(op.matrix))[-1]
+    return float(1.0 / (top + (t - op.time)))
 
 
 def ref_expansion_check(traj, tau0, c0, *, n_samples=256):
@@ -385,7 +383,10 @@ def ref_expansion_check(traj, tau0, c0, *, n_samples=256):
     ratios = np.array([mass_norm(tau.dq, params) / ((1.0 + c0 * t) * norm0)
                        for t, tau in zip(times, taus)])
     k = int(np.argmin(ratios))
-    return ExpansionCheck(min_ratio=float(ratios[k]), t_argmin=float(times[k]),
+    tol = 1e-12 * max(1.0, abs(ratios[k]))
+    first = next(i for i, r in enumerate(ratios) if r <= ratios[k] + tol)
+    return ExpansionCheck(min_ratio=float(ratios[k]),
+                          t_argmin=float(times[first]),
                           times=times, ratios=ratios)
 
 

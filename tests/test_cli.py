@@ -160,6 +160,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "[system]\nmasses = 1.0\n")
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
 
+    def test_non_finite_t_max_is_two_with_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("t_max = 6.0", "t_max = nan"))
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "line 7: t_max expects a finite number" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert cli.main(["simulate", "--config", str(missing)]) == 2

@@ -91,6 +91,20 @@ mass_grid = 1.0, 1.0; 1.0, 2.0
             parse_config(text)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("key, line, text", [
+        ("t_max", 5, MINIMAL + "[run]\nt_max = nan\n"),
+        ("t_max", 5, MINIMAL + "[run]\nt_max = inf\n"),
+        ("c0", 5, MINIMAL + "[analysis]\nc0 = nan\n"),
+        ("delta0", 5, MINIMAL + "[analysis]\ndelta0 = -inf\n"),
+        ("horizon", 6, MINIMAL + "[analysis]\nc0 = 1\nhorizon = inf\n"),
+        ("tangency_tol", 5, MINIMAL + "[tolerances]\ntangency_tol = NaN\n"),
+        ("masses", 2, "[system]\nmasses = 1.0, nan\nradius = 0.1\n"),
+    ])
+    def test_non_finite_number_has_line(self, key, line, text):
+        with pytest.raises(ConfigError, match=f"{key} expects a finite") as exc:
+            parse_config(text)
+        assert exc.value.line == line
+
     def test_l0_needs_two_integers(self):
         with pytest.raises(ConfigError, match="two comma-separated"):
             parse_config(MINIMAL + "[analysis]\nl0 = 1\n")
@@ -108,6 +122,15 @@ mass_grid = 1.0, 1.0; 1.0, 2.0
             parse_config(MINIMAL + "[analysis]\nensemble = 0\n")
         with pytest.raises(ConfigError, match="tolerance"):
             parse_config(MINIMAL + "[tolerances]\ntangency_tol = -1\n")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_direct_build_refuses_non_finite(self, bad):
+        for name in ("t_max", "c0", "delta0", "horizon"):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                ExperimentConfig(masses=(1.0, 2.0), radius=0.1, **{name: bad})
+        with pytest.raises(ConfigError, match="rank_rel_tol"):
+            ExperimentConfig(masses=(1.0, 2.0), radius=0.1,
+                             tolerances=Tolerances(rank_rel_tol=bad))
 
 
 class TestSerialize:

@@ -188,6 +188,13 @@ class TestSimulate:
         traj = simulate(state, 50.0, P2)
         assert traj.n_events == 0
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0])
+    def test_bad_t_max_refused(self, t_max):
+        # a NaN horizon never ends the loop, and an infinite one only
+        # ends on max_events
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            simulate(sample_state(3, P3), t_max, P3, max_events=5)
+
     def test_determinism(self):
         state = sample_state(3, P3)
         a = simulate(state, 20.0, P3)

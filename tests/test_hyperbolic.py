@@ -140,6 +140,17 @@ class TestCurvature:
         with pytest.raises(ValidationError, match="positive definite"):
             curvature_propagate(0.0, eventful())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_refused(self, bad):
+        traj = collisionless_3()
+        with pytest.raises(ValidationError, match="finite"):
+            curvature_propagate(bad, traj)
+        dim = transverse_basis(traj.initial.v, P3).shape[1]
+        b0 = np.eye(dim)
+        b0[1, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            curvature_propagate(b0, traj)
+
     def test_nonsymmetric_start_refused(self):
         traj = collisionless_3()
         dim = transverse_basis(traj.initial.v, P3).shape[1]
@@ -172,6 +183,24 @@ class TestExpansion:
         dq = a / mass_norm(a, FREE)
         res = expansion_check(traj, TangentVector(dq, dq), 2.0)
         assert not res.ok
+
+    @pytest.mark.parametrize("c0", [math.nan, math.inf, 0.0, -1.0])
+    def test_c0_outside_open_half_line_refused(self, c0):
+        traj = free_segment()
+        a = np.array([1.0, 0.0, -1.0, 0.0])
+        with pytest.raises(ValueError, match="c0 must be positive and finite"):
+            expansion_check(traj, TangentVector(a, a), c0)
+
+    def test_t_argmin_is_start_of_roundoff_plateau(self):
+        # along a collisionless flight of the cone seed every ratio is 1
+        # up to roundoff; the earliest sample is reported
+        traj = free_segment()
+        a = np.array([1.0, 0.0, -1.0, 0.0])
+        dq = a / mass_norm(a, FREE)
+        res = expansion_check(traj, TangentVector(dq, 0.7 * dq), 0.7)
+        assert np.abs(res.ratios - 1.0).max() <= 1e-12
+        assert res.t_argmin == 0.0
+        assert res.min_ratio == res.ratios.min()
 
     def test_bound_across_random_orbits(self):
         for seed in range(8):
@@ -549,6 +578,11 @@ def _segment(case):
         return traj, 64
     if case == "event_on_grid":
         return event_on_grid_point()
+    if case == "max_events":
+        # stopped by max_events: the segment ends on its last event
+        traj = simulate(sample_state(1, P3M), 20.0, P3M, max_events=6)
+        assert traj.n_events == 6 and traj.t_end == traj.ev_t[-1]
+        return traj, 64
     params, seed, t_max = {
         "n3_seed1": (P3M, 1, 20.0), "n3_seed2": (P3M, 2, 20.0),
         "n3_seed7": (P3M, 7, 20.0), "n3_seed13": (P3M, 13, 20.0),
@@ -563,7 +597,7 @@ class TestStackedMatchesRowReference:
     (tests/conftest.py) bit for bit: every column, jump and residual."""
 
     CASES = ("n3_seed1", "n3_seed2", "n3_seed7", "n3_seed13", "n5_seed3",
-             "collisionless", "event_on_grid")
+             "collisionless", "event_on_grid", "max_events")
 
     @pytest.mark.parametrize("case", CASES)
     def test_q_evolution_audit(self, case):
@@ -653,6 +687,54 @@ class TestStackedMatchesRowReference:
         assert list(got) == list(ref)
         for key in ref:
             assert bitwise(got[key], ref[key]), key
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_curvature_samples_match_shifted_operators(self, case):
+        # the closed form against the inverse-shift-invert-eigvalsh rule
+        # it replaced, on the grid and on the audit's rows
+        traj, n_samples = _segment(case)
+        path = curvature_propagate(1.0, traj, n_samples=n_samples)
+        audit = q_evolution_audit(traj, cone_seed(traj.params, 4),
+                                  n_samples=n_samples)
+        got = hyperbolicity_series(traj, audit, path=path)["b_eig_min"]
+        crossed = np.searchsorted(traj.ev_t, path.sample_times, side="right")
+        for rows, ns, values in (
+                (path.sample_times, crossed, path.sample_eig_min),
+                (audit.times, audit.collisions_before, got)):
+            want = [np.linalg.eigvalsh(
+                hyperbolic._shift(path.operators[n], float(t)).matrix)[0]
+                for n, t in zip(ns, rows)]
+            assert np.allclose(values, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["event_on_grid", "max_events"])
+    def test_sample_times_are_the_grid(self, case):
+        traj, n_samples = _segment(case)
+        path = curvature_propagate(1.0, traj, n_samples=n_samples)
+        grid = np.linspace(0.0, traj.t_end, n_samples)
+        assert bitwise(path.sample_times, grid)
+        assert path.sample_eig_min.shape == grid.shape
+        assert path.operators[-1].time == traj.t_end
+        assert len(path.operators) == traj.n_events + 2
+
+    def test_two_eigvalsh_calls_per_path(self, monkeypatch):
+        # the positivity check and one batched call over the attachments;
+        # the series reads the same top eigenvalues
+        traj, n_samples = _segment("n3_seed1")
+        audit = q_evolution_audit(traj, cone_seed(traj.params, 4),
+                                  n_samples=n_samples)
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        path = curvature_propagate(1.0, traj, n_samples=n_samples)
+        assert len(calls) == 2
+        assert calls[1][0] == traj.n_events + 1
+        hyperbolicity_series(traj, audit, path=path)
+        assert len(calls) == 2
 
     def test_propagated_rows_are_read_only_views(self):
         traj, _ = _segment("n3_seed1")
