@@ -11,42 +11,75 @@ Core layers:
   decompositions, Lyapunov spectra, collision rates, z-length
 - degenerate: parallel-velocity sets L(l0), tubes, radius degeneracies
 - config / cli: reproducible experiment front end
+
+Names are exported lazily (PEP 562): ``import hardtorus`` loads no
+layer, and the first use of a name imports only the module that
+defines it, so a run that parses a config and samples a state never
+loads the analysis layers.
 """
-from .config import ExperimentConfig, parse_config, serialize_config
-from .errors import (ConfigError, FeasibilityError,
-                     IllConditionedAdvanceError, NumericalFailureError,
-                     PerturbationTooLargeError, ResolutionError,
-                     SingularSegmentError, StateCorruptionError,
-                     TangentialFrameError, ValidationError)
-from .events import (TrajectorySegment, reverse_state, simulate,
-                     symbolic_sequence)
-from .geometry import (PhaseState, ReducedSpace, SystemParams, Tolerances,
-                       cylinder_radius, energy, mass_inner, mass_norm,
-                       min_gap, min_image, momentum, pair_distance,
-                       project_to_Z, reduced_space, sample_state,
-                       torus_delta, transverse_basis, validate_params,
-                       validate_state)
-from .neutral import (AdvanceReport, CollisionGraph, NeutralSpaceResult,
-                      SufficiencyVerdict, advance, advance_report,
-                      collision_graph, component_stats, is_sufficient,
-                      neutral_report, neutral_space, neutral_translate,
-                      richness_count)
-from .tangent import (CollisionFrame, NormalVector, TangentVector,
-                      collision_frame, frame_for_event, propagate_normal,
-                      propagate_tangent, q_of, reverse_normal,
-                      tangent_map, transport_between)
-from .hyperbolic import (CollisionRateReport, ConeDecomposition,
-                         CurvatureOperator, CurvaturePath, ExpansionCheck,
-                         JumpRecord, LyapunovSpectrum, QEvolutionAudit,
-                         collision_rate, cone_decompose,
-                         curvature_consistency, curvature_propagate,
-                         expansion_check, hyperbolicity_series,
-                         lyapunov_spectrum, q_evolution_audit, summary_dict,
-                         write_series_csv, z_length)
-from .degenerate import (LatticeDirection, RadiusFlags, Tube, TubeStructure,
-                         admissible_directions, degeneracy_report,
-                         degenerate_radius_check, distance_to_L, in_L,
-                         perpendicular_speed, tube_structure)
-from .rng import make_generator
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# The export table: each layer module and the public names the package
+# re-exports from it.  ``__getattr__`` imports a name's module on first
+# use and caches the object in this module's globals, so later lookups
+# are plain attribute reads.  A module name in this table (say
+# ``hardtorus.events``) resolves after a bare ``import hardtorus`` too.
+_EXPORTS = {
+    "config": ("ExperimentConfig", "parse_config", "serialize_config"),
+    "errors": ("ConfigError", "FeasibilityError",
+               "IllConditionedAdvanceError", "NumericalFailureError",
+               "PerturbationTooLargeError", "ResolutionError",
+               "SingularSegmentError", "StateCorruptionError",
+               "TangentialFrameError", "ValidationError"),
+    "events": ("TrajectorySegment", "reverse_state", "simulate",
+               "symbolic_sequence"),
+    "geometry": ("PhaseState", "ReducedSpace", "SystemParams", "Tolerances",
+                 "cylinder_radius", "energy", "mass_inner", "mass_norm",
+                 "min_gap", "min_image", "momentum", "pair_distance",
+                 "project_to_Z", "reduced_space", "sample_state",
+                 "torus_delta", "transverse_basis", "validate_params",
+                 "validate_state"),
+    "neutral": ("AdvanceReport", "CollisionGraph", "NeutralSpaceResult",
+                "SufficiencyVerdict", "advance", "advance_report",
+                "collision_graph", "component_stats", "is_sufficient",
+                "neutral_report", "neutral_space", "neutral_translate",
+                "richness_count"),
+    "tangent": ("CollisionFrame", "NormalVector", "TangentVector",
+                "collision_frame", "frame_for_event", "propagate_normal",
+                "propagate_tangent", "q_of", "reverse_normal", "tangent_map",
+                "transport_between"),
+    "hyperbolic": ("CollisionRateReport", "ConeDecomposition",
+                   "CurvatureOperator", "CurvaturePath", "ExpansionCheck",
+                   "JumpRecord", "LyapunovSpectrum", "QEvolutionAudit",
+                   "collision_rate", "cone_decompose",
+                   "curvature_consistency", "curvature_propagate",
+                   "expansion_check", "hyperbolicity_series",
+                   "lyapunov_spectrum", "q_evolution_audit", "summary_dict",
+                   "write_series_csv", "z_length"),
+    "degenerate": ("LatticeDirection", "RadiusFlags", "Tube", "TubeStructure",
+                   "admissible_directions", "degeneracy_report",
+                   "degenerate_radius_check", "distance_to_L", "in_L",
+                   "perpendicular_speed", "tube_structure"),
+    "rng": ("make_generator",),
+    "serialize": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_OWNER) | set(_EXPORTS))

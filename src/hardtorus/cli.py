@@ -13,6 +13,10 @@ series.csv.  The HARDTORUS_OUT environment variable overrides the
 output directory and nothing else.  Identical configs produce byte-
 identical summaries; scan points run in parallel processes but are
 merged in grid order, so the output does not depend on worker count.
+
+The layers only some subcommands use (neutral, degenerate and the
+process pool) are imported inside their runners, so a run loads only
+what it calls.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -28,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, parse_config, serialize_config, with_point
-from .degenerate import degeneracy_report, degenerate_radius_check
 from .errors import ConfigError
 from .events import simulate, write_events_jsonl
 from .geometry import (PhaseState, SystemParams, energy, momentum,
@@ -36,7 +38,6 @@ from .geometry import (PhaseState, SystemParams, energy, momentum,
 from .hyperbolic import (collision_rate, curvature_propagate, expansion_check,
                          hyperbolicity_series, lyapunov_spectrum,
                          q_evolution_audit, summary_dict, write_series_csv)
-from .neutral import neutral_report
 from .rng import make_generator
 from .serialize import canonical_json
 from .tangent import TangentVector
@@ -104,6 +105,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _run_neutral(config: ExperimentConfig, out_dir: Path) -> dict:
+    from .neutral import neutral_report
     params = config.params
     state = sample_state(config.seed, params)
     traj = simulate(state, config.t_max, params)
@@ -169,6 +171,7 @@ def _run_audit(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _run_degeneracy(config: ExperimentConfig, out_dir: Path) -> dict:
+    from .degenerate import degeneracy_report
     params = config.params
     state = sample_state(config.seed, params)
     return {
@@ -185,6 +188,7 @@ def _scan_axes(config: ExperimentConfig):
 
 
 def _scan_point(task) -> dict:
+    from .degenerate import degenerate_radius_check
     config, index, masses, radius = task
     row: dict = {"index": index, "masses": list(masses), "radius": radius}
     try:
@@ -212,6 +216,7 @@ def _run_scan(config: ExperimentConfig, out_dir: Path) -> dict:
     tasks = [(config, idx, masses, radius)
              for idx, (masses, radius) in enumerate(product(mass_rows, radii))]
     if len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, tasks))

@@ -66,6 +66,13 @@ class ExperimentConfig:
             object.__setattr__(self, "l0",
                                (int(self.l0[0]), int(self.l0[1])))
         validate_params(self.params)
+        if not all(map(math.isfinite, self.radius_grid)):
+            raise ConfigError(f"radius_grid must hold finite numbers, got "
+                              f"{self.radius_grid}")
+        for k, row in enumerate(self.mass_grid):
+            if not all(map(math.isfinite, row)):
+                raise ConfigError(f"mass_grid row {k} must hold finite "
+                                  f"numbers, got {row}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         for name in ("t_max", "c0", "delta0", "horizon"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,20 +173,30 @@ def pair_distance(state: PhaseState, i: int, j: int) -> float:
     return float(np.hypot(d[0], d[1]))
 
 
+@lru_cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``, built once per N."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def _pair_gaps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-image distances of every pair i < j of the (N, 2) positions q.
 
-    Returns ``(gaps, i, j)`` in ``np.triu_indices`` order.  Per axis the
-    shortest of d + k0 - 1, d + k0, d + k0 + 1 with k0 = -floor(d) is
-    taken, the same floats ``min_image`` picks, so each gap equals
-    ``pair_distance`` bit for bit.
+    Returns ``(gaps, i, j)`` in ``np.triu_indices`` order.  Per axis
+    rint(d) is the integer nearest the difference d, and d - rint(d) is
+    exact: it is d itself when rint(d) = 0, else a Sterbenz subtraction.
+    So |d - rint(d)| is the float ``min_image`` picks, and each gap
+    equals ``pair_distance`` bit for bit.  hypot ignores signs, so the
+    absolute value is left to it.
     """
-    iu, ju = np.triu_indices(q.shape[0], 1)
-    d = q[iu] - q[ju]
-    k0 = -np.floor(d)
-    a = np.minimum(np.minimum(np.abs(d + (k0 - 1.0)), np.abs(d + k0)),
-                   np.abs(d + (k0 + 1.0)))
-    return np.hypot(a[:, 0], a[:, 1]), iu, ju
+    iu, ju = _pair_indices(q.shape[0])
+    z = np.ascontiguousarray(q, dtype=float).view(complex)[:, 0]
+    d = (z[iu] - z[ju]).view(float)
+    d -= np.rint(d)
+    return np.hypot(d[0::2], d[1::2]), iu, ju
 
 
 def min_gap(state: PhaseState, params: SystemParams) -> tuple[float, tuple[int, int]]:

@@ -132,6 +132,20 @@ mass_grid = 1.0, 1.0; 1.0, 2.0
             ExperimentConfig(masses=(1.0, 2.0), radius=0.1,
                              tolerances=Tolerances(rank_rel_tol=bad))
 
+    # serialize_config, the first step of cli.run, cannot write a
+    # non-finite grid entry, so the config refuses it by name
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_direct_build_refuses_non_finite_radius_grid(self, bad):
+        with pytest.raises(ConfigError, match="radius_grid"):
+            ExperimentConfig(masses=(1.0, 1.0), radius=0.1,
+                             radius_grid=(0.1, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_direct_build_refuses_non_finite_mass_grid(self, bad):
+        with pytest.raises(ConfigError, match="mass_grid row 1"):
+            ExperimentConfig(masses=(1.0, 1.0), radius=0.1,
+                             mass_grid=((1.0, 1.0), (1.0, bad)))
+
 
 class TestSerialize:
     def test_round_trip_equality(self):

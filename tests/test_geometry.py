@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardtorus.errors import FeasibilityError, ValidationError
-from hardtorus.geometry import (PhaseState, SystemParams, cylinder_radius,
-                                energy, mass_inner, mass_norm, min_gap,
-                                min_image, momentum, pair_distance,
-                                project_to_Z, reduced_space, sample_state,
-                                torus_delta, transverse_basis,
+from hardtorus.geometry import (PhaseState, SystemParams, _pair_gaps,
+                                cylinder_radius, energy, mass_inner,
+                                mass_norm, min_gap, min_image, momentum,
+                                pair_distance, project_to_Z, reduced_space,
+                                sample_state, torus_delta, transverse_basis,
                                 validate_params, validate_state)
 from hardtorus.rng import make_generator
 
@@ -233,18 +233,22 @@ def min_gap_reference(state, params):
 
 
 class TestSamplerIdentity:
-    @pytest.mark.parametrize("n, radius", [(2, 0.2), (3, 0.1), (8, 0.08), (32, 0.02)])
-    def test_matches_per_pair_reference(self, n, radius):
+    @pytest.mark.parametrize("stream", [0, 3])
+    @pytest.mark.parametrize("n, radius", [(2, 0.2), (3, 0.1), (5, 0.1),
+                                           (8, 0.08), (16, 0.04), (32, 0.02)])
+    def test_matches_per_pair_reference(self, n, radius, stream):
         params = SystemParams(masses=tuple(1.0 + 0.1 * k for k in range(n)),
                               radius=radius)
         for seed in range(20):
-            a = sample_state(seed, params)
-            b = sample_state_reference(seed, params)
+            a = sample_state(seed, params, stream=stream)
+            b = sample_state_reference(seed, params, stream=stream)
             assert np.array_equal(a.q, b.q) and np.array_equal(a.v, b.v), seed
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_min_gap_matches_double_loop(self, n):
-        params = SystemParams(masses=(1.0,) * n, radius=0.01)
+        # a dyadic radius makes the seam contacts below exact
+        params = SystemParams(masses=(1.0,) * n, radius=2.0 ** -7)
+        r = params.radius
         rng = np.random.default_rng(n)
         for _ in range(50):
             # positions on a coarse dyadic grid make exact ties common
@@ -254,6 +258,22 @@ class TestSamplerIdentity:
             q = rng.random((n, 2))
             state = PhaseState(q, np.zeros((n, 2)))
             assert min_gap(state, params) == min_gap_reference(state, params)
+            # the edges of [0, 1), where a difference wraps or rounds
+            q = rng.choice([0.0, 0.5, 1.0 - 2.0 ** -53], size=(n, 2))
+            state = PhaseState(q, np.zeros((n, 2)))
+            assert min_gap(state, params) == min_gap_reference(state, params)
+            # disks 0 and 1 exactly 2r apart across the x = 0, then y = 0 seam
+            for axis in (0, 1):
+                q = rng.integers(0, 16, size=(n, 2)) / 16.0
+                q[0, axis], q[1, axis] = r, 1.0 - r
+                q[1, 1 - axis] = q[0, 1 - axis]
+                state = PhaseState(q, np.zeros((n, 2)))
+                assert min_gap(state, params) == min_gap_reference(state, params)
+                gaps, iu, ju = _pair_gaps(state.q)
+                assert gaps[0] == 2.0 * r
+        # the pair indices are built once per N and shared read-only
+        assert _pair_gaps(state.q)[1] is iu
+        assert not iu.flags.writeable and not ju.flags.writeable
 
     def test_min_gap_tie_takes_first_pair(self):
         # (1, 2) and (0, 3) are both 0.25 apart, (0, 3) across the seam

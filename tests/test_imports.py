@@ -1,14 +1,23 @@
-"""Every import in the package and the tests is used.
+"""Imports: every import is used, the package exports its names
+lazily, and a run loads only the layers it calls.
 
-A stdlib ``ast`` scan, so it runs wherever the tests run: a name bound
-by an import must be read somewhere in its module or listed in the
-module's ``__all__``.  Package ``__init__`` files are skipped, because
-re-exporting is what their imports are for.
+The unused-import check is a stdlib ``ast`` scan, so it runs wherever
+the tests run: a name bound by an import must be read somewhere in its
+module or listed in the module's ``__all__``.  Package ``__init__``
+files are skipped, because re-exporting is what their imports are for.
+The load checks run in fresh interpreters, since this process has
+imported every layer already.
 """
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import hardtorus
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in (ROOT / "src" / "hardtorus", ROOT / "tests")
@@ -53,3 +62,108 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# every name the package exports, by defining module
+EXPORTS = {
+    "config": ["ExperimentConfig", "parse_config", "serialize_config"],
+    "errors": ["ConfigError", "FeasibilityError", "IllConditionedAdvanceError",
+               "NumericalFailureError", "PerturbationTooLargeError",
+               "ResolutionError", "SingularSegmentError",
+               "StateCorruptionError", "TangentialFrameError",
+               "ValidationError"],
+    "events": ["TrajectorySegment", "reverse_state", "simulate",
+               "symbolic_sequence"],
+    "geometry": ["PhaseState", "ReducedSpace", "SystemParams", "Tolerances",
+                 "cylinder_radius", "energy", "mass_inner", "mass_norm",
+                 "min_gap", "min_image", "momentum", "pair_distance",
+                 "project_to_Z", "reduced_space", "sample_state",
+                 "torus_delta", "transverse_basis", "validate_params",
+                 "validate_state"],
+    "neutral": ["AdvanceReport", "CollisionGraph", "NeutralSpaceResult",
+                "SufficiencyVerdict", "advance", "advance_report",
+                "collision_graph", "component_stats", "is_sufficient",
+                "neutral_report", "neutral_space", "neutral_translate",
+                "richness_count"],
+    "tangent": ["CollisionFrame", "NormalVector", "TangentVector",
+                "collision_frame", "frame_for_event", "propagate_normal",
+                "propagate_tangent", "q_of", "reverse_normal", "tangent_map",
+                "transport_between"],
+    "hyperbolic": ["CollisionRateReport", "ConeDecomposition",
+                   "CurvatureOperator", "CurvaturePath", "ExpansionCheck",
+                   "JumpRecord", "LyapunovSpectrum", "QEvolutionAudit",
+                   "collision_rate", "cone_decompose",
+                   "curvature_consistency", "curvature_propagate",
+                   "expansion_check", "hyperbolicity_series",
+                   "lyapunov_spectrum", "q_evolution_audit", "summary_dict",
+                   "write_series_csv", "z_length"],
+    "degenerate": ["LatticeDirection", "RadiusFlags", "Tube", "TubeStructure",
+                   "admissible_directions", "degeneracy_report",
+                   "degenerate_radius_check", "distance_to_L", "in_L",
+                   "perpendicular_speed", "tube_structure"],
+    "rng": ["make_generator"],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+class TestExports:
+    def test_count(self):
+        assert len(ALL_NAMES) == 91
+        assert sorted(hardtorus.__all__) == ALL_NAMES
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_names_resolve_to_defining_objects(self, module):
+        owner = importlib.import_module(f"hardtorus.{module}")
+        for name in EXPORTS[module]:
+            ns: dict = {}
+            exec(f"from hardtorus import {name}", ns)
+            assert ns[name] is getattr(owner, name), name
+
+    def test_dir_lists_every_name(self):
+        assert set(ALL_NAMES) <= set(dir(hardtorus))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(hardtorus, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from hardtorus import no_such_name", {})
+
+
+LAYERS = ("events", "tangent", "neutral", "hyperbolic", "degenerate")
+CONFIG_TEXT = "[system]\nmasses = 1.0, 1.3, 0.7\nradius = 0.1\n"
+
+
+def loaded_after(code: str) -> set[str]:
+    """Module names a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True)
+    return set(out.stdout.split())
+
+
+class TestLoadedLayers:
+    def test_set_up_loads_no_analysis_layer(self):
+        loaded = loaded_after(
+            "import hardtorus\n"
+            f"config = hardtorus.parse_config({CONFIG_TEXT!r})\n"
+            "hardtorus.sample_state(config.seed, config.params)")
+        assert not loaded & {f"hardtorus.{m}" for m in LAYERS}
+        assert "hardtorus.geometry" in loaded
+
+    def test_config_loads_no_analysis_layer(self):
+        loaded = loaded_after("import hardtorus.config")
+        assert not loaded & {f"hardtorus.{m}" for m in LAYERS}
+
+    def test_cli_defers_neutral_degenerate_and_pool(self):
+        loaded = loaded_after("import hardtorus.cli")
+        assert not loaded & {"hardtorus.neutral", "hardtorus.degenerate",
+                             "concurrent.futures.process"}
+
+    def test_submodule_resolves_after_bare_import(self):
+        loaded_after("import sys, hardtorus\n"
+                     "assert 'hardtorus.events' not in sys.modules\n"
+                     "assert hardtorus.events is sys.modules['hardtorus.events']")
