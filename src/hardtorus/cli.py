@@ -70,12 +70,14 @@ class RunSummary:
 
 
 def _conservation(traj) -> dict:
+    # a collisionless orbit has no angle to report; its min_cos_phi of
+    # inf would not serialize
     return {
         "n_events": traj.n_events,
         "t_end": traj.t_end,
         "max_energy_drift": traj.max_energy_drift,
         "max_momentum_drift": traj.max_momentum_drift,
-        "min_cos_phi": traj.min_cos_phi,
+        "min_cos_phi": traj.min_cos_phi if traj.n_events else None,
         "singular": traj.singular,
         "stopped_by_count": traj.stopped_by_count,
     }
@@ -296,6 +298,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
 

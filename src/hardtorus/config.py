@@ -12,7 +12,8 @@ Sections and keys:
     [run]         seed (unsigned 64-bit int), t_max (float)
     [tolerances]  collision_root_tol, tangency_tol, double_event_tol,
                   rank_rel_tol (floats)
-    [analysis]    c0 (float), l0 (two comma-separated ints),
+    [analysis]    c0 (float), l0 (two comma-separated ints, a primitive
+                  lattice direction: gcd 1),
                   delta0 (float), horizon (float), ensemble (int),
                   reorth_interval (int), max_group (int)
     [scan]        radius_grid (comma-separated floats),
@@ -65,6 +66,9 @@ class ExperimentConfig:
         if self.l0 is not None:
             object.__setattr__(self, "l0",
                                (int(self.l0[0]), int(self.l0[1])))
+            if math.gcd(*self.l0) != 1:
+                raise ConfigError(f"l0 must be a nonzero primitive lattice "
+                                  f"direction (gcd 1), got {self.l0}")
         validate_params(self.params)
         if not all(map(math.isfinite, self.radius_grid)):
             raise ConfigError(f"radius_grid must hold finite numbers, got "

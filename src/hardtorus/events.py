@@ -77,6 +77,8 @@ _SCREEN_MIN_PAIRS = 24
 # Relative margin on the screen's reach, far above the roundoff by which
 # its reach and the solve's can differ.
 _SCREEN_MARGIN = 1e-9
+# Largest |distance - 2r| that resolve_collision accepts as a contact.
+_CONTACT_TOL = 1e-9
 
 
 def _flag_label(bits: int) -> str:
@@ -160,8 +162,8 @@ def _screen(d, w, horizon, two_r):
                             + (two_r + _REACH_SLACK) * widen)
 
 
-def resolve_collision(state: PhaseState, i: int, j: int, image, params: SystemParams,
-                      *, contact_tol: float = 1e-9) -> PhaseState:
+def resolve_collision(state: PhaseState, i: int, j: int, image,
+                      params: SystemParams) -> PhaseState:
     """Elastic exchange along the contact line; positions unchanged."""
     if i == j:
         raise ValueError("a disk cannot collide with itself")
@@ -169,7 +171,7 @@ def resolve_collision(state: PhaseState, i: int, j: int, image, params: SystemPa
     two_r = 2.0 * params.radius
     d = state.q[i] - state.q[j] + np.asarray(image, dtype=float)
     dist = math.hypot(d[0], d[1])
-    if abs(dist - two_r) > contact_tol:
+    if abs(dist - two_r) > _CONTACT_TOL:
         raise ValueError(
             f"disks ({i}, {j}) not in contact: distance {dist:.17g} vs 2r = {two_r:.17g}")
     ux, uy = d[0] / dist, d[1] / dist

@@ -324,25 +324,17 @@ def reduced_space(params: SystemParams) -> ReducedSpace:
 
 
 def _mass_orthonormal_complement(cols: np.ndarray, params: SystemParams,
-                                 within: np.ndarray | None = None) -> np.ndarray:
-    """Mass-orthonormal basis of the complement of span(cols).
+                                 within: np.ndarray) -> np.ndarray:
+    """Mass-orthonormal basis of the complement of span(cols) inside the
+    span of ``within`` (mass-orthonormal columns).
 
-    With ``within`` given (mass-orthonormal columns), the complement is
-    taken inside that subspace instead of the full coordinate space.
     Scaling coordinates by sqrt(m) turns the mass metric Euclidean, so
     plain linear algebra applies in between.
     """
     scale = np.sqrt(params.mass_weights)
-    cols_y = cols * scale[:, None]
-    if within is None:
-        coords = cols_y
-        dim = 2 * params.n
-    else:
-        coords = (within * scale[:, None]).T @ cols_y
-        dim = within.shape[1]
-    u, svals, _ = np.linalg.svd(np.eye(dim) - _proj(coords))
-    u = u[:, svals > 0.5]
-    return u / scale[:, None] if within is None else within @ u
+    coords = (within * scale[:, None]).T @ (cols * scale[:, None])
+    u, svals, _ = np.linalg.svd(np.eye(within.shape[1]) - _proj(coords))
+    return within @ u[:, svals > 0.5]
 
 
 def _proj(cols: np.ndarray) -> np.ndarray:

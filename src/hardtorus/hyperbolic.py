@@ -31,8 +31,8 @@ from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        min_image, reduced_space, transverse_basis)
 from .rng import make_generator
-from .tangent import (TangentVector, _check_finite, _frame_failure, _lazy,
-                      _walk, propagate_tangent)
+from .tangent import (TangentVector, _carry, _frame_failure, _lazy, _walk,
+                      propagate_tangent)
 
 __all__ = [
     "QEvolutionAudit", "JumpRecord", "q_evolution_audit",
@@ -135,42 +135,23 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
 
     Each flight's samples are its two ends and the grid points strictly
     inside it, at dq + (t - t_a) dv; a collision adds the outgoing row at
-    its time.  One walk collects the flight starts and the collision
-    vectors, and refuses a non-finite vector with
-    ``NumericalFailureError`` naming the event; the rows and residuals
-    are then taken over whole stacks.
+    its time.  The forward carry gives the flight starts, the outgoing
+    vectors and the scattering terms, and refuses a non-finite vector
+    with ``NumericalFailureError`` naming the event; the rows and
+    residuals are then taken over whole stacks.
     """
     params = traj.params
     mw = params.mass_weights
-    dq = np.array(tau0.dq, dtype=float)
-    dv = np.array(tau0.dv, dtype=float)
-    n2 = dq.size
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
-    t_a, t_b, start_q, start_v = [], [], [], []
-    pairs, scatter, post_q, post_v = [], [], [], []
-    for t0, t1, k, frame in _walk(traj):
-        t_a.append(t0)
-        t_b.append(t1)
-        start_q.append(dq)
-        start_v.append(dv)
-        if frame is None:
-            break
-        # _apply_event, keeping the scattering term for the jump formula
-        dq_end = dq + (t1 - t0) * dv
-        sp = frame.scatter_pre(dq_end)
-        dq, dv = frame.reflect(dq_end), frame.reflect(dv + sp)
-        _check_finite(traj, k, dq, dv)
-        pairs.append((frame.i, frame.j))
-        scatter.append(sp)
-        post_q.append(dq)
-        post_v.append(dv)
-
+    t_a, t_b, start_q, start_v, _, scatter = zip(*_carry(traj, tau0.dq, tau0.dv))
     ta, tb = np.array(t_a), np.array(t_b)
     sq, sv = np.array(start_q), np.array(start_v)
-    n_ev = len(pairs)
-    scatter, post_q, post_v = (np.array(x, dtype=float).reshape(n_ev, n2)
-                               for x in (scatter, post_q, post_v))
+    # the carry crosses every event in order; each collision's outgoing
+    # vector starts the next flight
+    n_ev = ta.size - 1
+    pairs = map(tuple, traj.ev_pair[:n_ev].tolist())
+    scatter = np.array(scatter[:-1], dtype=float).reshape(n_ev, sq.shape[1])
 
     # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b
     lo = np.searchsorted(grid, ta, side="right")
@@ -198,7 +179,7 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         out[p_at] = posts
         return out
 
-    dq_rows, dv_rows = column(s_dq, post_q), column(s_dv, post_v)
+    dq_rows, dv_rows = column(s_dq, sq[1:]), column(s_dv, sv[1:])
     dq_rows.setflags(write=False)
     dv_rows.setflags(write=False)
     q_values = _mass_dots(dq_rows, dv_rows, mw)
@@ -398,16 +379,17 @@ def curvature_propagate(b0, traj: TrajectorySegment,
 
 
 def curvature_consistency(path: CurvaturePath, traj: TrajectorySegment,
-                          *, seed: int = 0, n_times: int = 16) -> float:
+                          *, seed: int = 0) -> float:
     """Worst relative error of dv(t) = B(t) dq(t) along a tangent vector
-    started with dv(0) = B(0) dq(0) in the transverse space."""
+    started with dv(0) = B(0) dq(0) in the transverse space, at 16 times
+    spread over the segment, event times excluded."""
     params = traj.params
     op0 = path.operators[0]
     rng = make_generator(seed, 41)
     coeff = rng.standard_normal(op0.basis.shape[1])
     dq0 = op0.basis @ coeff
     dv0 = op0.basis @ (op0.matrix @ coeff)
-    safe = [t for t in np.linspace(0.0, traj.t_end, n_times)
+    safe = [t for t in np.linspace(0.0, traj.t_end, 16)
             if traj.n_events == 0
             or np.abs(traj.ev_t - t).min() > 1e-9 * max(1.0, traj.t_end)]
     taus = propagate_tangent(traj, TangentVector(dq0, dv0), safe)
@@ -595,8 +577,7 @@ def _mass_on_frame(rng, v, params: SystemParams, m: int) -> np.ndarray:
 
 
 def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
-                      *, m_exponents: int | None = None,
-                      reorth_interval: int = 10,
+                      *, reorth_interval: int = 10,
                       seed: int = 0) -> LyapunovSpectrum:
     """Chunked renormalized-frame Lyapunov estimate in the mass metric.
 
@@ -617,10 +598,7 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
         raise ValueError("t_max must be positive")
     if reorth_interval < 1:
         raise ValueError("reorth_interval must be >= 1")
-    full = 4 * (params.n - 1) - 2
-    m = full if m_exponents is None else int(m_exponents)
-    if not 1 <= m <= full:
-        raise ValueError(f"m_exponents must be in [1, {full}]")
+    m = 4 * (params.n - 1) - 2      # Z + Z minus the flow plane
     rng = make_generator(seed, 101)
     traj = simulate(state, t_max, params)
     n2 = 2 * params.n

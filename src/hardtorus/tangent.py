@@ -17,9 +17,9 @@ Normal vectors (z, w) transport by the adjoint (inverse-transpose)
 rule: w is the configuration component, z the momentum-like one, and
 the form <z, w> never increases along the flow.
 
-``identify=True`` composes the collision reflections back into the
-initial frame, under which the flow direction (v, 0) is literally
-fixed and the velocity direction never moves.
+``propagate_tangent(identify=True)`` composes the collision reflections
+back into the initial frame, under which the flow direction (v, 0) is
+literally fixed and the velocity direction never moves.
 """
 from __future__ import annotations
 
@@ -438,6 +438,28 @@ def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: floa
     return xq, xv
 
 
+def _carry(traj: TrajectorySegment, dq, dv, t_to: float | None = None):
+    """Carry (dq, dv) forward from the initial state, one flight at a time.
+
+    Yields (t_a, t_b, dq, dv, k, sp) per flight of ``_walk``, with
+    (dq, dv) the flat vector or (2N, m) stack at the flight's start t_a.
+    A flight that ends on event k also yields the scattering term
+    sp = scatter_pre(dq_end) that the collision adds to dv; its outgoing
+    vector, the next flight's start, is checked finite before the flight
+    is yielded.  The closing flight to t_to has k = sp = None.
+    """
+    for t_a, t_b, k, frame in _walk(traj, t_to=t_to):
+        if frame is None:
+            yield t_a, t_b, dq, dv, None, None
+            return
+        dq_end = dq + (t_b - t_a) * dv
+        sp = frame.scatter_pre(dq_end)
+        post = frame.reflect(dq_end), frame.reflect(dv + sp)
+        _check_finite(traj, k, *post)
+        yield t_a, t_b, dq, dv, k, sp
+        dq, dv = post
+
+
 def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
                       times=None, *, identify: bool = False) -> list[TangentVector]:
     """Transport tau from the segment start to each requested time.
@@ -458,10 +480,9 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
     if not times.size:
         return []
     out_q, out_v = [], []
-    xq, xv = np.array(tau.dq), np.array(tau.dv)
-    pull = np.eye(xq.size) if identify else None
+    pull = np.eye(tau.dq.size) if identify else None
     done = 0
-    for t_a, t_b, k, frame in _walk(traj, t_to=float(times[-1])):
+    for t_a, t_b, xq, xv, k, _ in _carry(traj, tau.dq, tau.dv, float(times[-1])):
         # stops before the event's time; the closing flight takes the rest
         stop = times.size if k is None else int(np.searchsorted(times, t_b))
         dq = xq + (times[done:stop] - t_a)[:, None] * xv
@@ -469,12 +490,8 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
         out_q.append(dq @ pull.T if identify else dq)
         out_v.append(dv @ pull.T if identify else dv)
         done = stop
-        if k is None:
-            break
-        xq, xv = _apply_event(frame, xq + (t_b - t_a) * xv, xv)
-        _check_finite(traj, k, xq, xv)
-        if identify:
-            pull = pull @ frame.reflection_matrix()
+        if identify and k is not None:
+            pull = pull @ frame_for_event(traj, k).reflection_matrix()
     return _tangent_rows(np.concatenate(out_q), np.concatenate(out_v))
 
 
@@ -505,31 +522,22 @@ class TangentMapResult:
 
     matrix: np.ndarray
     basis: np.ndarray       # (2N, 2(N-1)) configuration-space basis of Z
-    identify: bool
 
 
-def tangent_map(traj: TrajectorySegment, *, identify: bool = False) -> TangentMapResult:
+def tangent_map(traj: TrajectorySegment) -> TangentMapResult:
     params = traj.params
     zb = reduced_space(params).basis
     d = zb.shape[1]
-    xq = np.hstack([zb, np.zeros_like(zb)])
-    xv = np.hstack([np.zeros_like(zb), zb])
-    pull = np.eye(zb.shape[0])
-    for t_a, t_b, k, frame in _walk(traj):
-        xq = xq + (t_b - t_a) * xv
-        if frame is not None:
-            xq, xv = _apply_event(frame, xq, xv)
-            _check_finite(traj, k, xq, xv)
-            if identify:
-                pull = pull @ frame.reflection_matrix()
-    if identify:
-        xq = pull @ xq
-        xv = pull @ xv
-    mw = params.mass_weights
-    proj = zb.T * mw
+    zero = np.zeros_like(zb)
+    # only the closing flight is kept: memory does not grow with events
+    for t_a, t_b, xq, xv, _, _ in _carry(traj, np.hstack([zb, zero]),
+                                         np.hstack([zero, zb])):
+        pass
+    xq = xq + (t_b - t_a) * xv
+    proj = zb.T * params.mass_weights
     mat = np.block([[proj @ xq[:, :d], proj @ xq[:, d:]],
                     [proj @ xv[:, :d], proj @ xv[:, d:]]])
-    return TangentMapResult(mat, zb, identify)
+    return TangentMapResult(mat, zb)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import numpy as np
 
 from hardtorus.events import reverse_state, simulate, symbolic_sequence
 from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
-                                mass_norm, project_to_Z, sample_state,
-                                transverse_basis)
+                                mass_norm, project_to_Z, reduced_space,
+                                sample_state, transverse_basis)
 from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
                                   ExpansionCheck, JumpRecord, QEvolutionAudit,
                                   _as_operator_matrix, cone_decompose)
@@ -162,6 +162,22 @@ def boundary_orbit():
     return simulate(state, 20.0, P3_DYADIC)
 
 
+def contact_traj(t=12.0):
+    """Three disks, 0 and 1 touching and approaching at t = 0, so the
+    first collision happens exactly at the start."""
+    params = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
+    u = np.array([math.cos(0.3), math.sin(0.3)])
+    q = np.array([[0.4, 0.5], [0.4, 0.5], [0.8, 0.2]])
+    q[1] = q[0] - 2.0 * params.radius * u
+    v = np.array([[-0.5, 0.2], [0.4, 0.3], [0.1, -0.7]])
+    m = params.mass_array
+    v -= (m[:, None] * v).sum(axis=0) / m.sum()
+    v /= mass_norm(v, params)
+    traj = simulate(PhaseState(q=q % 1.0, v=v), t, params)
+    assert traj.ev_t[0] == 0.0 and not traj.singular
+    return traj
+
+
 def no_overlap_headroom(traj, tol=1e-9):
     """Certify that no two disks overlap anywhere along the trajectory.
 
@@ -246,19 +262,46 @@ def bfs_components(n, edges):
 # match them bit for bit.
 
 
-def ref_propagate_tangent(traj, tau, times):
+def ref_propagate_tangent(traj, tau, times, *, identify=False):
     """Per-row propagate_tangent: one TangentVector built per time, each
-    from its flight's start vector."""
+    from its flight's start vector.  With ``identify`` the rows of each
+    flight are pulled back together, as ``rows @ pull.T`` with pull the
+    product of the reflection matrices crossed before the flight."""
     times = [float(t) for t in times]
     out = []
     xq, xv = np.array(tau.dq), np.array(tau.dv)
+    pull = np.eye(xq.size)
     for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
-        while len(out) < len(times) and (k is None or times[len(out)] < t_b):
-            out.append(TangentVector(xq + (times[len(out)] - t_a) * xv, xv))
+        rows = []
+        while len(out) + len(rows) < len(times) and (
+                k is None or times[len(out) + len(rows)] < t_b):
+            rows.append((xq + (times[len(out) + len(rows)] - t_a) * xv, xv))
+        if identify and rows:
+            rows = zip(np.array([q for q, _ in rows]) @ pull.T,
+                       np.array([v for _, v in rows]) @ pull.T)
+        out += [TangentVector(q, v) for q, v in rows]
         if k is None:
             break
         xq, xv = _apply_event(frame, xq + (t_b - t_a) * xv, xv)
+        pull = pull @ frame.reflection_matrix()
     return out
+
+
+def ref_tangent_map(traj):
+    """tangent_map's matrix from one _walk + _apply_event loop over the
+    stacked basis of Z + Z."""
+    params = traj.params
+    zb = reduced_space(params).basis
+    d = zb.shape[1]
+    xq = np.hstack([zb, np.zeros_like(zb)])
+    xv = np.hstack([np.zeros_like(zb), zb])
+    for t_a, t_b, k, frame in _walk(traj):
+        xq = xq + (t_b - t_a) * xv
+        if frame is not None:
+            xq, xv = _apply_event(frame, xq, xv)
+    proj = zb.T * params.mass_weights
+    return np.block([[proj @ xq[:, :d], proj @ xq[:, d:]],
+                     [proj @ xv[:, :d], proj @ xv[:, d:]]])
 
 
 def ref_q_evolution_audit(traj, tau0, *, n_samples=64):

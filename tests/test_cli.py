@@ -3,6 +3,7 @@ import os
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from hardtorus import cli, hyperbolic, tangent
 from hardtorus.config import parse_config
@@ -34,6 +35,17 @@ l0 = 1, 0
 radius_grid = 0.24, 0.25, 0.26
 """
 
+# No collision happens before t_max.
+COLLISIONLESS = """\
+[system]
+masses = 1, 1.3, 0.7
+radius = 0.1
+
+[run]
+seed = 1
+t_max = 0.01
+"""
+
 
 def write_config(tmp_path, text=BASE, name="exp.cfg"):
     path = tmp_path / name
@@ -59,6 +71,7 @@ class TestSubcommands:
                       .read_text().splitlines())
         assert n_lines == summary["conservation"]["n_events"]
         assert summary["collision_rate"]["count"] == n_lines
+        assert 0.0 < summary["conservation"]["min_cos_phi"] <= 1.0
 
     def test_neutral(self, tmp_path):
         summary = run_cli(tmp_path, "neutral")
@@ -124,6 +137,24 @@ class TestSubcommands:
         assert "conservation" not in row
 
 
+class TestCollisionless:
+    @pytest.mark.parametrize("subcommand", ["simulate", "neutral", "audit"])
+    def test_min_cos_phi_is_null(self, tmp_path, subcommand):
+        conservation = run_cli(tmp_path, subcommand,
+                               COLLISIONLESS)["conservation"]
+        assert conservation["n_events"] == 0
+        assert conservation["min_cos_phi"] is None
+
+    def test_two_point_scan(self, tmp_path):
+        text = COLLISIONLESS + "\n[scan]\nradius_grid = 0.1, 0.09\n"
+        rows = run_cli(tmp_path, "scan", text)["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert "error" not in row
+            assert row["conservation"]["n_events"] == 0
+            assert row["conservation"]["min_cos_phi"] is None
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -169,6 +200,14 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert cli.main(["simulate", "--config", str(missing)]) == 2
+
+    def test_unwritable_output_is_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(taken)]) == 2
+        assert "error: cannot write output: " in capsys.readouterr().err
 
     def test_unknown_subcommand_is_two(self, tmp_path, capsys):
         assert cli.main(["frobnicate", "--config", "x"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,13 @@ mass_grid = 1.0, 1.0; 1.0, 2.0
         with pytest.raises(ConfigError, match="two comma-separated"):
             parse_config(MINIMAL + "[analysis]\nl0 = 1\n")
 
+    @pytest.mark.parametrize("l0", [(0, 0), (2, 0), (-3, 6)])
+    def test_l0_must_be_primitive(self, l0):
+        with pytest.raises(ConfigError, match="l0 must be a nonzero primitive"):
+            parse_config(MINIMAL + f"[analysis]\nl0 = {l0[0]}, {l0[1]}\n")
+        with pytest.raises(ConfigError, match="l0 must be a nonzero primitive"):
+            ExperimentConfig(masses=(1.0, 2.0), radius=0.1, l0=l0)
+
     def test_seed_bounds(self):
         with pytest.raises(ConfigError, match="64-bit"):
             parse_config(MINIMAL + "[run]\nseed = -1\n")
@@ -175,8 +184,10 @@ class TestSerialize:
         st.floats(0.01, 0.12),
         st.integers(0, 2 ** 64 - 1),
         st.floats(0.1, 100.0),
+        # l0 is a primitive lattice direction; others are refused
         st.one_of(st.none(),
-                  st.tuples(st.integers(-5, 5), st.integers(-5, 5))),
+                  st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+                  .filter(lambda l0: math.gcd(*l0) == 1)),
         st.integers(1, 4),
     )
     @settings(max_examples=100)

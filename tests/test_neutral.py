@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import bfs_components, neutral_deviations, stalled_copy
+from conftest import (bfs_components, contact_traj, neutral_deviations,
+                      stalled_copy)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,21 +65,6 @@ def tube_traj(t=6.0):
 def unit_neutral(raw, params):
     w = project_to_Z(np.asarray(raw, dtype=float), params)
     return w / mass_norm(w, params)
-
-
-def contact_traj(t=12.0):
-    """Three disks, 0 and 1 touching and approaching at t = 0, so the
-    first collision happens exactly at the start."""
-    u = np.array([math.cos(0.3), math.sin(0.3)])
-    q = np.array([[0.4, 0.5], [0.4, 0.5], [0.8, 0.2]])
-    q[1] = q[0] - 2.0 * P3M.radius * u
-    v = np.array([[-0.5, 0.2], [0.4, 0.3], [0.1, -0.7]])
-    m = P3M.mass_array
-    v -= (m[:, None] * v).sum(axis=0) / m.sum()
-    v /= mass_norm(v, P3M)
-    traj = simulate(PhaseState(q=q % 1.0, v=v), t, P3M)
-    assert traj.ev_t[0] == 0.0 and not traj.singular
-    return traj
 
 
 def reference_pre_collision(traj, w, k, t_ref):

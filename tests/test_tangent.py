@@ -4,7 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fd_check_window, stalled_copy
+from conftest import (contact_traj, fd_check_window, ref_propagate_tangent,
+                      ref_tangent_map, stalled_copy)
 
 from hardtorus import tangent
 from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
@@ -303,7 +304,7 @@ class TestNonFiniteTransport:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailureError) as err:
                 tangent_map(traj)
-        assert_names_event(err, traj)
+        assert_names_event(err, traj, 430)
 
     def test_nan_input_refused_at_first_event(self):
         traj = eventful()
@@ -345,6 +346,42 @@ class TestTangentMap:
         expect = np.concatenate([proj @ out.dq, proj @ out.dv])
         got = res.matrix @ np.concatenate([a, b])
         assert np.allclose(got, expect, atol=1e-9 * max(1.0, np.abs(expect).max()))
+
+
+def carry_orbit(case):
+    """A table orbit (N = 2, 3, 5 or 8) or the orbit with an event at t = 0."""
+    return contact_traj() if case == "contact" else table_orbit(case)
+
+
+class TestCarryMatchesReference:
+    """The forward carry reproduces the per-walk reference loops
+    (tests/conftest.py) bit for bit."""
+
+    CASES = (2, 3, 5, 8, "contact")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tangent_map(self, case):
+        traj = carry_orbit(case)
+        got = tangent_map(traj).matrix
+        want = ref_tangent_map(traj)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("identify", [False, True])
+    def test_propagate_tangent(self, case, identify):
+        traj = carry_orbit(case)
+        n2 = 2 * traj.params.n
+        rng = np.random.default_rng(n2)
+        tau = TangentVector(rng.standard_normal(n2), rng.standard_normal(n2))
+        # grid points and every third event time, whose stops sit on the
+        # outgoing side
+        times = np.sort(np.r_[np.linspace(0.0, traj.t_end, 33), traj.ev_t[::3]])
+        got = propagate_tangent(traj, tau, times, identify=identify)
+        want = ref_propagate_tangent(traj, tau, times, identify=identify)
+        assert len(got) == len(want) == times.size
+        for a, b in zip(got, want):
+            assert a.dq.tobytes() == b.dq.tobytes()
+            assert a.dv.tobytes() == b.dv.tobytes()
 
 
 class TestFiniteDifferenceOracle:
