@@ -24,13 +24,13 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config, serialize_config, with_point
+from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import ConfigError
 from .events import simulate, write_events_jsonl
 from .geometry import (PhaseState, SystemParams, energy, momentum,
@@ -194,7 +194,7 @@ def _scan_point(task) -> dict:
     config, index, masses, radius = task
     row: dict = {"index": index, "masses": list(masses), "radius": radius}
     try:
-        point = with_point(config, masses=masses, radius=radius)
+        point = replace(config, masses=masses, radius=radius)
         params = point.params
         row["status"] = validate_params(params).status
         if config.l0 is not None:

@@ -6,30 +6,29 @@ Grammar, line by line:
     [section]
     key = value
 
-Sections and keys:
+The key table ``_KEYS`` defines the keys, their parsers and writers:
 
     [system]      masses (comma-separated floats), radius (float)
     [run]         seed (unsigned 64-bit int), t_max (float)
     [tolerances]  collision_root_tol, tangency_tol, double_event_tol,
                   rank_rel_tol (floats)
-    [analysis]    c0 (float), l0 (two comma-separated ints, a primitive
-                  lattice direction: gcd 1),
-                  delta0 (float), horizon (float), ensemble (int),
-                  reorth_interval (int), max_group (int)
+    [analysis]    c0, delta0, horizon (floats), ensemble,
+                  reorth_interval (ints), l0 (two comma-separated ints,
+                  a primitive lattice direction: gcd 1), max_group (int)
     [scan]        radius_grid (comma-separated floats),
                   mass_grid (semicolon-separated mass lists)
 
 [system] with masses and radius is required; everything else has
 documented defaults.  Unknown sections or keys, malformed values and
 non-finite numbers (nan, inf) raise ConfigError with the offending line
-number.  serialize_config writes every field back in a fixed order with
-17-significant-digit floats, so parse -> serialize is a canonical
+number.  serialize_config writes every field back in the table's order
+with 17-significant-digit floats, so parse -> serialize is a canonical
 normal form and serializing twice is byte-identical.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .geometry import SystemParams, Tolerances, validate_params
@@ -98,23 +97,6 @@ class ExperimentConfig:
                             tolerances=self.tolerances)
 
 
-_FLOAT_KEYS = {
-    ("system", "radius"): "radius",
-    ("run", "t_max"): "t_max",
-    ("analysis", "c0"): "c0",
-    ("analysis", "delta0"): "delta0",
-    ("analysis", "horizon"): "horizon",
-}
-_INT_KEYS = {
-    ("run", "seed"): "seed",
-    ("analysis", "ensemble"): "ensemble",
-    ("analysis", "reorth_interval"): "reorth_interval",
-    ("analysis", "max_group"): "max_group",
-}
-_TOL_KEYS = {tf.name for tf in fields(Tolerances)}
-_SECTIONS = ("system", "run", "tolerances", "analysis", "scan")
-
-
 def _parse_float(raw: str, line: int, key: str) -> float:
     try:
         value = float(raw)
@@ -141,6 +123,50 @@ def _parse_float_list(raw: str, line: int, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(s, line, key) for s in items)
 
 
+def _parse_l0(raw: str, line: int, key: str) -> tuple[int, int]:
+    parts = [s.strip() for s in raw.split(",")]
+    if len(parts) != 2:
+        raise ConfigError("l0 expects two comma-separated integers", line)
+    return _parse_int(parts[0], line, key), _parse_int(parts[1], line, key)
+
+
+def _parse_mass_grid(raw: str, line: int,
+                     key: str) -> tuple[tuple[float, ...], ...]:
+    rows = [s.strip() for s in raw.split(";") if s.strip()]
+    if not rows:
+        raise ConfigError("mass_grid expects ';'-separated mass lists", line)
+    return tuple(_parse_float_list(row, line, key) for row in rows)
+
+
+def _write_floats(values) -> str:
+    return ", ".join(map(fmt17, values))
+
+
+# The grammar: one (section, key, parser, writer) row per key, in the
+# order serialize_config writes them.  Each key is its field's name, on
+# Tolerances in [tolerances] and on ExperimentConfig elsewhere.
+_KEYS = (
+    ("system", "masses", _parse_float_list, _write_floats),
+    ("system", "radius", _parse_float, fmt17),
+    ("run", "seed", _parse_int, str),
+    ("run", "t_max", _parse_float, fmt17),
+    *(("tolerances", tf.name, _parse_float, fmt17)
+      for tf in fields(Tolerances)),
+    ("analysis", "c0", _parse_float, fmt17),
+    ("analysis", "delta0", _parse_float, fmt17),
+    ("analysis", "horizon", _parse_float, fmt17),
+    ("analysis", "ensemble", _parse_int, str),
+    ("analysis", "reorth_interval", _parse_int, str),
+    ("analysis", "l0", _parse_l0, lambda l0: f"{l0[0]}, {l0[1]}"),
+    ("analysis", "max_group", _parse_int, str),
+    ("scan", "radius_grid", _parse_float_list, _write_floats),
+    ("scan", "mass_grid", _parse_mass_grid,
+     lambda rows: "; ".join(map(_write_floats, rows))),
+)
+_PARSERS = {(section, key): parse for section, key, parse, _ in _KEYS}
+_SECTIONS = {section for section, *_ in _KEYS}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; see the module docstring for the grammar."""
     section = None
@@ -164,37 +190,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("key outside any [section]", lineno)
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
-        raw = raw.strip()
         if (section, key) in seen:
             raise ConfigError(f"duplicate key {key} in [{section}]", lineno)
         seen.add((section, key))
-        if (section, key) in _FLOAT_KEYS:
-            values[_FLOAT_KEYS[(section, key)]] = _parse_float(raw, lineno,
-                                                               key)
-        elif (section, key) in _INT_KEYS:
-            values[_INT_KEYS[(section, key)]] = _parse_int(raw, lineno, key)
-        elif section == "system" and key == "masses":
-            values["masses"] = _parse_float_list(raw, lineno, key)
-        elif section == "analysis" and key == "l0":
-            parts = [s.strip() for s in raw.split(",")]
-            if len(parts) != 2:
-                raise ConfigError("l0 expects two comma-separated integers",
-                                  lineno)
-            values["l0"] = (_parse_int(parts[0], lineno, key),
-                            _parse_int(parts[1], lineno, key))
-        elif section == "tolerances" and key in _TOL_KEYS:
-            tol_values[key] = _parse_float(raw, lineno, key)
-        elif section == "scan" and key == "radius_grid":
-            values["radius_grid"] = _parse_float_list(raw, lineno, key)
-        elif section == "scan" and key == "mass_grid":
-            rows = [s.strip() for s in raw.split(";") if s.strip()]
-            if not rows:
-                raise ConfigError("mass_grid expects ';'-separated mass "
-                                  "lists", lineno)
-            values["mass_grid"] = tuple(_parse_float_list(row, lineno, key)
-                                        for row in rows)
-        else:
+        parse = _PARSERS.get((section, key))
+        if parse is None:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
+        target = tol_values if section == "tolerances" else values
+        target[key] = parse(raw.strip(), lineno, key)
     for required in ("masses", "radius"):
         if required not in values:
             raise ConfigError(f"missing required key {required} in [system]")
@@ -209,52 +212,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(c)) reproduces c exactly."""
-    tol = config.tolerances
-    lines = [
-        "[system]",
-        "masses = " + ", ".join(fmt17(m) for m in config.masses),
-        f"radius = {fmt17(config.radius)}",
-        "",
-        "[run]",
-        f"seed = {config.seed}",
-        f"t_max = {fmt17(config.t_max)}",
-        "",
-        "[tolerances]",
-    ]
-    lines += [f"{tf.name} = {fmt17(getattr(tol, tf.name))}"
-              for tf in fields(Tolerances)]
-    lines += [
-        "",
-        "[analysis]",
-        f"c0 = {fmt17(config.c0)}",
-        f"delta0 = {fmt17(config.delta0)}",
-        f"horizon = {fmt17(config.horizon)}",
-        f"ensemble = {config.ensemble}",
-        f"reorth_interval = {config.reorth_interval}",
-    ]
-    if config.l0 is not None:
-        lines.append(f"l0 = {config.l0[0]}, {config.l0[1]}")
-    if config.max_group is not None:
-        lines.append(f"max_group = {config.max_group}")
-    if config.radius_grid or config.mass_grid:
-        lines += ["", "[scan]"]
-        if config.radius_grid:
-            lines.append("radius_grid = "
-                         + ", ".join(fmt17(r) for r in config.radius_grid))
-        if config.mass_grid:
-            rows = "; ".join(", ".join(fmt17(m) for m in row)
-                             for row in config.mass_grid)
-            lines.append(f"mass_grid = {rows}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form; parse(serialize(c)) reproduces c exactly.
 
-
-def with_point(config: ExperimentConfig, *, masses=None,
-               radius=None) -> ExperimentConfig:
-    """Config for one scan grid point."""
-    out = config
-    if masses is not None:
-        out = replace(out, masses=tuple(float(m) for m in masses))
-    if radius is not None:
-        out = replace(out, radius=float(radius))
-    return out
+    Keys follow the table's order; a key set to None or to an empty
+    grid is left out, and so is a section left without keys.
+    """
+    sections: dict[str, list[str]] = {}
+    for section, key, _, write in _KEYS:
+        owner = config.tolerances if section == "tolerances" else config
+        value = getattr(owner, key)
+        if value is not None and value != ():
+            sections.setdefault(section, []).append(f"{key} = {write(value)}")
+    return "\n\n".join("\n".join([f"[{section}]", *lines])
+                       for section, lines in sections.items()) + "\n"

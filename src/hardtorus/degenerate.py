@@ -357,6 +357,25 @@ class RadiusFlags:
         }
 
 
+def _group_matches(two_r: float, target: float,
+                   max_group: int) -> tuple[int, ...]:
+    """The h in 1..max_group with |2r h - target| <= RADIUS_MATCH_TOL.
+
+    Only h within tol / 2r of target / 2r can match, so only those are
+    tested; one integer more on each side, and a relative 1e-15 of the
+    centre, cover the rounding of the window's ends and of 2r h.
+    """
+    centre = target / two_r
+    half = RADIUS_MATCH_TOL / two_r + 1.0 + 1e-15 * centre
+    if math.isfinite(centre + half):
+        first = max(1, math.ceil(centre - half))
+        last = min(max_group, math.floor(centre + half))
+    else:  # a radius so small that the window overflows: test every h
+        first, last = 1, max_group
+    return tuple(h for h in range(first, last + 1)
+                 if abs(two_r * h - target) <= RADIUS_MATCH_TOL)
+
+
 def degenerate_radius_check(params: SystemParams, l0, *,
                             max_group: int | None = None) -> RadiusFlags:
     """Flag group sizes whose diameter sum matches the tube geometry.
@@ -370,12 +389,9 @@ def degenerate_radius_check(params: SystemParams, l0, *,
         max_group = params.n
     if max_group < 1:
         raise ValidationError("max_group must be at least 1")
-    length_hits = tuple(h for h in range(1, max_group + 1)
-                        if abs(2.0 * r * h - l.norm) <= RADIUS_MATCH_TOL)
-    width_hits = tuple(k for k in range(1, max_group + 1)
-                       if abs(2.0 * r * k - l.width) <= RADIUS_MATCH_TOL)
     return RadiusFlags(direction=l, radius=r, norm=l.norm, width=l.width,
-                       length_matches=length_hits, width_matches=width_hits)
+                       length_matches=_group_matches(2.0 * r, l.norm, max_group),
+                       width_matches=_group_matches(2.0 * r, l.width, max_group))
 
 
 def degeneracy_report(state: PhaseState, params: SystemParams, *,

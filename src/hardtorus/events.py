@@ -284,11 +284,13 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     Energy and momentum are drift-checked at every event against the
     entry values; relative energy drift or absolute momentum drift
     beyond 1e-9 aborts with a numerical failure.  A negative or
-    non-finite t_max raises ValueError.
+    non-finite t_max, or a max_events below 1, raises ValueError.
     """
     if not 0.0 <= t_max < math.inf:
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}; "
                          "reverse via reverse_state")
+    if max_events is not None and max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {max_events!r}")
     validate_state(state, params, require_shell=False)
     n = params.n
     m = [float(x) for x in params.masses]
@@ -387,14 +389,16 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
             if counters[cand[1]] == cand[5] and counters[cand[2]] == cand[6]:
                 ev = cand
                 break
+        # free flight to the chunk boundary or to the event
+        t_next = t_block if ev is None else ev[0]
+        dt = t_next - t_now
+        for k in range(n):
+            x = (qx[k] + dt * vx[k]) % 1.0
+            y = (qy[k] + dt * vy[k]) % 1.0
+            qx[k] = x if x < 1.0 else 0.0
+            qy[k] = y if y < 1.0 else 0.0
+        t_now = t_next
         if ev is None:
-            dt = t_block - t_now
-            for k in range(n):
-                x = (qx[k] + dt * vx[k]) % 1.0
-                y = (qy[k] + dt * vy[k]) % 1.0
-                qx[k] = x if x < 1.0 else 0.0
-                qy[k] = y if y < 1.0 else 0.0
-            t_now = t_block
             if t_block >= t_max:
                 break
             t_block = min(t_now + chunk_length(), t_max)
@@ -405,13 +409,6 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
             continue
 
         t_ev, i, j = ev[0], ev[1], ev[2]
-        dt = t_ev - t_now
-        for k in range(n):
-            x = (qx[k] + dt * vx[k]) % 1.0
-            y = (qy[k] + dt * vy[k]) % 1.0
-            qx[k] = x if x < 1.0 else 0.0
-            qy[k] = y if y < 1.0 else 0.0
-        t_now = t_ev
 
         # contact vector from the wrapped positions; at contact the
         # touching image is a minimal one, so a 3x3 stencil suffices

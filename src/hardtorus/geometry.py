@@ -300,7 +300,6 @@ class ReducedSpace:
 
     dimension: int
     basis: np.ndarray      # (2N, 2(N-1)), mass-orthonormal columns
-    projector: np.ndarray  # (2N, 2N), mass-metric orthogonal projection
 
 
 def reduced_space(params: SystemParams) -> ReducedSpace:
@@ -316,11 +315,8 @@ def reduced_space(params: SystemParams) -> ReducedSpace:
     for k in range(n - 1):
         basis[0::2, 2 * k] = cols[:, k]
         basis[1::2, 2 * k + 1] = cols[:, k]
-    mw = params.mass_weights
-    projector = basis @ (basis.T * mw)
     basis.setflags(write=False)
-    projector.setflags(write=False)
-    return ReducedSpace(2 * (n - 1), basis, projector)
+    return ReducedSpace(2 * (n - 1), basis)
 
 
 def _mass_orthonormal_complement(cols: np.ndarray, params: SystemParams,
@@ -339,8 +335,6 @@ def _mass_orthonormal_complement(cols: np.ndarray, params: SystemParams,
 
 def _proj(cols: np.ndarray) -> np.ndarray:
     """Euclidean orthogonal projector onto span of the given columns."""
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], cols.shape[0]))
     q, r = np.linalg.qr(cols)
     rank = int(np.sum(np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())))
     q = q[:, :rank]

@@ -34,16 +34,6 @@ from .rng import make_generator
 from .tangent import (TangentVector, _carry, _frame_failure, _lazy, _walk,
                       propagate_tangent)
 
-__all__ = [
-    "QEvolutionAudit", "JumpRecord", "q_evolution_audit",
-    "CurvatureOperator", "CurvaturePath", "curvature_propagate",
-    "curvature_consistency", "ExpansionCheck", "expansion_check",
-    "ConeDecomposition", "cone_decompose",
-    "LyapunovSpectrum", "lyapunov_spectrum",
-    "CollisionRateReport", "collision_rate", "z_length",
-    "write_series_csv", "hyperbolicity_series", "summary_dict",
-]
-
 
 # ---------------------------------------------------------------------------
 # Q-form evolution audit

@@ -23,8 +23,7 @@ from .errors import (IllConditionedAdvanceError, PerturbationTooLargeError,
 from .events import TrajectorySegment, simulate, symbolic_sequence
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        reduced_space)
-from .tangent import (_apply_event_inverse, _walk, frame_for_event,
-                      transport_between)
+from .tangent import _walk, frame_for_event, transport_between
 
 _EDGE_GUARD = 1e-6          # keep reference times away from collisions
 
@@ -141,14 +140,19 @@ def is_sufficient(traj: TrajectorySegment, params: SystemParams,
 
     The verdict is ``undecidable`` only when a rank decision sits near
     roundoff: a cut margin below 100 * rank_rel_tol, a kept residual
-    above rank_rel_tol / 100, or no direction kept at all.
+    above rank_rel_tol / 100, or no direction kept at all.  The window
+    defaults to [0, t_end]; a segment that ends within _EDGE_GUARD after
+    its last collision (as one stopped by max_events does) ends its
+    default window halfway between that collision and the later of a
+    and the collision before it.
     """
     if a is None:
         a = 0.0
     if b is None:
         b = traj.t_end
-        if traj.n_events and b - float(traj.ev_t[-1]) < _EDGE_GUARD:
-            b = max(a + _EDGE_GUARD, 0.5 * (float(traj.ev_t[-1]) + b))
+        last = traj.ev_t[-2:].tolist()
+        if last and b - last[-1] < _EDGE_GUARD:
+            b = 0.5 * (max([a] + last[:-1]) + last[-1])
     if t_ref is None:
         t_ref = a
     res = neutral_space(traj, a, b, t_ref, params)
@@ -170,9 +174,9 @@ def _pre_collision_vectors(traj: TrajectorySegment, W, t_ref: float,
     by one forward chain of transport_between calls, events at or before
     t_ref by one backward chain.  transport_between lands on the outgoing
     side of an event time from either direction, so the chain continues
-    from there, and one inverse collision step per event exposes the
-    incoming representation.  Each row equals a single transport from
-    t_ref to its event.
+    from there, and the reflection, the configuration half of the
+    inverse collision step, exposes the incoming representation.  Each
+    row equals a single transport from t_ref to its event.
     """
     w = np.asarray(W, dtype=float).reshape(-1)
     out = np.full((traj.n_events, w.size), np.nan)
@@ -185,7 +189,7 @@ def _pre_collision_vectors(traj: TrajectorySegment, W, t_ref: float,
         for k in chain:
             t_k = float(traj.ev_t[k])
             xq, xv = transport_between(traj, xq, xv, t, t_k)
-            out[k] = _apply_event_inverse(frame_for_event(traj, k), xq, xv)[0]
+            out[k] = frame_for_event(traj, k).reflect(xq)
             t = t_k
     return out
 

@@ -73,22 +73,10 @@ def _encode(obj, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
-            "\b": "\\b", "\f": "\\f"}
-
-
 def _encode_str(s: str) -> str:
-    # printable text holds no control character, so only quote and
-    # backslash would need escaping
-    if s.isprintable() and '"' not in s and "\\" not in s:
-        return '"' + s + '"'
-    out = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    # json.dumps(s, ensure_ascii=False) without the encoder set-up: it
+    # escapes quote, backslash and the control characters, and nothing
+    # else.  json is imported here because the set-up path reads only
+    # fmt17 from this module.
+    import json
+    return json.encoder.encode_basestring(s)

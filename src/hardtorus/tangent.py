@@ -16,10 +16,6 @@ bit for bit.
 Normal vectors (z, w) transport by the adjoint (inverse-transpose)
 rule: w is the configuration component, z the momentum-like one, and
 the form <z, w> never increases along the flow.
-
-``propagate_tangent(identify=True)`` composes the collision reflections
-back into the initial frame, under which the flow direction (v, 0) is
-literally fixed and the velocity direction never moves.
 """
 from __future__ import annotations
 
@@ -34,6 +30,16 @@ from .events import TrajectorySegment, resolve_collision
 from .geometry import (PhaseState, SystemParams, mass_inner, reduced_space)
 
 
+def _freeze_pair(obj, a: str, b: str) -> None:
+    """Store fields a and b as read-only flat float copies of one length."""
+    x, y = (np.array(getattr(obj, f), dtype=float).reshape(-1) for f in (a, b))
+    if x.shape != y.shape:
+        raise ValueError(f"{a} and {b} must have equal length")
+    for name, arr in ((a, x), (b, y)):
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """Flattened (dq, dv) pair, length 2N each."""
@@ -42,14 +48,7 @@ class TangentVector:
     dv: np.ndarray
 
     def __post_init__(self):
-        dq = np.array(self.dq, dtype=float).reshape(-1)
-        dv = np.array(self.dv, dtype=float).reshape(-1)
-        if dq.shape != dv.shape:
-            raise ValueError("dq and dv must have equal length")
-        dq.setflags(write=False)
-        dv.setflags(write=False)
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dv", dv)
+        _freeze_pair(self, "dq", "dv")
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,7 @@ class NormalVector:
     w: np.ndarray
 
     def __post_init__(self):
-        z = np.array(self.z, dtype=float).reshape(-1)
-        w = np.array(self.w, dtype=float).reshape(-1)
-        if z.shape != w.shape:
-            raise ValueError("z and w must have equal length")
-        z.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
+        _freeze_pair(self, "z", "w")
 
 
 def q_of(obj, params: SystemParams) -> float:
@@ -321,9 +313,6 @@ class CollisionFrame:
         return (2.0 * self.cos_phi) * self.from_boundary_post(
             self.curvature(self.to_boundary_post(xq)))
 
-    def reflection_matrix(self) -> np.ndarray:
-        return np.eye(self.nu.size) - 2.0 * np.outer(self.nu, self.mw * self.nu)
-
 
 def collision_frame(state: PhaseState, i: int, j: int, image,
                     params: SystemParams) -> CollisionFrame:
@@ -461,16 +450,15 @@ def _carry(traj: TrajectorySegment, dq, dv, t_to: float | None = None):
 
 
 def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
-                      times=None, *, identify: bool = False) -> list[TangentVector]:
+                      times=None) -> list[TangentVector]:
     """Transport tau from the segment start to each requested time.
 
     Times must be nondecreasing; default is the segment end.  At an
-    event time the output is on the outgoing side.  The stops of one
-    flight follow the flight rule in one stacked step, so they carry the
-    bits of ``q_evolution_audit``'s rows at the same times.  With
-    ``identify`` the output is pulled back through the accumulated
-    collision reflections into the initial frame.  The vectors' dq and
-    dv are read-only rows of one stacked array per component.
+    event time the output is on the outgoing side.  Each stop is taken
+    from its flight's start by the flight rule, in one stacked step, so
+    the stops carry the bits of ``q_evolution_audit``'s rows at the same
+    times.  The vectors' dq and dv are read-only rows of one stacked
+    array per component.
     """
     if times is None:
         times = [traj.t_end]
@@ -479,20 +467,13 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
         raise ValueError("times must be nondecreasing and nonnegative")
     if not times.size:
         return []
-    out_q, out_v = [], []
-    pull = np.eye(tau.dq.size) if identify else None
-    done = 0
-    for t_a, t_b, xq, xv, k, _ in _carry(traj, tau.dq, tau.dv, float(times[-1])):
-        # stops before the event's time; the closing flight takes the rest
-        stop = times.size if k is None else int(np.searchsorted(times, t_b))
-        dq = xq + (times[done:stop] - t_a)[:, None] * xv
-        dv = np.repeat(xv[None], len(dq), axis=0)
-        out_q.append(dq @ pull.T if identify else dq)
-        out_v.append(dv @ pull.T if identify else dv)
-        done = stop
-        if identify and k is not None:
-            pull = pull @ frame_for_event(traj, k).reflection_matrix()
-    return _tangent_rows(np.concatenate(out_q), np.concatenate(out_v))
+    t_a, _, start_q, start_v, _, _ = zip(
+        *_carry(traj, tau.dq, tau.dv, float(times[-1])))
+    # the flight holding each stop; at an event time, the outgoing one
+    f = np.searchsorted(traj.ev_t, times, side="right")
+    dv = np.array(start_v)[f]
+    return _tangent_rows(
+        np.array(start_q)[f] + (times - np.array(t_a)[f])[:, None] * dv, dv)
 
 
 def _tangent_rows(dq: np.ndarray, dv: np.ndarray) -> list[TangentVector]:

@@ -262,28 +262,18 @@ def bfs_components(n, edges):
 # match them bit for bit.
 
 
-def ref_propagate_tangent(traj, tau, times, *, identify=False):
+def ref_propagate_tangent(traj, tau, times):
     """Per-row propagate_tangent: one TangentVector built per time, each
-    from its flight's start vector.  With ``identify`` the rows of each
-    flight are pulled back together, as ``rows @ pull.T`` with pull the
-    product of the reflection matrices crossed before the flight."""
+    from its flight's start vector."""
     times = [float(t) for t in times]
     out = []
     xq, xv = np.array(tau.dq), np.array(tau.dv)
-    pull = np.eye(xq.size)
     for t_a, t_b, k, frame in _walk(traj, t_to=times[-1]):
-        rows = []
-        while len(out) + len(rows) < len(times) and (
-                k is None or times[len(out) + len(rows)] < t_b):
-            rows.append((xq + (times[len(out) + len(rows)] - t_a) * xv, xv))
-        if identify and rows:
-            rows = zip(np.array([q for q, _ in rows]) @ pull.T,
-                       np.array([v for _, v in rows]) @ pull.T)
-        out += [TangentVector(q, v) for q, v in rows]
+        while len(out) < len(times) and (k is None or times[len(out)] < t_b):
+            out.append(TangentVector(xq + (times[len(out)] - t_a) * xv, xv))
         if k is None:
             break
         xq, xv = _apply_event(frame, xq + (t_b - t_a) * xv, xv)
-        pull = pull @ frame.reflection_matrix()
     return out
 
 

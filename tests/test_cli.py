@@ -8,6 +8,8 @@ import pytest
 from hardtorus import cli, hyperbolic, tangent
 from hardtorus.config import parse_config
 from hardtorus.errors import NumericalFailureError
+from hardtorus.events import simulate
+from hardtorus.geometry import sample_state
 
 BASE = """\
 [system]
@@ -45,6 +47,10 @@ radius = 0.1
 seed = 1
 t_max = 0.01
 """
+
+# The segment ends 5e-7 after its 11th and last collision, inside the
+# guard that keeps window ends off collision moments.
+LATE_END = COLLISIONLESS.replace("t_max = 0.01", "t_max = 11.204321810272152")
 
 
 def write_config(tmp_path, text=BASE, name="exp.cfg"):
@@ -135,6 +141,16 @@ class TestSubcommands:
         assert row["error"] == "conservation drift at event 7"
         assert row["radius"] == 0.24 and "radius_flags" in row
         assert "conservation" not in row
+
+
+class TestDefaultNeutralWindow:
+    def test_segment_ending_just_after_a_collision(self, tmp_path):
+        summary = run_cli(tmp_path, "neutral", LATE_END)
+        config = parse_config(LATE_END)
+        traj = simulate(sample_state(config.seed, config.params),
+                        config.t_max, config.params)
+        assert summary["conservation"]["n_events"] == traj.n_events == 11
+        assert summary["neutral"]["window"]["b"] < traj.ev_t[-1]
 
 
 class TestCollisionless:

@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardtorus import config
 from hardtorus.config import (ExperimentConfig, parse_config,
-                              serialize_config, with_point)
+                              serialize_config)
 from hardtorus.errors import ConfigError
 from hardtorus.geometry import Tolerances
 
@@ -13,6 +15,35 @@ MINIMAL = """\
 [system]
 masses = 1.0, 2.0
 radius = 0.1
+"""
+
+FULL_TEXT = """\
+[system]
+masses = 1, 0.33333333333333331
+radius = 0.10000000000000001
+
+[run]
+seed = 7
+t_max = 12.5
+
+[tolerances]
+collision_root_tol = 9.9999999999999998e-13
+tangency_tol = 1.0000000000000001e-09
+double_event_tol = 9.9999999999999998e-13
+rank_rel_tol = 1e-08
+
+[analysis]
+c0 = 2
+delta0 = 9.9999999999999995e-07
+horizon = 50
+ensemble = 3
+reorth_interval = 5
+l0 = 1, -2
+max_group = 4
+
+[scan]
+radius_grid = 0.050000000000000003, 0.10000000000000001
+mass_grid = 1, 1; 1, 2
 """
 
 
@@ -173,11 +204,24 @@ class TestSerialize:
         text2 = serialize_config(cfg)
         assert "l0 = 0, 1" in text2 and "radius_grid" in text2
 
-    def test_with_point(self):
-        cfg = parse_config(MINIMAL)
-        pt = with_point(cfg, masses=(2.0, 3.0), radius=0.05)
-        assert pt.masses == (2.0, 3.0) and pt.radius == 0.05
-        assert pt.seed == cfg.seed
+    def test_full_canonical_text(self):
+        cfg = ExperimentConfig(
+            masses=(1.0, 1.0 / 3), radius=0.1, seed=7, t_max=12.5,
+            tolerances=Tolerances(tangency_tol=1e-9), c0=2.0, l0=(1, -2),
+            delta0=1e-6, horizon=50.0, ensemble=3, reorth_interval=5,
+            max_group=4, radius_grid=(0.05, 0.1),
+            mass_grid=((1.0, 1.0), (1.0, 2.0)))
+        assert serialize_config(cfg) == FULL_TEXT
+        assert parse_config(FULL_TEXT) == cfg
+
+    def test_key_table_names_every_field_once(self):
+        names = [(section == "tolerances", key)
+                 for section, key, _, _ in config._KEYS]
+        assert len(set(names)) == len(names)
+        want = {(True, f.name) for f in fields(Tolerances)}
+        want |= {(False, f.name) for f in fields(ExperimentConfig)
+                 if f.name != "tolerances"}
+        assert set(names) == want
 
     @given(
         st.lists(st.floats(0.1, 10.0), min_size=2, max_size=4),
@@ -196,3 +240,26 @@ class TestSerialize:
                                seed=seed, t_max=t_max, l0=l0,
                                ensemble=ensemble)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(
+        st.one_of(st.none(), st.integers(1, 10 ** 6)),
+        st.lists(st.floats(0.01, 0.12), max_size=3),
+        st.lists(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=3),
+                 max_size=3),
+        st.floats(1e-14, 1e-6),
+        st.floats(1e-9, 1e-3),
+    )
+    @settings(max_examples=100)
+    def test_round_trip_fuzz_optional_keys(self, max_group, radius_grid,
+                                           mass_grid, root_tol, rank_tol):
+        cfg = ExperimentConfig(
+            masses=(1.0, 2.0), radius=0.05, max_group=max_group,
+            radius_grid=tuple(radius_grid),
+            mass_grid=tuple(map(tuple, mass_grid)),
+            tolerances=Tolerances(collision_root_tol=root_tol,
+                                  rank_rel_tol=rank_tol))
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
+        assert ("[scan]" in text) == bool(radius_grid or mass_grid)
+        assert ("max_group" in text) == (max_group is not None)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardtorus import degenerate
-from hardtorus.degenerate import (LatticeDirection, admissible_directions,
+from hardtorus.degenerate import (RADIUS_MATCH_TOL, LatticeDirection,
+                                  admissible_directions,
                                   degeneracy_report, degenerate_radius_check,
                                   distance_to_L, in_L, perpendicular_speed,
                                   tube_structure)
@@ -225,6 +226,37 @@ class TestRadiusFlags:
         p = SystemParams(masses=(1.0,) * 2, radius=r)
         fl = degenerate_radius_check(p, (1, 0), max_group=h)
         assert h in fl.length_matches
+
+
+    @pytest.mark.parametrize("l0", [(1, 0), (1, 1), (2, 1), (3, -2)])
+    def test_flags_equal_the_full_loop(self, l0):
+        # the search tests only the group sizes next to target / 2r; it
+        # must flag what testing every size 1..max_group flags, on exact
+        # matches, their neighbouring floats, plain radii, and a radius
+        # so small that target / 2r overflows
+        l = LatticeDirection.from_vector(l0)
+        radii = [0.25, math.sqrt(2) / 4, 1e-310,
+                 *np.linspace(0.01, 0.49, 25)]
+        for h in range(1, 13):
+            for target in (l.norm, l.width):
+                base = target / (2.0 * h)
+                radii += [base, math.nextafter(base, 0.0),
+                          math.nextafter(base, 1.0), base * (1.0 + 1e-11)]
+        for r in radii:
+            p = SystemParams(masses=(1.0, 1.0), radius=r)
+            for max_group in range(1, 13):
+                fl = degenerate_radius_check(p, l0, max_group=max_group)
+                for got, target in ((fl.length_matches, l.norm),
+                                    (fl.width_matches, l.width)):
+                    assert got == tuple(
+                        h for h in range(1, max_group + 1)
+                        if abs(2.0 * r * h - target) <= RADIUS_MATCH_TOL)
+
+    def test_huge_max_group_returns_at_once(self):
+        # testing every size up to 10**12 would not finish
+        p = SystemParams(masses=(1.0, 1.0), radius=0.1)
+        fl = degenerate_radius_check(p, (1, 0), max_group=10 ** 12)
+        assert fl.length_matches == (5,) and fl.width_matches == (5,)
 
 
 class TestReport:

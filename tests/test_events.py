@@ -228,6 +228,13 @@ class TestSimulate:
         traj = simulate(state, 1e6, P3, max_events=25)
         assert traj.n_events == 25 and traj.stopped_by_count
 
+    @pytest.mark.parametrize("max_events", [0, -3])
+    def test_max_events_below_one_refused(self, max_events):
+        # the count is checked after each resolved event, so a count
+        # below 1 would still return one event
+        with pytest.raises(ValueError, match="max_events must be at least 1"):
+            simulate(sample_state(5, P3), 10.0, P3, max_events=max_events)
+
     def test_reversibility(self):
         state = sample_state(13, P3)
         fwd = simulate(state, 3.0, P3)

@@ -127,13 +127,14 @@ class TestReducedSpace:
                           for j in range(4)] for i in range(4)])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
-    def test_projector_idempotent_self_adjoint(self):
-        red = reduced_space(P3)
-        proj = red.projector
-        assert np.allclose(proj @ proj, proj, atol=1e-12)
-        mw = np.repeat(P3.mass_array, 2)
-        assert np.allclose(mw[:, None] * proj, (mw[:, None] * proj).T,
-                           atol=1e-12)
+    def test_basis_projection_is_project_to_Z(self):
+        # the mass-orthonormal basis projects as B B^T M, which is the
+        # mass-weighted mean subtraction of project_to_Z
+        basis = reduced_space(P3).basis
+        x = np.random.default_rng(3).standard_normal((2 * P3.n, 20))
+        proj = basis @ ((basis.T * P3.mass_weights) @ x)
+        want = np.column_stack([project_to_Z(col, P3) for col in x.T])
+        assert np.allclose(proj, want, rtol=0.0, atol=1e-12)
 
     def test_transverse_basis(self):
         state = sample_state(0, P3)

@@ -150,6 +150,14 @@ class TestNeutralSpaceGate:
         assert verdict.verdict == "sufficient"
         assert verdict.result.flow_residual <= 1e-12
 
+    def test_default_window_of_a_count_stopped_segment(self):
+        # a segment stopped by max_events ends on its last collision, so
+        # the default window ends in the flight before that collision
+        traj = simulate(sample_state(1, P3M), 100.0, P3M, max_events=12)
+        verdict = is_sufficient(traj, P3M)
+        assert verdict.verdict == "sufficient"
+        assert traj.ev_t[-2] < verdict.result.b < traj.ev_t[-1]
+
     def test_n8_window_sufficient(self):
         traj = n8_orbit()
         assert traj.n_events == 18
