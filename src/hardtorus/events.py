@@ -373,8 +373,11 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
             return 1.0
         return min(1.0, max(0.05, 0.25 / vmax))
 
+    # the chunk length reads only the velocities, so it is computed once
+    # per velocity change, at the first boundary that follows it
+    chunk = chunk_length()
     t_now = 0.0
-    t_block = min(chunk_length(), t_max)
+    t_block = min(chunk, t_max)
     predict(pairs, lambda: ends_all, 0.0, t_block, ())
 
     n_events = 0
@@ -401,7 +404,9 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         if ev is None:
             if t_block >= t_max:
                 break
-            t_block = min(t_now + chunk_length(), t_max)
+            if chunk is None:
+                chunk = chunk_length()
+            t_block = min(t_now + chunk, t_max)
             # a pair resolved at this very instant keeps its echo guard;
             # every other pair may touch now
             predict(pairs, lambda: ends_all, t_now, t_block,
@@ -458,6 +463,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         vy[i] -= m[j] * g * uy
         vx[j] += m[i] * g * ux
         vy[j] += m[i] * g * uy
+        chunk = None
         if screening:
             zv[i] = complex(vx[i], vy[i])
             zv[j] = complex(vx[j], vy[j])

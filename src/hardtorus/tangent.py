@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (NumericalFailureError, SingularSegmentError,
                      TangentialFrameError)
-from .events import TrajectorySegment, resolve_collision
+from .events import TrajectorySegment, _frozen, resolve_collision
 from .geometry import (PhaseState, SystemParams, mass_inner, reduced_space)
 
 
@@ -81,11 +81,14 @@ class _lazy:
     """Attribute computed on first access and then stored on the
     instance.  ``functools.cached_property`` does the same but takes a
     lock on every first access before Python 3.12, which cost more than
-    the values themselves on the transport paths."""
+    the values themselves on the transport paths.  It takes the name
+    it is bound to in the class body, so it also wraps a lambda."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.name = fn.__name__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -95,7 +98,8 @@ class _lazy:
 
 
 # Events per vectorised pass of the collision-table build: the pass
-# temporaries stay a few hundred kB however long the segment is.
+# temporaries and each stack of 8x8 blocks stay a few hundred kB
+# however long the segment is.
 _TABLE_CHUNK = 256
 
 
@@ -110,28 +114,34 @@ class _CollisionTable:
     rows of a (4N, m) stack in mass-orthonormal coordinates (dq rows
     first) as the 8x8 block [[A, 0], [B, A]], with A the reflection and
     B = A S the pre-collision scattering: the pair-local collision map
-    of Dellago, Posch & Hoover (PRE 53, 1485, 1996).  ``block_low``
-    stores its lower half [B, A], which holds every entry in half the
-    memory; it is built for the whole segment on first use, so walks
-    that only apply the operators never pay for it.  Flagged events and
-    events within the tangency tolerance are masked: nothing is divided
-    by their cosines and their blocks stay NaN.
+    of Dellago, Posch & Hoover (PRE 53, 1485, 1996).  The blocks are
+    built on first use, one stack per ``_TABLE_CHUNK`` events, from
+    their lower halves [B, A]; only the stack of the slice last asked
+    for is kept, so walks that only apply the operators never pay for
+    them and a forward walk holds one stack at a time.  Flagged events
+    and events within the tangency tolerance are masked: nothing is
+    divided by their cosines and their blocks stay NaN.  ``perp``,
+    ``scalars``, the block stacks and the per-pair ``rows`` arrays are
+    read-only, since every frame of the table shares them.
     """
 
     def __init__(self, pair, u, v_pre, v_post, flags, params: SystemParams):
         k = len(pair)
         self.params = params
+        self.tangency_tol = params.tolerances.tangency_tol
         self.pair, self.u, self.v_pre, self.v_post = pair, u, v_pre, v_post
         self.flags = flags
         self.perp = np.empty((k, 2))
         self.scalars = np.empty((k, 6))
-        for ev in self._chunks():
-            self._fill_scalars(ev)
+        for a in range(0, k, _TABLE_CHUNK):
+            self._fill_scalars(self._chunk(a))
+        _frozen(self.perp)
+        _frozen(self.scalars)
+        self._rows = {}
+        self._stack_start, self._stack = -1, None
 
-    def _chunks(self):
-        k = len(self.pair)
-        return (np.arange(a, min(k, a + _TABLE_CHUNK))
-                for a in range(0, k, _TABLE_CHUNK))
+    def _chunk(self, a):
+        return np.arange(a, min(len(self.pair), a + _TABLE_CHUNK))
 
     def _relative(self, v, ev):
         return v[ev, self.pair[ev, 0]] - v[ev, self.pair[ev, 1]]
@@ -152,16 +162,32 @@ class _CollisionTable:
         self.perp[ev] = np.stack([-u[:, 1], u[:, 0]], axis=1)
         self.scalars[ev] = np.stack([mi, mj, s, base, cos_pre, cos_phi], axis=1)
 
-    @_lazy
-    def block_low(self):
-        out = np.full((len(self.pair), 4, 8), np.nan)
-        tol = self.params.tolerances.tangency_tol
-        for ev in self._chunks():
-            cos_pre, cos_phi = self.scalars[ev, 4], self.scalars[ev, 5]
-            ok = (self.flags[ev] == 0) & (np.minimum(cos_pre, cos_phi) > tol)
-            if ok.any():
-                out[ev[ok]] = self._blocks(ev[ok])
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """dq then dv rows of disks i and j in a (4N, m) stack."""
+        out = self._rows.get((i, j))
+        if out is None:
+            i2, j2, n2 = 2 * i, 2 * j, 2 * self.params.n
+            out = self._rows[(i, j)] = _frozen(np.array(
+                [i2, i2 + 1, j2, j2 + 1,
+                 n2 + i2, n2 + i2 + 1, n2 + j2, n2 + j2 + 1]))
         return out
+
+    def block(self, k: int) -> np.ndarray:
+        """Read-only view of event k's 8x8 block in its slice's stack."""
+        a = k - k % _TABLE_CHUNK
+        if a != self._stack_start:
+            ev = self._chunk(a)
+            low = np.full((len(ev), 4, 8), np.nan)
+            cos_pre, cos_phi = self.scalars[ev, 4], self.scalars[ev, 5]
+            ok = ((self.flags[ev] == 0)
+                  & (np.minimum(cos_pre, cos_phi) > self.tangency_tol))
+            if ok.any():
+                low[ok] = self._blocks(ev[ok])
+            stack = np.zeros((len(ev), 8, 8))
+            stack[:, 4:] = low
+            stack[:, :4, :4] = low[:, :, 4:]
+            self._stack_start, self._stack = a, _frozen(stack)
+        return self._stack[k - a]
 
     def _blocks(self, ev):
         mi, mj, s, base, cos_pre, cos_phi = self.scalars[ev].T
@@ -194,48 +220,48 @@ class CollisionFrame:
     between velocity-transverse vectors and the contact hyperplane.
     All apply methods accept a flat vector or a (2N, k) stack.
 
-    A frame is row k of a collision table; ``rows`` and ``block`` give
-    its pair-block map on (4N, m) stacks in mass-orthonormal
-    coordinates (see ``_CollisionTable``).
+    A frame is a thin read-only view of row k of a collision table:
+    building it reads only the two cosines of the tangency check, and
+    the other fields are read from the table on first access.
+    ``rows`` and ``block`` give its pair-block map on (4N, m) stacks in
+    mass-orthonormal coordinates (see ``_CollisionTable``); they, ``u``
+    and ``perp`` are views of the table's shared read-only storage.
     """
 
     def __init__(self, table: _CollisionTable, k: int):
-        self.i, self.j = table.pair[k].tolist()
-        self.params = params = table.params
-        (self.mi, self.mj, self.s, self.base_radius,
-         self.cos_pre, self.cos_phi) = table.scalars[k].tolist()
-        if min(self.cos_phi, self.cos_pre) <= params.tolerances.tangency_tol:
+        self._table, self._k = table, k
+        self.cos_pre, self.cos_phi = table.scalars[k, 4:].tolist()
+        if min(self.cos_phi, self.cos_pre) <= table.tangency_tol:
             raise TangentialFrameError(
                 f"collision of ({self.i}, {self.j}) is tangential: "
                 f"cos_phi = {self.cos_phi:.3g}")
-        self.u = table.u[k]
-        self.perp = table.perp[k]
-        self.mw = params.mass_weights
-        self._table, self._k = table, k
 
-    @_lazy
+    def _row(self, name):
+        """Store every field of the row at the first access of any."""
+        table, k = self._table, self._k
+        self.i, self.j = table.pair[k].tolist()
+        self.mi, self.mj, self.s, self.base_radius = table.scalars[k, :4].tolist()
+        self.u, self.perp = table.u[k], table.perp[k]
+        self.params = table.params
+        self.mw = table.params.mass_weights
+        return getattr(self, name)
+
+    i, j, mi, mj, s, base_radius, u, perp, params, mw = (
+        _lazy(lambda f, name=name: f._row(name))
+        for name in ("i", "j", "mi", "mj", "s", "base_radius", "u", "perp",
+                     "params", "mw"))
+    v_pre = _lazy(lambda f: f._table.v_pre[f._k].reshape(-1))
+    v_post = _lazy(lambda f: f._table.v_post[f._k].reshape(-1))
+
+    @property
     def rows(self):
         """dq then dv rows of disks i and j in a (4N, m) stack."""
-        i2, j2, n2 = 2 * self.i, 2 * self.j, 2 * self.params.n
-        return np.array([i2, i2 + 1, j2, j2 + 1,
-                         n2 + i2, n2 + i2 + 1, n2 + j2, n2 + j2 + 1])
+        return self._table.rows(*self._table.pair[self._k].tolist())
 
-    @_lazy
+    @property
     def block(self):
         """8x8 map [[A, 0], [B, A]] of the collision on ``rows``."""
-        low = self._table.block_low[self._k]
-        out = np.zeros((8, 8))
-        out[4:] = low
-        out[:4, :4] = low[:, 4:]
-        return out
-
-    @_lazy
-    def v_pre(self):
-        return self._table.v_pre[self._k].reshape(-1)
-
-    @_lazy
-    def v_post(self):
-        return self._table.v_post[self._k].reshape(-1)
+        return self._table.block(self._k)
 
     def _pair_vector(self, a):
         out = np.zeros(2 * self.params.n)
@@ -321,7 +347,7 @@ def collision_frame(state: PhaseState, i: int, j: int, image,
     i, j = min(i, j), max(i, j)
     post = resolve_collision(state, i, j, image, params)
     d = state.q[i] - state.q[j] + np.asarray(image, dtype=float)
-    u = d / math.hypot(d[0], d[1])
+    u = _frozen(d / math.hypot(d[0], d[1]))
     table = _CollisionTable(np.array([[i, j]]), u[None], state.v[None],
                             post.v[None], np.zeros(1, dtype=np.uint8), params)
     return CollisionFrame(table, 0)
@@ -399,14 +425,15 @@ def _walk(traj: TrajectorySegment, t_from: float | None = None,
     if min(t_from, t_to) < 0.0 or max(t_from, t_to) > traj.t_end:
         raise ValueError(f"[{t_from:g}, {t_to:g}] outside segment span")
     last = int(np.searchsorted(ev_t, t_to, side="right"))
-    if t_to >= t_from:
-        order = range(first, last)
-    else:
-        order = range(first - 1, last - 1, -1)
+    # the window's events, read as lists once rather than per event
+    lo, hi = min(first, last), max(first, last)
+    window = zip(range(lo, hi), ev_t[lo:hi].tolist(),
+                 traj.ev_flags[lo:hi].tolist())
+    if t_to < t_from:
+        window = reversed(list(window))
     t = t_from
-    for k in order:
-        t_k = float(ev_t[k])
-        yield t, t_k, k, None if traj.ev_flags[k] else frame_for_event(traj, k)
+    for k, t_k, flag in window:
+        yield t, t_k, k, None if flag else frame_for_event(traj, k)
         t = t_k
     yield t, t_to, None, None
 

@@ -21,8 +21,8 @@ from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
                                   ExpansionCheck, JumpRecord, QEvolutionAudit,
                                   _as_operator_matrix, cone_decompose)
 from hardtorus.rng import make_generator
-from hardtorus.tangent import (TangentVector, _apply_event, _walk,
-                               propagate_tangent)
+from hardtorus.tangent import (_TABLE_CHUNK, TangentVector, _apply_event,
+                               _CollisionTable, _walk, propagate_tangent)
 
 
 def flow_endpoint(q0, v0, t, params, base_seq):
@@ -437,3 +437,137 @@ def ref_hyperbolicity_series(traj, audit, *, path=None, l0=None):
         series["cone_ratio_q"] = np.array([c.ratio_q for c in cones])
         series["cone_ratio_v"] = np.array([c.ratio_v for c in cones])
     return series
+
+
+def table_orbit(n):
+    """Eventful orbit at N = 2, 3, 5 or 8 with unequal masses."""
+    radius = {2: 0.1, 3: 0.1, 5: 0.08, 8: 0.06}[n]
+    params = SystemParams(masses=tuple(np.linspace(0.5, 2.0, n)), radius=radius)
+    traj = simulate(sample_state(1, params), 80.0, params)
+    assert traj.n_events >= 20
+    return traj
+
+
+# ---------------------------------------------------------------------------
+# Frame-per-event Lyapunov reference.  This is the Lyapunov step as it
+# stood before frames became thin table views: the lower block halves
+# are built for the whole segment at once, and each regular event gets
+# a fresh rows array and an 8x8 block made from its lower half by three
+# numpy calls.  The library must match it bit for bit.
+
+
+def ref_block_low(traj):
+    """Lower block halves [B, A] of every event, NaN where masked."""
+    table = _CollisionTable(traj.ev_pair, traj.ev_u, traj.ev_v_pre,
+                            traj.ev_v_post, traj.ev_flags, traj.params)
+    out = np.full((traj.n_events, 4, 8), np.nan)
+    tol = traj.params.tolerances.tangency_tol
+    for a in range(0, traj.n_events, _TABLE_CHUNK):
+        ev = np.arange(a, min(traj.n_events, a + _TABLE_CHUNK))
+        cos_pre, cos_phi = table.scalars[ev, 4], table.scalars[ev, 5]
+        ok = (traj.ev_flags[ev] == 0) & (np.minimum(cos_pre, cos_phi) > tol)
+        if ok.any():
+            out[ev[ok]] = table._blocks(ev[ok])
+    return out
+
+
+def _ref_project_out_flow(frame, vy):
+    n2 = vy.size
+    excl = np.zeros(2 * n2)
+    excl[:n2] = vy
+    frame -= np.outer(excl, excl @ frame)
+    excl[:n2] = 0.0
+    excl[n2:] = vy
+    frame -= np.outer(excl, excl @ frame)
+
+
+def _ref_mass_on_frame(rng, v, params, m):
+    z = reduced_space(params)
+    n2 = 2 * params.n
+    scale = np.sqrt(params.mass_weights)
+    vy = (np.asarray(v, dtype=float).reshape(-1) * scale)
+    vy /= np.linalg.norm(vy)
+    zy = z.basis * scale[:, None]
+    coeff = rng.standard_normal((2 * z.dimension, m))
+    frame = np.zeros((2 * n2, m))
+    frame[:n2] = zy @ coeff[: z.dimension]
+    frame[n2:] = zy @ coeff[z.dimension:]
+    _ref_project_out_flow(frame, vy)
+    q, _ = np.linalg.qr(frame)
+    return q
+
+
+def ref_lyapunov_spectrum(state, t_max, params, *, reorth_interval=10,
+                          seed=0):
+    """lyapunov_spectrum with one fresh frame, rows array and 8x8 block
+    per regular event."""
+    m = 4 * (params.n - 1) - 2
+    rng = make_generator(seed, 101)
+    traj = simulate(state, t_max, params)
+    n2 = 2 * params.n
+    scale = np.sqrt(params.mass_weights)
+    zy = reduced_space(params).basis * scale[:, None]
+    block_low = ref_block_low(traj) if traj.n_events else None
+
+    frame = _ref_mass_on_frame(rng, traj.initial.v, params, m)
+    logs = np.zeros(m)
+    chunk_rates = []
+    t_accum = 0.0
+    n_restarts = 0
+
+    def renormalize(fr_cols, k):
+        fr_cols[:n2] = zy @ (zy.T @ fr_cols[:n2])
+        fr_cols[n2:] = zy @ (zy.T @ fr_cols[n2:])
+        vy = traj.ev_v_post[k].reshape(-1) * scale
+        _ref_project_out_flow(fr_cols, vy / np.linalg.norm(vy))
+        q, r = np.linalg.qr(fr_cols)
+        return q, np.log(np.abs(np.diag(r)))
+
+    chunk_t0 = 0.0
+    chunk_logs = np.zeros(m)
+    events_in_chunk = 0
+    for t_a, t_k, k, fr in _walk(traj, flagged=True):
+        frame[:n2] += (t_k - t_a) * frame[n2:]
+        if k is None:
+            break
+        if fr is None:
+            n_restarts += 1
+            frame = _ref_mass_on_frame(rng, traj.ev_v_post[k].reshape(-1),
+                                       params, m)
+            chunk_t0 = t_k
+            chunk_logs = np.zeros(m)
+            events_in_chunk = 0
+            continue
+        i2, j2 = 2 * fr.i, 2 * fr.j
+        rows = np.array([i2, i2 + 1, j2, j2 + 1,
+                         n2 + i2, n2 + i2 + 1, n2 + j2, n2 + j2 + 1])
+        low = block_low[k]
+        block = np.zeros((8, 8))
+        block[4:] = low
+        block[:4, :4] = low[:, 4:]
+        frame[rows] = block @ frame[rows]
+        events_in_chunk += 1
+        close_chunk = events_in_chunk >= reorth_interval
+        if close_chunk or float(np.abs(frame).max()) > 1e6:
+            frame, growth = renormalize(frame, k)
+            chunk_logs += growth
+        if close_chunk:
+            span = t_k - chunk_t0
+            logs += chunk_logs
+            t_accum += span
+            if span > 0.0:
+                chunk_rates.append((span, chunk_logs / span))
+            chunk_t0 = t_k
+            chunk_logs = np.zeros(m)
+            events_in_chunk = 0
+
+    exponents = logs / t_accum
+    ses = np.zeros(m)
+    if len(chunk_rates) >= 2:
+        w = np.array([c[0] for c in chunk_rates])
+        g = np.stack([c[1] for c in chunk_rates])
+        var = ((w[:, None] * (g - exponents) ** 2).sum(axis=0)
+               / w.sum() / max(1, len(chunk_rates) - 1))
+        ses = np.sqrt(var)
+    return (np.sort(exponents)[::-1], np.sort(ses)[::-1], len(chunk_rates),
+            n_restarts)

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (grazing_orbit, ref_curvature_propagate,
                       ref_expansion_check, ref_hyperbolicity_series,
-                      ref_q_evolution_audit)
+                      ref_lyapunov_spectrum, ref_q_evolution_audit,
+                      table_orbit)
 from hardtorus import hyperbolic, tangent
 from hardtorus.errors import (NumericalFailureError, ResolutionError,
                               ValidationError)
@@ -407,6 +408,33 @@ class TestLyapunov:
                      "low_confidence", "flow_exponent"):
             assert getattr(got, name) == getattr(want, name), name
         assert got.n_restarts == (case == "grazing")
+
+    @pytest.mark.parametrize("case", [2, 3, 5, 8, "grazing", "lyapunov_n3"])
+    def test_matches_frame_per_event_reference_bitwise(self, case):
+        # thin table frames, per-slice block stacks and the renormalization
+        # without np.outer run the same floating-point operations in the
+        # same order as one fresh rows array and 8x8 block per event
+        if case == "lyapunov_n3":
+            # the benchmark configuration's first member, shortened
+            args, seed = (sample_state(1, P3M, stream=0), 300.0, P3M), 1
+        else:
+            traj = grazing_orbit() if case == "grazing" else table_orbit(case)
+            args, seed = (traj.initial, traj.t_end, traj.params), 0
+        got = lyapunov_spectrum(*args, seed=seed)
+        exps, ses, n_chunks, n_restarts = ref_lyapunov_spectrum(*args,
+                                                                seed=seed)
+        assert got.exponents.tobytes() == exps.tobytes()
+        assert got.standard_errors.tobytes() == ses.tobytes()
+        assert (got.n_chunks, got.n_restarts) == (n_chunks, n_restarts)
+        assert n_chunks >= 2 and n_restarts == (case == "grazing")
+
+    def test_state_at_rest_refused(self):
+        # no flow direction and no speed: refused before any division,
+        # which the RuntimeWarning filter of the test suite would catch
+        state = PhaseState(q=[[0.25, 0.5], [0.75, 0.5], [0.5, 0.125]],
+                           v=np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="every velocity is zero"):
+            lyapunov_spectrum(state, 50.0, P3, seed=4)
 
     @pytest.mark.parametrize("fault", ["nan", "zero_column"])
     def test_numerical_failure_names_event(self, fault, monkeypatch):

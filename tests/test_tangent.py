@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 from conftest import (contact_traj, fd_check_window, ref_propagate_tangent,
-                      ref_tangent_map, stalled_copy)
+                      ref_tangent_map, stalled_copy, table_orbit)
 
 from hardtorus import tangent
 from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
@@ -89,15 +89,6 @@ class TestCollisionFrame:
         state = contact([1.0, 0.0], [[0.0, 0.3], [1e-12, -0.2]], P2)
         with pytest.raises(TangentialFrameError):
             collision_frame(state, 0, 1, (0, 0), P2)
-
-
-def table_orbit(n):
-    """Eventful orbit at N = 2, 3, 5 or 8 with unequal masses."""
-    radius = {2: 0.1, 3: 0.1, 5: 0.08, 8: 0.06}[n]
-    params = SystemParams(masses=tuple(np.linspace(0.5, 2.0, n)), radius=radius)
-    traj = simulate(sample_state(1, params), 80.0, params)
-    assert traj.n_events >= 20
-    return traj
 
 
 def event_by_event_frame(traj, k):
@@ -185,13 +176,49 @@ class TestCollisionTable:
         want = transport_between(traj, xq, xv, 0.0, t_mid)
         assert "_collision_table" in vars(stalled)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        # the pair blocks are built for the whole segment as well, with
-        # the stalled event masked rather than divided by
+        # the stalled event's slice of pair blocks builds too, with the
+        # stalled event masked rather than divided by
         assert np.isfinite(frame_for_event(stalled, 4).block).all()
         with pytest.raises(TangentialFrameError):
             frame_for_event(stalled, 5)
         with pytest.raises(TangentialFrameError):
             transport_between(stalled, xq, xv, 0.0, traj.t_end)
+
+
+    def test_table_storage_is_read_only(self):
+        # every frame of an event views the same table storage, so a
+        # write through one frame must not reach the next
+        traj = simulate(sample_state(1, P3M), 20.0, P3M)
+        assert not traj.ev_flags[2]
+        f = frame_for_event(traj, 2)
+        names = ("perp", "block", "rows", "u")
+        want = {name: np.array(getattr(f, name)) for name in names}
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(f, name)[0] = 99
+        table = vars(traj)["_collision_table"]
+        with pytest.raises(ValueError, match="read-only"):
+            table.scalars[2, 4] = 99.0
+        fresh = frame_for_event(traj, 2)
+        for name in names:
+            assert getattr(fresh, name).tobytes() == want[name].tobytes(), name
+        assert (fresh.cos_pre, fresh.cos_phi) == (f.cos_pre, f.cos_phi)
+        # a frame built at a contact state is read-only the same way
+        g = collision_frame(contact([0.6, 0.8], [[-0.3, -0.1], [0.2, 0.4]], P2),
+                            0, 1, (0, 0), P2)
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] = 99
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_blocks_follow_their_slice(self, n):
+        # one block stack per slice of events: a block read after its
+        # slice's stack was replaced still equals a fresh read
+        traj = table_orbit(n)
+        ks = [k for k in range(traj.n_events) if not traj.ev_flags[k]]
+        first = [frame_for_event(traj, k).block for k in ks]
+        for k, block in zip(reversed(ks), reversed(first)):
+            assert frame_for_event(traj, k).block.tobytes() == block.tobytes()
 
 
 class TestPropagators:
