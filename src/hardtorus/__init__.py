@@ -60,8 +60,7 @@ _EXPORTS = {
                    "write_series_csv", "z_length"),
     "degenerate": ("LatticeDirection", "RadiusFlags", "Tube", "TubeStructure",
                    "admissible_directions", "degeneracy_report",
-                   "degenerate_radius_check", "distance_to_L", "in_L",
-                   "perpendicular_speed", "tube_structure"),
+                   "degenerate_radius_check", "in_L", "perpendicular_speed"),
     "rng": ("make_generator",),
     "serialize": (),
 }

@@ -33,6 +33,12 @@ OFFSET_TOL = 1e-9
 
 RADIUS_MATCH_TOL = 1e-12
 
+# The survey first simulates its horizon capped at
+# _SETTLE_EVENTS_PER_DISK events per disk beyond the first, which is
+# enough for a generic orbit to refute every direction and connect its
+# collision graph; an orbit not settled by then is simulated uncapped.
+_SETTLE_EVENTS_PER_DISK = 4
+
 
 @dataclass(frozen=True)
 class LatticeDirection:
@@ -141,7 +147,7 @@ def perpendicular_speed(state: PhaseState, l0, params: SystemParams) -> float:
 def _parallel_audit(state: PhaseState, l: LatticeDirection,
                     params: SystemParams, traj: TrajectorySegment) -> bool:
     """Check parallelism at every velocity change of the simulated
-    horizon ``traj`` started from ``state``."""
+    orbit ``traj`` started from ``state``."""
     worst = perpendicular_speed(state, l, params)
     if traj.n_events:
         worst = max(worst, float(np.max(_perp_norms(traj.ev_v_post, l,
@@ -150,17 +156,41 @@ def _parallel_audit(state: PhaseState, l: LatticeDirection,
     return worst <= PARALLEL_TOL
 
 
+def _capped_orbit(state: PhaseState, params: SystemParams,
+                  horizon: float) -> TrajectorySegment:
+    """The orbit of ``state`` over the horizon, cut after
+    ``_SETTLE_EVENTS_PER_DISK`` events per disk beyond the first.
+
+    The cap leaves t_max, and so the engine's chunk schedule, unchanged,
+    so the run is a bitwise prefix of the full one.  It reached the
+    horizon when ``traj.stopped_by_count`` is false.
+    """
+    # a single disk has no pair, and its run needs a cap of at least 1
+    return simulate(state, horizon, params,
+                    max_events=max(1, _SETTLE_EVENTS_PER_DISK * (params.n - 1)))
+
+
 def in_L(state: PhaseState, l0, params: SystemParams, *,
          horizon: float = 100.0) -> bool:
     """Whether all velocities stay parallel to l0 across the horizon.
 
     Velocities only change at collisions, so the check samples the
     initial state, every post-collision snapshot, and the final state.
+    A refuted direction stays refuted, so the orbit is first simulated
+    under an event cap of 4(N - 1); only when no velocity off l0 has
+    appeared by then is the whole horizon simulated, as it is for every
+    member.  A numerical failure of the engine after the cap of a
+    refuted orbit is not raised, since those events are never simulated.
     """
     l = LatticeDirection.from_vector(l0)
     if perpendicular_speed(state, l, params) > PARALLEL_TOL:
         return False
-    return _parallel_audit(state, l, params, simulate(state, horizon, params))
+    traj = _capped_orbit(state, params, horizon)
+    parallel = _parallel_audit(state, l, params, traj)
+    if parallel and traj.stopped_by_count:
+        parallel = _parallel_audit(state, l, params,
+                                   simulate(state, horizon, params))
+    return parallel
 
 
 def _tube_offset(q_disk, l: LatticeDirection) -> float:
@@ -274,24 +304,6 @@ def _audit_tubes(state: PhaseState, l: LatticeDirection,
         singleton_violations=tuple(singleton_bad))
 
 
-def tube_structure(state: PhaseState, l0, params: SystemParams, *,
-                   horizon: float = 100.0) -> TubeStructure:
-    """Tubes, collision components over the horizon, and verdicts.
-
-    Only proper (non-tangential) collisions feed the component
-    partition.  Raises when the state is not parallel to l0 throughout
-    the horizon, since tubes are only flow-invariant on the degenerate
-    set.
-    """
-    l = LatticeDirection.from_vector(l0)
-    traj = simulate(state, horizon, params)
-    if not _parallel_audit(state, l, params, traj):
-        raise ValidationError(
-            f"state is not in the degenerate set for direction "
-            f"{l.as_tuple()}; tube structure is undefined")
-    return _audit_tubes(state, l, params, _components(traj))
-
-
 def _surrogate(state: PhaseState, l: LatticeDirection, params: SystemParams,
                components) -> float:
     perp = perpendicular_speed(state, l, params)
@@ -309,19 +321,6 @@ def _surrogate(state: PhaseState, l: LatticeDirection, params: SystemParams,
             d = _offset_distance(offsets[i], offsets[j], l.width)
             overlap += max(0.0, two_r - d)
     return perp + overlap
-
-
-def distance_to_L(state: PhaseState, l0, params: SystemParams, *,
-                  horizon: float = 10.0) -> float:
-    """Surrogate distance from the degenerate set for direction l0.
-
-    Mass-metric norm of the perpendicular velocity components, plus the
-    summed tube overlaps that the component structure forbids.  Zero
-    exactly on members whose tubes pass the consistency checks.
-    """
-    l = LatticeDirection.from_vector(l0)
-    return _surrogate(state, l, params,
-                      _components(simulate(state, horizon, params)))
 
 
 @dataclass(frozen=True)
@@ -402,15 +401,34 @@ def degeneracy_report(state: PhaseState, params: SystemParams, *,
     Covers the admissible directions for the configured radius (or the
     one given direction): membership verdict, surrogate distance,
     radius flags, and the tube audit for members.
+
+    Membership and the components of the collision graph (proper
+    collisions only) are read from one orbit, first simulated under an
+    event cap of 4(N - 1).  The answer is settled there when every
+    target direction is refuted, by the initial velocities or by a
+    post-collision one, and the graph is connected; neither can change
+    later, so the report equals that of the full horizon.  Otherwise,
+    as for every member, the whole horizon is simulated.  A numerical
+    failure of the engine after the cap of a settled orbit (drift,
+    cascade or overlap) is not raised, since those events are never
+    simulated.
     """
     directions = admissible_directions(params.radius)
     if l0 is not None:
         targets = [LatticeDirection.from_vector(l0)]
     else:
         targets = list(directions)
-    # the horizon's orbit does not depend on the direction
-    traj = simulate(state, horizon, params)
+    # the orbit does not depend on the direction; a capped run that
+    # leaves a direction unrefuted, or the graph split, is run again to
+    # the horizon
+    traj = _capped_orbit(state, params, horizon)
+    if traj.stopped_by_count and any(_parallel_audit(state, l, params, traj)
+                                     for l in targets):
+        traj = simulate(state, horizon, params)
     components = _components(traj)
+    if traj.stopped_by_count and len(components[0]) > 1:
+        traj = simulate(state, horizon, params)
+        components = _components(traj)
     entries = []
     for l in targets:
         ok = _parallel_audit(state, l, params, traj)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (IllConditionedAdvanceError, PerturbationTooLargeError,
-                     SingularSegmentError, TangentialFrameError)
+                     SingularSegmentError, TangentialFrameError,
+                     ValidationError)
 from .events import TrajectorySegment, simulate, symbolic_sequence
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        reduced_space)
@@ -85,9 +86,13 @@ def neutral_space(traj: TrajectorySegment, a: float, b: float, t_ref: float,
     the condition g = perp(w).(B_i - B_j) / |w| is cut away when it
     exceeds rank_rel_tol * max(1, |B_i - B_j|), by restricting C and B
     to the null space of g; nothing is transported through the
-    exponentially growing tangent map.
+    exponentially growing tangent map.  A state at rest has no flow
+    line to compare the space with and raises ``ValidationError``.
     """
     _check_window(traj, a, b, t_ref)
+    if not mass_norm(traj.initial.v.reshape(-1), params) > 0.0:
+        raise ValidationError("neutral_space needs a moving state; "
+                              "every velocity is zero")
     zb = reduced_space(params).basis
     tol = params.tolerances.rank_rel_tol
     coeffs = np.eye(zb.shape[1])

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from hardtorus import degenerate
 from hardtorus.events import reverse_state, simulate, symbolic_sequence
 from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
                                 mass_norm, project_to_Z, reduced_space,
@@ -571,3 +572,49 @@ def ref_lyapunov_spectrum(state, t_max, params, *, reorth_interval=10,
         ses = np.sqrt(var)
     return (np.sort(exponents)[::-1], np.sort(ses)[::-1], len(chunk_rates),
             n_restarts)
+
+
+# ---------------------------------------------------------------------------
+# Full-horizon degeneracy references.  These are the survey and the
+# membership test as they stood before the survey stopped simulating
+# once its answer was settled: one engine run over the whole horizon.
+# The library must give the same answers.
+
+
+def ref_in_L(state, l0, params, *, horizon=100.0):
+    l = degenerate.LatticeDirection.from_vector(l0)
+    if degenerate.perpendicular_speed(state, l, params) > degenerate.PARALLEL_TOL:
+        return False
+    return degenerate._parallel_audit(state, l, params,
+                                      simulate(state, horizon, params))
+
+
+def ref_degeneracy_report(state, params, *, l0=None, horizon=100.0,
+                          max_group=None):
+    directions = degenerate.admissible_directions(params.radius)
+    if l0 is not None:
+        targets = [degenerate.LatticeDirection.from_vector(l0)]
+    else:
+        targets = list(directions)
+    traj = simulate(state, horizon, params)
+    components = degenerate._components(traj)
+    entries = []
+    for l in targets:
+        ok = degenerate._parallel_audit(state, l, params, traj)
+        entry = {
+            "direction": list(l.as_tuple()),
+            "member": ok,
+            "distance": degenerate._surrogate(state, l, params, components),
+            "radius_flags": degenerate.degenerate_radius_check(
+                params, l, max_group=max_group).to_dict(),
+        }
+        if ok:
+            entry["tubes"] = degenerate._audit_tubes(state, l, params,
+                                                     components).to_dict()
+        entries.append(entry)
+    return {
+        "radius": params.radius,
+        "admissible_directions": [list(l.as_tuple()) for l in directions],
+        "horizon": horizon,
+        "entries": entries,
+    }

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ref_degeneracy_report, ref_in_L
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,9 @@ from hardtorus import degenerate
 from hardtorus.degenerate import (RADIUS_MATCH_TOL, LatticeDirection,
                                   admissible_directions,
                                   degeneracy_report, degenerate_radius_check,
-                                  distance_to_L, in_L, perpendicular_speed,
-                                  tube_structure)
+                                  in_L, perpendicular_speed)
 from hardtorus.errors import ValidationError
+from hardtorus.events import simulate
 from hardtorus.geometry import PhaseState, SystemParams, sample_state
 
 C = 1.0 / math.sqrt(2.0)
@@ -23,6 +24,11 @@ def bouncing_member():
     """Vertical head-on pair in two disjoint vertical tubes."""
     return PhaseState(q=[[0.25, 0.0], [0.75, 0.0]],
                       v=[[0.0, C], [0.0, -C]])
+
+
+def shared_member():
+    """Vertical head-on pair in one shared tube."""
+    return PhaseState(q=[[0.5, 0.2], [0.5, 0.7]], v=[[0.0, C], [0.0, -C]])
 
 
 def brute_force_directions(r):
@@ -96,9 +102,7 @@ class TestMembership:
     def test_membership_survives_long_horizon(self):
         member = bouncing_member()
         assert in_L(member, (0, 1), P2, horizon=100.0)
-        shared = PhaseState(q=[[0.5, 0.2], [0.5, 0.7]],
-                            v=[[0.0, C], [0.0, -C]])
-        assert in_L(shared, (0, 1), P2, horizon=100.0)
+        assert in_L(shared_member(), (0, 1), P2, horizon=100.0)
 
     def test_diagonal_member(self):
         # head-on pair along (1, 1), offset perpendicular by half a width
@@ -112,29 +116,40 @@ class TestMembership:
         assert in_L(state, (1, 1), P2, horizon=20.0)
 
 
-class TestTubeStructure:
+def entry_for(state, l0, params, **kwargs):
+    """The report entry of one direction."""
+    return degeneracy_report(state, params, l0=l0, **kwargs)["entries"][0]
+
+
+def audit_ok(tubes):
+    return (tubes["coincide_ok"] and tubes["disjoint_ok"]
+            and tubes["singleton_ok"])
+
+
+class TestTubeAudit:
     def test_disjoint_tubes(self):
-        ts = tube_structure(bouncing_member(), (0, 1), P2)
-        assert ts.k == 2 and ts.all_ok
-        assert abs(ts.tubes[0].offset - 0.75) < 1e-15
-        assert abs(ts.tubes[1].offset - 0.25) < 1e-15
-        assert ts.width == 1.0
+        tubes = entry_for(bouncing_member(), (0, 1), P2)["tubes"]
+        assert len(tubes["components"]) == 2 and audit_ok(tubes)
+        assert abs(tubes["tubes"][0]["offset"] - 0.75) < 1e-15
+        assert abs(tubes["tubes"][1]["offset"] - 0.25) < 1e-15
+        assert tubes["width"] == 1.0
 
     def test_shared_tube_single_component(self):
-        shared = PhaseState(q=[[0.5, 0.2], [0.5, 0.7]],
-                            v=[[0.0, C], [0.0, -C]])
-        ts = tube_structure(shared, (0, 1), P2)
-        assert ts.k == 1 and ts.coincide_ok and ts.all_ok
+        tubes = entry_for(shared_member(), (0, 1), P2)["tubes"]
+        assert len(tubes["components"]) == 1
+        assert tubes["coincide_ok"] and audit_ok(tubes)
 
     def test_singletons_same_tube_equal_velocity(self):
         drift = PhaseState(q=[[0.5, 0.0], [0.5, 0.5]],
                            v=[[0.0, C], [0.0, C]])
-        ts = tube_structure(drift, (0, 1), P2)
-        assert ts.k == 2 and ts.singleton_ok and ts.all_ok
+        tubes = entry_for(drift, (0, 1), P2)["tubes"]
+        assert len(tubes["components"]) == 2
+        assert tubes["singleton_ok"] and audit_ok(tubes)
 
-    def test_non_member_refused(self):
-        with pytest.raises(ValidationError, match="not in the degenerate"):
-            tube_structure(sample_state(3, P2), (0, 1), P2, horizon=5.0)
+    def test_non_member_gets_no_audit(self):
+        # tubes are only flow-invariant on the degenerate set
+        entry = entry_for(sample_state(3, P2), (0, 1), P2, horizon=5.0)
+        assert not entry["member"] and "tubes" not in entry
 
     def test_overlapping_tube_violation_detected(self):
         # a bouncing pair in one tube and a frozen disk whose tube sits
@@ -146,11 +161,13 @@ class TestTubeStructure:
         state = PhaseState(q=[[0.5, 0.2], [0.5, 0.7], [0.6, 0.0]],
                            v=[[0.0, C], [0.0, -C], [0.0, 0.0]])
         assert in_L(state, (0, 1), p3, horizon=0.25)
-        ts = tube_structure(state, (0, 1), p3, horizon=0.25)
-        assert ts.k == 2
-        assert not ts.disjoint_ok
-        assert not ts.all_ok
-        assert ts.disjoint_violations
+        entry = entry_for(state, (0, 1), p3, horizon=0.25)
+        assert entry["member"]
+        tubes = entry["tubes"]
+        assert len(tubes["components"]) == 2
+        assert not tubes["disjoint_ok"]
+        assert not audit_ok(tubes)
+        assert tubes["disjoint_violations"]
 
     def test_singleton_violation_detected(self):
         # two drifting singletons share overlapping tubes but move at
@@ -158,18 +175,14 @@ class TestTubeStructure:
         # velocity escape applies
         state = PhaseState(q=[[0.5, 0.0], [0.55, 0.5]],
                            v=[[0.0, C], [0.0, -C]])
-        ts = tube_structure(state, (0, 1), P2, horizon=0.2)
-        assert not ts.singleton_ok
-        assert not ts.all_ok
-
-    def test_serializes(self):
-        ts = tube_structure(bouncing_member(), (0, 1), P2)
-        json.dumps(ts.to_dict())
+        tubes = entry_for(state, (0, 1), P2, horizon=0.2)["tubes"]
+        assert not tubes["singleton_ok"]
+        assert not audit_ok(tubes)
 
 
 class TestDistance:
     def test_member_at_zero(self):
-        assert distance_to_L(bouncing_member(), (0, 1), P2) == 0.0
+        assert entry_for(bouncing_member(), (0, 1), P2)["distance"] == 0.0
 
     def test_rotated_velocity_frozen_value(self):
         theta = 0.3
@@ -177,7 +190,7 @@ class TestDistance:
         rot = PhaseState(q=member.q,
                          v=[[C * math.sin(theta), C * math.cos(theta)],
                             [0.0, -C]])
-        d = distance_to_L(rot, (0, 1), P2, horizon=2.0)
+        d = entry_for(rot, (0, 1), P2, horizon=2.0)["distance"]
         assert abs(d - C * math.sin(theta)) < 1e-12
 
     def test_mass_scaling(self):
@@ -187,12 +200,12 @@ class TestDistance:
                          v=[[C * math.sin(theta), C * math.cos(theta)],
                             [0.0, -C]])
         heavy = SystemParams(masses=(4.0, 1.0), radius=0.1)
-        d = distance_to_L(rot, (0, 1), heavy, horizon=2.0)
+        d = entry_for(rot, (0, 1), heavy, horizon=2.0)["distance"]
         assert abs(d - 2.0 * C * math.sin(theta)) < 1e-12
 
     def test_generic_orbits_bounded_away(self):
-        vals = [distance_to_L(sample_state(50 + k, P2), (0, 1), P2,
-                              horizon=2.0) for k in range(5)]
+        vals = [entry_for(sample_state(50 + k, P2), (0, 1), P2,
+                          horizon=2.0)["distance"] for k in range(5)]
         assert min(vals) > 1e-3
 
 
@@ -288,3 +301,130 @@ class TestReport:
         assert len(rep["entries"]) == 8
         assert all(not e["member"] for e in rep["entries"])
         json.dumps(rep)
+
+
+P3 = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)   # analysis_n3
+P4 = SystemParams(masses=(1.0, 1.1, 0.9, 1.2), radius=0.1)
+
+
+def refuted_late_n2():
+    """Starts parallel to (0, 1); the 1e-15 offset grows until the sixth
+    collision turns a velocity off the line, after the graph connected
+    at the first one."""
+    return PhaseState(q=[[0.5, 0.2], [0.5 + 1e-15, 0.7]],
+                      v=[[0.0, C], [0.0, -C]])
+
+
+def refuted_late_n3():
+    """Three disks on one vertical line, one of them 1e-14 off it: the
+    graph connects at the third collision, (0, 1) is refuted at the
+    twelfth."""
+    return PhaseState(q=[[0.5, 0.1], [0.5 + 1e-14, 0.4], [0.5, 0.7]],
+                      v=[[0.0, 0.6], [0.0, -0.5], [0.0, 0.2]])
+
+
+def connected_late_n3():
+    """A head-on pair sweeping its band slowly up to a disk at rest: the
+    graph connects only at the 118th collision (t = 35.1)."""
+    return PhaseState(q=[[0.2, 0.5], [0.7, 0.5], [0.55, 0.05]],
+                      v=[[1.0, 0.01], [-1.0, 0.01], [0.0, 0.0]])
+
+
+def collisionless_n2():
+    """Equal velocities off every lattice direction: no collision, so
+    the graph never connects."""
+    return PhaseState(q=[[0.25, 0.2], [0.75, 0.6]],
+                      v=[[0.3, 0.4], [0.3, 0.4]])
+
+
+SURVEY_CASES = (
+    [(f"n3-seed{s}", lambda s=s: sample_state(s, P3), P3) for s in range(1, 41)]
+    + [(f"n2-seed{s}", lambda s=s: sample_state(s, P2), P2) for s in (1, 2, 3)]
+    + [(f"n4-seed{s}", lambda s=s: sample_state(s, P4), P4) for s in (1, 2, 3)]
+    + [("bouncing-member", bouncing_member, P2),
+       ("shared-member", shared_member, P2),
+       ("refuted-late-n2", refuted_late_n2, P2),
+       ("refuted-late-n3", refuted_late_n3, P3),
+       ("connected-late-n3", connected_late_n3, P3),
+       ("collisionless", collisionless_n2, P2)])
+
+
+def canonical(report):
+    return json.dumps(report, sort_keys=True)
+
+
+class TestSettledSurvey:
+    """The survey stops simulating once its answer is settled; every
+    answer must equal that of the full-horizon survey."""
+
+    @pytest.mark.parametrize("name, make, params", SURVEY_CASES,
+                             ids=[c[0] for c in SURVEY_CASES])
+    def test_report_equals_full_horizon(self, name, make, params):
+        state = make()
+        assert (canonical(degeneracy_report(state, params))
+                == canonical(ref_degeneracy_report(state, params)))
+        for l0 in ((0, 1), (2, -1)):
+            assert (canonical(degeneracy_report(state, params, l0=l0))
+                    == canonical(ref_degeneracy_report(state, params, l0=l0)))
+        for l in admissible_directions(params.radius):
+            assert in_L(state, l, params) == ref_in_L(state, l, params)
+
+    def test_cases_exercise_the_settle_rule(self):
+        # the constructed cases sit where a one-sided rule goes wrong:
+        # connected while (0, 1) still reads parallel, and refuted
+        # while the graph is still split, both past the first cap
+        for make, params in ((refuted_late_n2, P2), (refuted_late_n3, P3)):
+            full = ref_degeneracy_report(make(), params, l0=(0, 1))
+            assert not full["entries"][0]["member"]
+            cap = degenerate._SETTLE_EVENTS_PER_DISK * (params.n - 1)
+            prefix = simulate(make(), 100.0, params, max_events=cap)
+            assert len(degenerate._components(prefix)[0]) == 1
+            assert degenerate._parallel_audit(make(), LatticeDirection(0, 1),
+                                              params, prefix)
+        cap = degenerate._SETTLE_EVENTS_PER_DISK * (P3.n - 1)
+        prefix = simulate(connected_late_n3(), 100.0, P3, max_events=cap)
+        assert len(degenerate._components(prefix)[0]) == 2
+        assert simulate(collisionless_n2(), 100.0, P2).n_events == 0
+
+    @pytest.mark.parametrize("survey", [
+        lambda state: degeneracy_report(state, P2, l0=(0, 1))[
+            "entries"][0]["member"],
+        lambda state: in_L(state, (0, 1), P2)], ids=["report", "in_L"])
+    @pytest.mark.parametrize("make, caps", [
+        (bouncing_member, [4]),          # collisionless: the cap reaches
+        (shared_member, [4, None])],     # the horizon, else one more call
+        ids=["bouncing", "shared"])
+    def test_member_makes_one_full_horizon_call(self, survey, make, caps,
+                                                monkeypatch):
+        # a member is never refuted: after its capped run it gets one
+        # uncapped call, and exactly one of its calls reaches the horizon
+        calls = []
+        original = degenerate.simulate
+
+        def recording(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            calls.append((kwargs.get("max_events"), traj))
+            return traj
+
+        monkeypatch.setattr(degenerate, "simulate", recording)
+        assert survey(make())
+        assert [cap for cap, _ in calls] == caps
+        reached = [traj for _, traj in calls if not traj.stopped_by_count]
+        assert len(reached) == 1 and reached[0] is calls[-1][1]
+        assert reached[0].t_end == 100.0
+
+    def test_generic_report_settles_in_one_call(self, monkeypatch):
+        # at N = 3 the first cap covers the 2-4 events that refute and
+        # connect an analysis_n3 orbit
+        caps = []
+        original = degenerate.simulate
+
+        def recording(*args, **kwargs):
+            caps.append(kwargs.get("max_events"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(degenerate, "simulate", recording)
+        for seed in range(1, 41):
+            caps.clear()
+            degeneracy_report(sample_state(seed, P3), P3)
+            assert caps == [8]

@@ -228,6 +228,21 @@ class TestSimulate:
         traj = simulate(state, 1e6, P3, max_events=25)
         assert traj.n_events == 25 and traj.stopped_by_count
 
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_capped_run_is_a_prefix(self, seed):
+        # the cap leaves t_max and so the chunk schedule unchanged, so a
+        # capped run is bit for bit the start of the full one; the
+        # degeneracy survey reads capped runs in place of the full one
+        full = simulate(sample_state(seed, P3), 100.0, P3)
+        for cap in (1, 4, 8, 33):
+            part = simulate(sample_state(seed, P3), 100.0, P3, max_events=cap)
+            assert part.stopped_by_count and part.n_events == cap
+            for field in ("ev_t", "ev_pair", "ev_image", "ev_u", "ev_cosphi",
+                          "ev_flags", "ev_q", "ev_v_pre", "ev_v_post"):
+                assert (getattr(part, field).tobytes()
+                        == getattr(full, field)[:cap].tobytes()), field
+            assert part.final.v.tobytes() == full.ev_v_post[cap - 1].tobytes()
+
     @pytest.mark.parametrize("max_events", [0, -3])
     def test_max_events_below_one_refused(self, max_events):
         # the count is checked after each resolved event, so a count

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hardtorus import neutral, tangent
 from hardtorus.errors import (IllConditionedAdvanceError,
-                              PerturbationTooLargeError)
+                              PerturbationTooLargeError, ValidationError)
 from hardtorus.events import simulate, symbolic_sequence
 from hardtorus.geometry import (PhaseState, SystemParams, Tolerances,
                                 mass_inner, mass_norm, project_to_Z,
@@ -95,6 +95,18 @@ class TestNeutralSpace:
         res = neutral_space(traj, 0.0, 4.0, 1.0, p)
         assert res.dimension == 4
         assert res.cut_margins.size == 0 and res.max_kept_residual == 0.0
+
+    def test_state_at_rest_refused(self):
+        # no flow line to compare with: refused up front, not a bare
+        # division by the zero speed
+        p = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
+        state = PhaseState(q=[[0.25, 0.5], [0.75, 0.5], [0.5, 0.125]],
+                           v=np.zeros((3, 2)))
+        traj = simulate(state, 20.0, p)
+        with pytest.raises(ValidationError, match="moving state"):
+            neutral_space(traj, 0.0, 20.0, 0.0, p)
+        with pytest.raises(ValidationError, match="moving state"):
+            is_sufficient(traj, p)
 
     def test_two_disks_sufficient_after_collision(self):
         for seed in range(12):
