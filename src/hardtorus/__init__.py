@@ -3,12 +3,13 @@ hyperbolicity analysis.
 
 Core layers:
 
-- geometry: mass metric, torus wrapping, parameters, states, sampling
+- geometry: mass metric, parameters, states, validation, sampling
 - events: event-driven simulation, collision log, reversibility
 - tangent: collision frames, tangent and normal transport, Q-form
 - neutral: neutral spaces, advances, sufficiency, collision graphs
-- hyperbolic: Q-evolution audits, curvature operators, cone
-  decompositions, Lyapunov spectra, collision rates, z-length
+- hyperbolic: Q-evolution audits and their series (cone ratios
+  included), curvature operators, expansion, Lyapunov spectra,
+  collision rates
 - degenerate: parallel-velocity sets L(l0), tubes, radius degeneracies
 - config / cli: reproducible experiment front end
 
@@ -30,34 +31,29 @@ _EXPORTS = {
     "config": ("ExperimentConfig", "parse_config", "serialize_config"),
     "errors": ("ConfigError", "FeasibilityError",
                "IllConditionedAdvanceError", "NumericalFailureError",
-               "PerturbationTooLargeError", "ResolutionError",
-               "SingularSegmentError", "StateCorruptionError",
-               "TangentialFrameError", "ValidationError"),
+               "PerturbationTooLargeError", "SingularSegmentError",
+               "StateCorruptionError", "TangentialFrameError",
+               "ValidationError"),
     "events": ("TrajectorySegment", "reverse_state", "simulate",
                "symbolic_sequence"),
     "geometry": ("PhaseState", "ReducedSpace", "SystemParams", "Tolerances",
-                 "cylinder_radius", "energy", "mass_inner", "mass_norm",
-                 "min_gap", "min_image", "momentum", "pair_distance",
+                 "energy", "mass_inner", "mass_norm", "min_gap", "momentum",
                  "project_to_Z", "reduced_space", "sample_state",
-                 "torus_delta", "transverse_basis", "validate_params",
-                 "validate_state"),
+                 "transverse_basis", "validate_params", "validate_state"),
     "neutral": ("AdvanceReport", "CollisionGraph", "NeutralSpaceResult",
                 "SufficiencyVerdict", "advance", "advance_report",
-                "collision_graph", "component_stats", "is_sufficient",
-                "neutral_report", "neutral_space", "neutral_translate",
-                "richness_count"),
+                "collision_graph", "is_sufficient", "neutral_report",
+                "neutral_space", "neutral_translate", "richness_count"),
     "tangent": ("CollisionFrame", "NormalVector", "TangentVector",
-                "collision_frame", "frame_for_event", "propagate_normal",
-                "propagate_tangent", "q_of", "reverse_normal", "tangent_map",
-                "transport_between"),
-    "hyperbolic": ("CollisionRateReport", "ConeDecomposition",
-                   "CurvatureOperator", "CurvaturePath", "ExpansionCheck",
-                   "JumpRecord", "LyapunovSpectrum", "QEvolutionAudit",
-                   "collision_rate", "cone_decompose",
+                "frame_for_event", "propagate_normal", "propagate_tangent",
+                "q_of", "reverse_normal", "transport_between"),
+    "hyperbolic": ("CollisionRateReport", "CurvatureOperator",
+                   "CurvaturePath", "ExpansionCheck", "JumpRecord",
+                   "LyapunovSpectrum", "QEvolutionAudit", "collision_rate",
                    "curvature_consistency", "curvature_propagate",
                    "expansion_check", "hyperbolicity_series",
                    "lyapunov_spectrum", "q_evolution_audit", "summary_dict",
-                   "write_series_csv", "z_length"),
+                   "write_series_csv"),
     "degenerate": ("LatticeDirection", "RadiusFlags", "Tube", "TubeStructure",
                    "admissible_directions", "degeneracy_report",
                    "degenerate_radius_check", "in_L", "perpendicular_speed"),

@@ -63,6 +63,9 @@ class ExperimentConfig:
                            tuple(tuple(float(m) for m in row)
                                  for row in self.mass_grid))
         if self.l0 is not None:
+            if not all(float(c).is_integer() for c in self.l0):
+                raise ConfigError(f"l0 entries must be integers, got "
+                                  f"{tuple(self.l0)}")
             object.__setattr__(self, "l0",
                                (int(self.l0[0]), int(self.l0[1])))
             if math.gcd(*self.l0) != 1:

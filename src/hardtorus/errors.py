@@ -38,10 +38,6 @@ class PerturbationTooLargeError(RuntimeError):
     """A configuration translation left the admissible region."""
 
 
-class ResolutionError(ValueError):
-    """Discrete samples are too coarse for the requested computation."""
-
-
 class ConfigError(ValueError):
     """Config text failed to parse or validate.
 

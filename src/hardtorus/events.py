@@ -77,8 +77,6 @@ _SCREEN_MIN_PAIRS = 24
 # Relative margin on the screen's reach, far above the roundoff by which
 # its reach and the solve's can differ.
 _SCREEN_MARGIN = 1e-9
-# Largest |distance - 2r| that resolve_collision accepts as a contact.
-_CONTACT_TOL = 1e-9
 
 
 def _flag_label(bits: int) -> str:
@@ -160,33 +158,6 @@ def _screen(d, w, horizon, two_r):
     widen = 1.0 + _SCREEN_MARGIN
     return np.abs(near) <= (np.abs(w) * (horizon * widen)
                             + (two_r + _REACH_SLACK) * widen)
-
-
-def resolve_collision(state: PhaseState, i: int, j: int, image,
-                      params: SystemParams) -> PhaseState:
-    """Elastic exchange along the contact line; positions unchanged."""
-    if i == j:
-        raise ValueError("a disk cannot collide with itself")
-    i, j = min(i, j), max(i, j)
-    two_r = 2.0 * params.radius
-    d = state.q[i] - state.q[j] + np.asarray(image, dtype=float)
-    dist = math.hypot(d[0], d[1])
-    if abs(dist - two_r) > _CONTACT_TOL:
-        raise ValueError(
-            f"disks ({i}, {j}) not in contact: distance {dist:.17g} vs 2r = {two_r:.17g}")
-    ux, uy = d[0] / dist, d[1] / dist
-    dv = state.v[i] - state.v[j]
-    rad = float(dv[0] * ux + dv[1] * uy)
-    if rad > 1e-12:
-        raise ValueError(f"pair ({i}, {j}) separating: radial velocity {rad:.3g} > 0")
-    mi, mj = params.masses[i], params.masses[j]
-    g = 2.0 * rad / (mi + mj)
-    v = np.array(state.v)
-    v[i, 0] -= mj * g * ux
-    v[i, 1] -= mj * g * uy
-    v[j, 0] += mi * g * ux
-    v[j, 1] += mi * g * uy
-    return PhaseState(state.q, v)
 
 
 @dataclass(frozen=True)
@@ -291,7 +262,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
                          "reverse via reverse_state")
     if max_events is not None and max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events!r}")
-    validate_state(state, params, require_shell=False)
+    validate_state(state, params)
     n = params.n
     m = [float(x) for x in params.masses]
     two_r = 2.0 * params.radius

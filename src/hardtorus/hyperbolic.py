@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import ValidationError
 from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
-                       min_image, reduced_space, transverse_basis)
+                       reduced_space, transverse_basis)
 from .rng import make_generator
 from .tangent import (TangentVector, _carry, _frame_failure, _lazy, _walk,
                       propagate_tangent)
@@ -442,63 +442,23 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
 
 
 # ---------------------------------------------------------------------------
-# cone decomposition
-
-
-@dataclass(frozen=True)
-class ConeDecomposition:
-    """Per-disk split of a tangent vector against a lattice direction.
-
-    Each disk's dq and dv block is resolved into the component along
-    l0 and the exact remainder, so dq_par + dq_perp reproduces dq
-    bitwise; ratios are mass-metric.
-    """
-
-    l0: tuple[int, int]
-    dq_par: np.ndarray
-    dq_perp: np.ndarray
-    dv_par: np.ndarray
-    dv_perp: np.ndarray
-    ratio_q: float
-    ratio_v: float
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratio_q, self.ratio_v)
-
-
-def _lattice_unit(l0) -> tuple[tuple[int, int], np.ndarray]:
-    l0 = (int(l0[0]), int(l0[1]))
-    if l0 == (0, 0):
-        raise ValueError("lattice direction must be nonzero")
-    e = np.array(l0, dtype=float)
-    e /= math.hypot(e[0], e[1])
-    return l0, e
-
-
-def cone_decompose(tau: TangentVector, l0, params: SystemParams) -> ConeDecomposition:
-    l0, e = _lattice_unit(l0)
-
-    def split(x):
-        blocks = np.asarray(x, dtype=float).reshape(-1, 2)
-        par = np.outer(blocks @ e, e).reshape(-1)
-        return par, np.asarray(x, dtype=float).reshape(-1) - par
-
-    dq_par, dq_perp = split(tau.dq)
-    dv_par, dv_perp = split(tau.dv)
-
-    def ratio(par, full):
-        denom = mass_norm(full, params)
-        return float(mass_norm(par, params) / denom) if denom > 0.0 else 0.0
-
-    return ConeDecomposition(
-        l0=l0, dq_par=dq_par, dq_perp=dq_perp, dv_par=dv_par, dv_perp=dv_perp,
-        ratio_q=ratio(dq_par, tau.dq), ratio_v=ratio(dv_par, tau.dv))
+# cone ratios
 
 
 def _cone_ratios(x: np.ndarray, l0, params: SystemParams) -> np.ndarray:
-    """``cone_decompose``'s ratio of each row of a (rows, 2N) stack."""
-    _, e = _lattice_unit(l0)
+    """Share of each row of a (rows, 2N) stack along the lattice direction.
+
+    Each disk's block is projected on the unit vector e of l0, and a row
+    reads the mass-metric norm of that projection over its own norm (0
+    for a zero row).  l0 must be two integers, not both zero; anything
+    else raises ``ValidationError``.
+    """
+    if not all(float(c).is_integer() for c in l0):
+        raise ValidationError(f"l0 entries must be integers, got {tuple(l0)}")
+    e = np.array([int(l0[0]), int(l0[1])], dtype=float)
+    if not e.any():
+        raise ValidationError("l0 must be a nonzero lattice direction")
+    e /= math.hypot(e[0], e[1])
     mw = params.mass_weights
     par = ((x.reshape(len(x), -1, 2) @ e)[:, :, None] * e).reshape(x.shape)
     denom = _mass_norms(x, mw)
@@ -734,28 +694,6 @@ def collision_rate(traj: TrajectorySegment) -> CollisionRateReport:
         ok = abs(r1 - r2) <= 0.1 * max(r1, r2)
     return CollisionRateReport(count=count, t_span=t, rate=rate, c4=c4,
                                window_rates=(r1, r2), bound_ok=ok)
-
-
-def z_length(curve, params: SystemParams) -> float:
-    """Mass-metric configuration length of a sampled curve.
-
-    Steps use the minimum torus image per disk; a per-disk step of
-    0.1 or more is ambiguous on the unit torus and is refused.
-    """
-    states = list(curve)
-    total = 0.0
-    for a, b in zip(states, states[1:]):
-        delta = np.asarray(b.q, dtype=float) - np.asarray(a.q, dtype=float)
-        wrapped = np.empty_like(delta)
-        for k in range(delta.shape[0]):
-            wrapped[k], _ = min_image(delta[k])
-        step = float(np.max(np.hypot(wrapped[:, 0], wrapped[:, 1])))
-        if step >= 0.1:
-            raise ResolutionError(
-                f"configuration step {step:.3g} >= 0.1; sample the curve "
-                "more finely")
-        total += mass_norm(wrapped.reshape(-1), params)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -323,31 +323,6 @@ def richness_count(traj: TrajectorySegment) -> int:
 
 
 @dataclass(frozen=True)
-class ComponentStats:
-    members: tuple[int, ...]
-    total_mass: float
-    avg_velocity: np.ndarray
-    avg_displacement: np.ndarray | None
-
-
-def component_stats(graph: CollisionGraph, state: PhaseState,
-                    params: SystemParams, W=None) -> tuple[ComponentStats, ...]:
-    """Per-component total mass, mass-averaged velocity, and (when a
-    neutral vector is attached) mass-averaged displacement."""
-    m = params.mass_array
-    w = None if W is None else np.asarray(W, dtype=float).reshape(-1, 2)
-    out = []
-    for comp in graph.components:
-        idx = list(comp)
-        mass = float(m[idx].sum())
-        vel = (m[idx, None] * state.v[idx]).sum(axis=0) / mass
-        disp = None if w is None else (m[idx, None] * w[idx]).sum(axis=0) / mass
-        out.append(ComponentStats(members=comp, total_mass=mass,
-                                  avg_velocity=vel, avg_displacement=disp))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class AdvanceReport:
     advances: np.ndarray                 # per event, closed form
     components: tuple[tuple[int, ...], ...]
@@ -389,7 +364,7 @@ def advance_report(traj: TrajectorySegment, W, params: SystemParams,
 
 
 def neutral_translate(state: PhaseState, w0, tau1: float, tau2: float,
-                      params: SystemParams, *, return_direction: bool = False):
+                      params: SystemParams) -> PhaseState:
     """Two-parameter neutral translation of a phase point.
 
     The configuration slides along w0 for length tau1; hitting the
@@ -422,10 +397,7 @@ def neutral_translate(state: PhaseState, w0, tau1: float, tau2: float,
     else:
         q_new = state.q
     scale = 1.0 / math.sqrt(1.0 + tau2 * tau2)
-    out = PhaseState(q=q_new, v=scale * (v_new + tau2 * w).reshape(-1, 2))
-    if return_direction:
-        return out, w
-    return out
+    return PhaseState(q=q_new, v=scale * (v_new + tau2 * w).reshape(-1, 2))
 
 
 def neutral_report(traj: TrajectorySegment, params: SystemParams,

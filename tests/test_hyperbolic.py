@@ -5,23 +5,21 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (grazing_orbit, ref_curvature_propagate,
+from conftest import (grazing_orbit, ref_cone_ratio, ref_curvature_propagate,
                       ref_expansion_check, ref_hyperbolicity_series,
                       ref_lyapunov_spectrum, ref_q_evolution_audit,
                       table_orbit)
 from hardtorus import hyperbolic, tangent
-from hardtorus.errors import (NumericalFailureError, ResolutionError,
-                              ValidationError)
+from hardtorus.errors import NumericalFailureError, ValidationError
 from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
                                 project_to_Z, reduced_space, sample_state,
                                 transverse_basis)
-from hardtorus.hyperbolic import (LyapunovSpectrum, cone_decompose,
-                                  collision_rate,
+from hardtorus.hyperbolic import (LyapunovSpectrum, collision_rate,
                                   curvature_consistency, curvature_propagate,
                                   expansion_check, hyperbolicity_series,
                                   lyapunov_spectrum, q_evolution_audit,
-                                  summary_dict, write_series_csv, z_length)
+                                  summary_dict, write_series_csv)
 from hardtorus.rng import make_generator
 from hardtorus.serialize import canonical_json
 from hardtorus.tangent import (TangentVector, _apply_event, _walk,
@@ -214,37 +212,67 @@ class TestExpansion:
             assert res.min_ratio >= 1.0 - 1e-6
 
 
+def cone_ratios(dq, dv, l0):
+    """The series' cone-ratio columns for the audit of (dq, dv) on a
+    collisionless segment, whose rows are dq + t dv."""
+    traj = collisionless_3()
+    audit = q_evolution_audit(traj, TangentVector(dq, dv), n_samples=8)
+    series = hyperbolicity_series(traj, audit, l0=l0)
+    return series["cone_ratio_q"], series["cone_ratio_v"]
+
+
 class TestConeDecomposition:
+    """The cone ratios of ``hyperbolicity_series``: the mass-metric share
+    of each row along the lattice direction l0."""
+
     def test_allocation_identity(self):
-        rng = make_generator(5, 1)
-        tau = TangentVector(rng.standard_normal(6), rng.standard_normal(6))
-        cd = cone_decompose(tau, (1, 0), P3)
-        assert np.array_equal(cd.dq_par + cd.dq_perp, tau.dq)
-        pyth = abs(mass_norm(cd.dq_par, P3) ** 2
-                   + mass_norm(cd.dq_perp, P3) ** 2
-                   - mass_norm(tau.dq, P3) ** 2)
-        assert pyth <= 1e-12
+        # turning every block by 90 degrees swaps the shares along and
+        # across l0, so the two squared ratios add up to one
+        tau = random_tau()
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+        turned = [(x.reshape(-1, 2) @ turn.T).reshape(-1) for x in (tau.dq, tau.dv)]
+        for a, b in zip(cone_ratios(tau.dq, tau.dv, (2, 1)),
+                        cone_ratios(*turned, (2, 1))):
+            assert np.abs(a * a + b * b - 1.0).max() <= 1e-12
 
     def test_parallel_vector_ratio_one(self):
         rng = make_generator(5, 3)
         e = np.array([2.0, 1.0]) / np.hypot(2.0, 1.0)
         blocks = np.outer(rng.standard_normal(3), e).reshape(-1)
-        cd = cone_decompose(TangentVector(blocks, blocks), (2, 1), P3)
-        assert abs(cd.ratio_q - 1.0) <= 1e-12
-        assert abs(cd.ratio_v - 1.0) <= 1e-12
+        for ratios in cone_ratios(blocks, blocks, (2, 1)):
+            assert np.abs(ratios - 1.0).max() <= 1e-12
 
     def test_perpendicular_vector_ratio_zero(self):
         rng = make_generator(5, 4)
         e = np.array([2.0, 1.0]) / np.hypot(2.0, 1.0)
         blocks = np.outer(rng.standard_normal(3),
                           [-e[1], e[0]]).reshape(-1)
-        cd = cone_decompose(TangentVector(blocks, blocks), (2, 1), P3)
-        assert cd.max_ratio <= 1e-12
+        for ratios in cone_ratios(blocks, blocks, (2, 1)):
+            assert np.abs(ratios).max() <= 1e-12
+
+    def test_zero_row_ratio_zero(self):
+        # dq = 0 makes the first dq row zero; dv = 0 every dv row
+        dq_ratios, dv_ratios = cone_ratios(np.zeros(6), np.zeros(6), (1, 0))
+        assert not dq_ratios.any() and not dv_ratios.any()
+        dq_ratios, _ = cone_ratios(np.zeros(6), random_tau().dv, (1, 0))
+        assert dq_ratios[0] == 0.0 and dq_ratios[1:].all()
 
     def test_zero_direction_refused(self):
         with pytest.raises(ValueError, match="nonzero"):
-            cone_decompose(TangentVector(np.zeros(6), np.zeros(6)),
-                           (0, 0), P3)
+            cone_ratios(np.zeros(6), np.zeros(6), (0, 0))
+
+    @pytest.mark.parametrize("l0", [(1.7, 0.2), (0.5, 0.5), (1, 0.5),
+                                    (math.nan, 1)])
+    def test_non_integer_direction_refused(self, l0):
+        with pytest.raises(ValidationError, match="l0"):
+            cone_ratios(np.zeros(6), np.zeros(6), l0)
+
+    def test_integer_inputs_keep_their_bits(self):
+        tau = random_tau()
+        want = cone_ratios(tau.dq, tau.dv, (2, 1))
+        for l0 in ((np.int64(2), np.int64(1)), (2.0, 1.0), [2, 1]):
+            for a, b in zip(cone_ratios(tau.dq, tau.dv, l0), want):
+                assert a.tobytes() == b.tobytes()
 
 
 def reference_lyapunov(state, t_max, params, *, reorth_interval=10, seed=0):
@@ -494,37 +522,6 @@ class TestCollisionRate:
         assert cr.bound_ok
 
 
-class TestZLength:
-    def test_positive_on_fine_curve(self):
-        traj = eventful()
-        states = [traj.state_at(t) for t in np.linspace(0.0, 1.0, 200)]
-        assert z_length(states, P3) > 0.0
-
-    def test_single_state_zero(self):
-        assert z_length([eventful().initial], P3) == 0.0
-
-    def test_coarse_curve_refused(self):
-        traj = eventful()
-        with pytest.raises(ResolutionError, match="more finely"):
-            z_length([traj.state_at(0.0), traj.state_at(4.0)], P3)
-
-    def test_frozen_step(self):
-        qa = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
-        sa = PhaseState(q=qa, v=np.zeros((3, 2)))
-        sb = PhaseState(q=(qa + np.array([0.05, 0.0])) % 1.0,
-                        v=np.zeros((3, 2)))
-        step = np.zeros(6)
-        step[0::2] = 0.05
-        assert abs(z_length([sa, sb], P3) - mass_norm(step, P3)) <= 1e-15
-
-    def test_polyline_additivity(self):
-        traj = eventful()
-        a, b, c = (traj.state_at(t) for t in (0.0, 0.03, 0.06))
-        whole = z_length([a, b, c], P3)
-        parts = z_length([a, b], P3) + z_length([b, c], P3)
-        assert math.isclose(whole, parts, rel_tol=1e-15)
-
-
 class TestSeriesAndSummary:
     def test_series_keys_and_csv(self, tmp_path):
         traj = eventful()
@@ -556,10 +553,11 @@ class TestSeriesAndSummary:
             assert t == traj.ev_t[crossed[i]]
             assert series["Q"][i] == audit.jumps[crossed[i]].q_pre
             near = propagate_tangent(traj, tau, [t - 1e-9])[0]
-            cone = cone_decompose(near, (1, 0), P3)
-            assert math.isclose(series["cone_ratio_q"][i], cone.ratio_q,
+            assert math.isclose(series["cone_ratio_q"][i],
+                                ref_cone_ratio(near.dq, (1, 0), P3),
                                 rel_tol=1e-6, abs_tol=1e-9)
-            assert math.isclose(series["cone_ratio_v"][i], cone.ratio_v,
+            assert math.isclose(series["cone_ratio_v"][i],
+                                ref_cone_ratio(near.dv, (1, 0), P3),
                                 rel_tol=1e-6, abs_tol=1e-9)
             assert math.isclose(series["b_eig_min"][i],
                                 path.operator_at(t - 1e-9).eig_min,

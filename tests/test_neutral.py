@@ -17,9 +17,8 @@ from hardtorus.geometry import (PhaseState, SystemParams, Tolerances,
                                 mass_inner, mass_norm, project_to_Z,
                                 reduced_space, sample_state)
 from hardtorus.neutral import (advance, advance_report, collision_graph,
-                               component_stats, is_sufficient, neutral_report,
-                               neutral_space, neutral_translate,
-                               richness_count)
+                               is_sufficient, neutral_report, neutral_space,
+                               neutral_translate, richness_count)
 from hardtorus.tangent import (TangentVector, _apply_event_inverse,
                                frame_for_event, propagate_tangent,
                                transport_between)
@@ -404,17 +403,6 @@ class TestCollisionGraph:
         traj = simulate(sample_state(3, P2B), 8.0, P2B)
         assert richness_count(traj) == len(symbolic_sequence(traj))
 
-    def test_component_stats(self):
-        state = tube_state()
-        graph = collision_graph(symbolic_sequence(tube_traj()), 3)
-        Wv = unit_neutral([0, 1, 0, -1, 0, 0], P3)
-        stats = component_stats(graph, state, P3, W=Wv)
-        assert stats[0].members == (0, 1) and stats[1].members == (2,)
-        assert abs(stats[0].total_mass - 2.0) < 1e-15
-        assert np.allclose(stats[0].avg_velocity, [0.0, 0.0], atol=1e-15)
-        assert np.allclose(stats[1].avg_velocity, [0.0, 0.0], atol=1e-15)
-        assert np.allclose(stats[0].avg_displacement, [0.0, 0.0], atol=1e-15)
-
 
 class TestNeutralTranslate:
     def test_identity_at_zero(self):
@@ -434,12 +422,17 @@ class TestNeutralTranslate:
         state = PhaseState(q=[[0.3, 0.5], [0.6, 0.5]],
                            v=[[0.0, C], [0.0, -C]])
         wB = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
-        out, wref = neutral_translate(state, wB, 0.12, 0.0, P2,
-                                      return_direction=True)
-        assert np.allclose(wref, -wB, atol=1e-12)
+        out = neutral_translate(state, wB, 0.12, 0.0, P2)
         gap = out.q[0] - out.q[1]
         assert math.hypot(gap[0], gap[1]) >= 2 * P2.radius - 1e-12
         assert np.allclose(out.v, state.v, atol=1e-12)
+        # with tau2 != 0 the velocity leans on the sweep's final direction,
+        # which the contact has reflected to -wB
+        tau2 = 0.5
+        leaned = neutral_translate(state, wB, 0.12, tau2, P2)
+        assert np.array_equal(leaned.q, out.q)
+        w_end = (math.sqrt(1.0 + tau2 * tau2) * leaned.v - out.v).reshape(-1) / tau2
+        assert np.allclose(w_end, -wB, atol=1e-12)
 
     def test_input_checks(self):
         state = tube_state()
