@@ -125,7 +125,7 @@ def _run_lyapunov(config: ExperimentConfig, out_dir: Path) -> dict:
         state = sample_state(config.seed, params, stream=k)
         spec = lyapunov_spectrum(state, config.t_max, params,
                                  reorth_interval=config.reorth_interval,
-                                 seed=config.seed + k)
+                                 seed=(config.seed + k) % 2**64)
         runs.append(summary_dict(spectrum=spec)["lyapunov"])
         tops.append(spec.exponents[0])
     data = {"lyapunov": runs[0], "ensemble": runs}

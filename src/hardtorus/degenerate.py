@@ -71,9 +71,9 @@ class LatticeDirection:
         """Coerce a pair of integers, flipping to the canonical sign."""
         if isinstance(l0, cls):
             return l0
-        a, b = (int(round(float(c))) for c in l0)
-        if not (math.isclose(a, float(l0[0])) and math.isclose(b, float(l0[1]))):
-            raise ValidationError("lattice direction entries must be integers")
+        if not all(float(c).is_integer() for c in l0):
+            raise ValidationError(f"l0 entries must be integers, got {tuple(l0)}")
+        a, b = (int(c) for c in l0)
         if a < 0 or (a == 0 and b < 0):
             a, b = -a, -b
         return cls(a, b)

@@ -2,8 +2,11 @@
 
 A tangent vector is a pair (dq, dv) of system vectors; free flight
 shears dq by t*dv, and a collision acts by the mass-metric reflection
-R in the contact normal plus a rank-one scattering term built from the
-cylinder curvature at the contact.  With every operator expressed in
+R in the contact normal plus a scattering term from the curvature of
+the cylinder the pair meets on.  That curvature lives only along the
+cylinder's base circle, so the term is rank one on the colliding
+pair's rows, along a tangent the collision table computes once per
+side of each event.  With every operator expressed in
 the mass metric the transported pair is exactly the derivative of the
 flow map in plain phase coordinates, which is what the finite
 difference tests check.
@@ -107,22 +110,26 @@ class _CollisionTable:
     """Per-event collision data of one segment, vectorised over events.
 
     ``scalars`` holds, per event, mi, mj, s, the base radius, cos_pre
-    and cos_phi, next to ``perp`` and the record's pair and u.  They
-    come from the same elementwise IEEE operations as an event-by-event
-    evaluation, so every frame reads the bits it would compute on its
-    own.  The event's tangent map acts on the colliding pair's eight
-    rows of a (4N, m) stack in mass-orthonormal coordinates (dq rows
-    first) as the 8x8 block [[A, 0], [B, A]], with A the reflection and
-    B = A S the pre-collision scattering: the pair-local collision map
-    of Dellago, Posch & Hoover (PRE 53, 1485, 1996).  The blocks are
-    built on first use, one stack per ``_TABLE_CHUNK`` events, from
-    their lower halves [B, A]; only the stack of the slice last asked
-    for is kept, so walks that only apply the operators never pay for
-    them and a forward walk holds one stack at a time.  Flagged events
-    and events within the tangency tolerance are masked: nothing is
-    divided by their cosines and their blocks stay NaN.  ``perp``,
-    ``scalars``, the block stacks and the per-pair ``rows`` arrays are
-    read-only, since every frame of the table shares them.
+    and cos_phi, next to ``perp`` and the record's pair and u.
+    ``slid`` holds each event's two slid tangents, the base-circle
+    tangent perp slid along u until it is transverse to the incoming
+    (row 0) or outgoing (row 1) relative velocity; the event's
+    scattering term acts along them.  All come from the same elementwise
+    IEEE operations as an event-by-event evaluation, so every frame
+    reads the bits it would compute on its own.  The event's tangent map
+    acts on the colliding pair's eight rows of a (4N, m) stack in
+    mass-orthonormal coordinates (dq rows first) as the 8x8 block
+    [[A, 0], [B, A]], with A the reflection and B = A S the
+    pre-collision scattering: the pair-local collision map of Dellago,
+    Posch & Hoover (PRE 53, 1485, 1996).  The blocks are built on first
+    use, one stack per ``_TABLE_CHUNK`` events, from their lower halves
+    [B, A]; only the stack of the slice last asked for is kept, so walks
+    that only apply the operators never pay for them and a forward walk
+    holds one stack at a time.  Events within the tangency tolerance are
+    masked: nothing is divided by their cosines and their slid tangents
+    stay NaN; flagged events' blocks stay NaN too.  ``perp``,
+    ``scalars``, ``slid``, the block stacks and the per-pair ``rows``
+    arrays are read-only, since every frame of the table shares them.
     """
 
     def __init__(self, traj: TrajectorySegment):
@@ -133,10 +140,11 @@ class _CollisionTable:
         self.v_pre, self.v_post = traj.ev_v_pre, traj.ev_v_post
         self.perp = np.empty((k, 2))
         self.scalars = np.empty((k, 6))
+        self.slid = np.full((k, 2, 2), np.nan)
         for a in range(0, k, _TABLE_CHUNK):
             self._fill_scalars(self._chunk(a))
-        _frozen(self.perp)
-        _frozen(self.scalars)
+        for arr in (self.perp, self.scalars, self.slid):
+            _frozen(arr)
         self._rows = {}
         self._stack_start, self._stack = -1, None
 
@@ -154,13 +162,24 @@ class _CollisionTable:
         s = np.sqrt(1.0 / mi + 1.0 / mj)
         base = 2.0 * params.radius * np.sqrt(mi * mj / (mi + mj))
         w = self._relative(self.v_pre, ev)
-        d_post = self._relative(self.v_post, ev)
-        # cosines pinned to the frame's own dot_nu, so that its boundary
-        # projections send v_pre and v_post to exact zero
+        w_post = self._relative(self.v_post, ev)
+        # (u . w) / s over these cosines is exactly -1 on the incoming
+        # side and +1 on the outgoing one, so the frame's scattering,
+        # which projects along w by that ratio, sends v_pre and v_post
+        # to exact zero
         cos_pre = -((u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) / s)
-        cos_phi = (u[:, 0] * d_post[:, 0] + u[:, 1] * d_post[:, 1]) / s
-        self.perp[ev] = np.stack([-u[:, 1], u[:, 0]], axis=1)
+        cos_phi = (u[:, 0] * w_post[:, 0] + u[:, 1] * w_post[:, 1]) / s
+        perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+        self.perp[ev] = perp
         self.scalars[ev] = np.stack([mi, mj, s, base, cos_pre, cos_phi], axis=1)
+        # t = perp + u (w . perp) / (s cos), with cos = cos_pre on the
+        # incoming side and -cos_phi on the outgoing one
+        ok = np.minimum(cos_pre, cos_phi) > self.tangency_tol
+        u, perp, s = u[ok], perp[ok], s[ok]
+        for side, (v, cos) in enumerate(((w, cos_pre), (w_post, -cos_phi))):
+            v = v[ok]
+            self.slid[ev[ok], side] = perp + u * (
+                (v[:, 0] * perp[:, 0] + v[:, 1] * perp[:, 1]) / (s * cos[ok]))[:, None]
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """dq then dv rows of disks i and j in a (4N, m) stack."""
@@ -190,17 +209,13 @@ class _CollisionTable:
         return self._stack[k - a]
 
     def _blocks(self, ev):
-        mi, mj, s, base, cos_pre, cos_phi = self.scalars[ev].T
-        u, perp = self.u[ev], self.perp[ev]
-        w = self._relative(self.v_pre, ev)
+        mi, mj, s, base, _, cos_phi = self.scalars[ev].T
+        u, t = self.u[ev], self.slid[ev, 0]
         ri, rj = np.sqrt(mi)[:, None], np.sqrt(mj)[:, None]
         # unit contact normal in scaled pair coordinates; A = I - 2 n n^T
         nh = np.concatenate([rj * u, -ri * u], axis=1) / np.sqrt(mi + mj)[:, None]
         refl = np.eye(4) - 2.0 * nh[:, :, None] * nh[:, None, :]
-        # S = c t t^T: t is the base-circle tangent slid along u until it
-        # is transverse to the incoming relative velocity w
-        t = perp + u * ((w[:, 0] * perp[:, 0] + w[:, 1] * perp[:, 1])
-                        / (s * cos_pre))[:, None]
+        # S = c t t^T along the incoming-side slid tangent t
         ct = np.concatenate([t / ri, -t / rj], axis=1)
         coef = 2.0 * cos_phi / (s * s * base)
         act = ct - 2.0 * nh * (nh * ct).sum(axis=1)[:, None]
@@ -213,19 +228,22 @@ class _CollisionTable:
 class CollisionFrame:
     """Operators of one collision in the mass metric.
 
-    nu is the unit configuration normal of the contact, w_hat the unit
-    tangent of the cylinder base circle; reflect is R, curvature the
-    rank-one operator with eigenvalue 1/base_radius on w_hat.  The
-    projections along the incoming and outgoing velocities convert
-    between velocity-transverse vectors and the contact hyperplane.
-    All apply methods accept a flat vector or a (2N, k) stack.
+    The disks meet on a cylinder whose base circle, of radius
+    ``base_radius``, lies in the pair's relative coordinate, so the
+    scattering term is rank one and acts on rows i and j alone: it
+    reads a vector's pair difference d = x_i - x_j, projects it onto
+    the contact line along the side's relative velocity, and writes a
+    multiple of that side's slid tangent back.  ``reflect`` is the
+    mass-metric reflection R in the contact normal.  All apply methods
+    accept a flat vector or a (2N, k) stack.
 
     A frame is a thin read-only view of row k of a collision table:
     building it reads only the two cosines of the tangency check, and
     the other fields are read from the table on first access.
     ``rows`` and ``block`` give its pair-block map on (4N, m) stacks in
-    mass-orthonormal coordinates (see ``_CollisionTable``); they, ``u``
-    and ``perp`` are views of the table's shared read-only storage.
+    mass-orthonormal coordinates (see ``_CollisionTable``); they, ``u``,
+    ``perp`` and ``slid`` are views of the table's shared read-only
+    storage.
     """
 
     def __init__(self, table: _CollisionTable, k: int):
@@ -241,15 +259,13 @@ class CollisionFrame:
         table, k = self._table, self._k
         self.i, self.j = table.pair[k].tolist()
         self.mi, self.mj, self.s, self.base_radius = table.scalars[k, :4].tolist()
-        self.u, self.perp = table.u[k], table.perp[k]
-        self.params = table.params
-        self.mw = table.params.mass_weights
+        self.u, self.perp, self.slid = table.u[k], table.perp[k], table.slid[k]
         return getattr(self, name)
 
-    i, j, mi, mj, s, base_radius, u, perp, params, mw = (
+    i, j, mi, mj, s, base_radius, u, perp, slid = (
         _lazy(lambda f, name=name: f._row(name))
         for name in ("i", "j", "mi", "mj", "s", "base_radius", "u", "perp",
-                     "params", "mw"))
+                     "slid"))
     v_pre = _lazy(lambda f: f._table.v_pre[f._k].reshape(-1))
     v_post = _lazy(lambda f: f._table.v_post[f._k].reshape(-1))
 
@@ -263,35 +279,10 @@ class CollisionFrame:
         """8x8 map [[A, 0], [B, A]] of the collision on ``rows``."""
         return self._table.block(self._k)
 
-    def _pair_vector(self, a):
-        out = np.zeros(2 * self.params.n)
-        out[2 * self.i: 2 * self.i + 2] = a / (self.mi * self.s)
-        out[2 * self.j: 2 * self.j + 2] = -a / (self.mj * self.s)
-        return out
-
-    @_lazy
-    def nu(self):
-        return self._pair_vector(self.u)
-
-    @_lazy
-    def w_hat(self):
-        return self._pair_vector(self.perp)
-
     def _pair_delta(self, x):
         """Block difference x_i - x_j; exact zero on equal blocks, which
         keeps vectors flat along the cylinder generator exactly flat."""
         return (x[2 * self.i: 2 * self.i + 2] - x[2 * self.j: 2 * self.j + 2])
-
-    def dot_nu(self, x):
-        d = self._pair_delta(x)
-        return (self.u[0] * d[0] + self.u[1] * d[1]) / self.s
-
-    def dot_what(self, x):
-        d = self._pair_delta(x)
-        return (self.perp[0] * d[0] + self.perp[1] * d[1]) / self.s
-
-    def _dot(self, a, x):
-        return (self.mw * a) @ x
 
     def reflect(self, x):
         # Impulse form, replicating the elastic exchange operation for
@@ -309,35 +300,30 @@ class CollisionFrame:
         out[j2 + 1] += self.mi * g * self.u[1]
         return out
 
-    def curvature(self, x):
-        return np.multiply.outer(self.w_hat, self.dot_what(x) / self.base_radius)
-
-    def to_boundary_pre(self, x):
-        """Project onto the contact hyperplane along the incoming velocity."""
-        c = self.dot_nu(x) / self.cos_pre
-        return x + np.multiply.outer(self.v_pre, c)
-
-    def from_boundary_pre(self, y):
-        c = self._dot(self.v_pre, y) / self.cos_pre
-        return y + np.multiply.outer(self.nu, c)
-
-    def to_boundary_post(self, x):
-        c = self.dot_nu(x) / self.cos_phi
-        return x - np.multiply.outer(self.v_post, c)
-
-    def from_boundary_post(self, y):
-        c = self._dot(self.v_post, y) / self.cos_phi
-        return y - np.multiply.outer(self.nu, c)
+    def _scatter(self, x, v, cos, t):
+        """2 cos(phi) V* K V on dq, for the side with velocity v, signed
+        cosine cos and slid tangent t.  The projection of d along the
+        relative velocity w divides (u . d) / s by the very cosine the
+        table computed from w, so the side's own velocity maps to exact
+        zero and the flow direction crosses the collision unscattered."""
+        d = self._pair_delta(x)
+        c = (self.u[0] * d[0] + self.u[1] * d[1]) / self.s / cos
+        y = d + np.multiply.outer(self._pair_delta(v), c)
+        k = ((2.0 * self.cos_phi) * (self.perp[0] * y[0] + self.perp[1] * y[1])
+             / (self.s * self.base_radius))
+        tk = np.multiply.outer(t, k)
+        out = np.zeros(np.shape(x))
+        out[2 * self.i: 2 * self.i + 2] = tk / (self.mi * self.s)
+        out[2 * self.j: 2 * self.j + 2] = -tk / (self.mj * self.s)
+        return out
 
     def scatter_pre(self, xq):
-        """2 cos(phi) V* K V applied to a pre-collision dq."""
-        return (2.0 * self.cos_phi) * self.from_boundary_pre(
-            self.curvature(self.to_boundary_pre(xq)))
+        """Scattering term of a pre-collision dq."""
+        return self._scatter(xq, self.v_pre, self.cos_pre, self.slid[0])
 
     def scatter_post(self, xq):
-        """2 cos(phi) V1* K V1 applied to a post-collision dq."""
-        return (2.0 * self.cos_phi) * self.from_boundary_post(
-            self.curvature(self.to_boundary_post(xq)))
+        """Scattering term of a post-collision dq."""
+        return self._scatter(xq, self.v_post, -self.cos_phi, self.slid[1])
 
 
 def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:

@@ -290,6 +290,57 @@ def ref_resolve_collision(state, i, j, image, params):
     return PhaseState(state.q, v)
 
 
+def _is_float(x):
+    return isinstance(x, (float, np.floating))
+
+
+def assert_values_close(ref, got, *, rel, free=(), path=""):
+    """Assert that two nested results agree value by value.
+
+    Walks dicts (equal key sets), lists and tuples (equal lengths) and
+    numpy arrays (equal shapes).  Non-float leaves must be equal; float
+    leaves, and where either side is a float the pair, must agree to
+    ``rel`` times the larger magnitude (NaN matches only NaN).  A path
+    is the dotted chain of dict keys from the root, which list and array
+    elements share with their container; paths named in ``free`` are not
+    compared.
+    """
+    if path in free:
+        return
+    where = path or "<root>"
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and set(ref) == set(got), \
+            f"{where}: keys {sorted(ref)} != {sorted(got)}"
+        for key in ref:
+            assert_values_close(ref[key], got[key], rel=rel, free=free,
+                                path=f"{path}.{key}" if path else str(key))
+    elif isinstance(ref, (list, tuple)):
+        assert isinstance(got, (list, tuple)) and len(ref) == len(got), \
+            f"{where}: lengths differ"
+        for a, b in zip(ref, got):
+            assert_values_close(a, b, rel=rel, free=free, path=path)
+    elif isinstance(ref, np.ndarray) or isinstance(got, np.ndarray):
+        a, b = np.asarray(ref), np.asarray(got)
+        assert a.shape == b.shape, f"{where}: shapes {a.shape} != {b.shape}"
+        if a.dtype.kind == "f" or b.dtype.kind == "f":
+            a, b = a.astype(float), b.astype(float)
+            bound = rel * np.maximum(np.abs(a), np.abs(b))
+            bad = ~((np.abs(a - b) <= bound) | (np.isnan(a) & np.isnan(b)))
+            assert not bad.any(), \
+                f"{where}: {a[bad][0]!r} != {b[bad][0]!r} (rel {rel:g})"
+        else:
+            assert np.array_equal(a, b), f"{where}: {a} != {b}"
+    elif (_is_float(ref) or _is_float(got)) and not (
+            isinstance(ref, bool) or isinstance(got, bool)):
+        a, b = float(ref), float(got)
+        assert (abs(a - b) <= rel * max(abs(a), abs(b))
+                or (math.isnan(a) and math.isnan(b))), \
+            f"{where}: {a!r} != {b!r} (rel {rel:g})"
+    else:
+        assert type(ref) is type(got) and ref == got, \
+            f"{where}: {ref!r} != {got!r}"
+
+
 def stalled_copy(traj, k):
     """traj with the pair of event k given equal incoming velocities."""
     i, j = traj.ev_pair[k]
@@ -523,6 +574,45 @@ def table_orbit(n):
     traj = simulate(sample_state(1, params), 80.0, params)
     assert traj.n_events >= 20
     return traj
+
+
+# ---------------------------------------------------------------------------
+# Projection-form scattering.  This is the collision's scattering term
+# as frames built it before it became pair-local: project dq onto the
+# contact hyperplane along the side's velocity, apply the rank-one
+# curvature operator with eigenvalue 1 / base_radius on the unit
+# base-circle tangent w_hat, and project back along the unit contact
+# normal nu.  The library's pair-local form must agree to roundoff.
+
+
+def _ref_scatter(frame, xq, params, v, cos, sign):
+    i2, j2 = 2 * frame.i, 2 * frame.j
+
+    def pair_vector(a):
+        out = np.zeros(2 * params.n)
+        out[i2: i2 + 2] = a / (frame.mi * frame.s)
+        out[j2: j2 + 2] = -a / (frame.mj * frame.s)
+        return out
+
+    def dot(a, x):
+        d = x[i2: i2 + 2] - x[j2: j2 + 2]
+        return (a[0] * d[0] + a[1] * d[1]) / frame.s
+
+    nu, w_hat = pair_vector(frame.u), pair_vector(frame.perp)
+    y = xq + sign * np.multiply.outer(v, dot(frame.u, xq) / cos)
+    z = np.multiply.outer(w_hat, dot(frame.perp, y) / frame.base_radius)
+    c = ((params.mass_weights * v) @ z) / cos
+    return (2.0 * frame.cos_phi) * (z + sign * np.multiply.outer(nu, c))
+
+
+def ref_scatter_pre(frame, xq, params):
+    """2 cos(phi) V* K V applied to a pre-collision dq."""
+    return _ref_scatter(frame, xq, params, frame.v_pre, frame.cos_pre, 1.0)
+
+
+def ref_scatter_post(frame, xq, params):
+    """2 cos(phi) V1* K V1 applied to a post-collision dq."""
+    return _ref_scatter(frame, xq, params, frame.v_post, frame.cos_phi, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hardtorus.config import parse_config
 from hardtorus.errors import NumericalFailureError
 from hardtorus.events import simulate
 from hardtorus.geometry import sample_state
+from hardtorus.serialize import canonical_json
 
 BASE = """\
 [system]
@@ -92,6 +93,21 @@ class TestSubcommands:
         lyap = summary["lyapunov"]
         assert len(lyap["exponents"]) == 2
         assert lyap["exponents"][0] > 0.0
+
+    def test_lyapunov_ensemble_seed_wraps(self, tmp_path):
+        # member k walks with seed (seed + k) mod 2**64, so an ensemble
+        # that starts on the largest seed runs instead of overflowing
+        top = 2**64 - 1
+        text = (COLLISIONLESS.replace("seed = 1", f"seed = {top}")
+                .replace("t_max = 0.01", "t_max = 50")
+                + "[analysis]\nensemble = 2\n")
+        summary = run_cli(tmp_path, "lyapunov", text)
+        assert len(summary["ensemble"]) == 2
+        params = parse_config(text).params
+        spec = hyperbolic.lyapunov_spectrum(
+            sample_state(top, params, stream=1), 50.0, params, seed=0)
+        want = hyperbolic.summary_dict(spectrum=spec)["lyapunov"]
+        assert summary["ensemble"][1] == json.loads(canonical_json(want))
 
     def test_audit(self, tmp_path):
         summary = run_cli(tmp_path, "audit")

@@ -61,6 +61,30 @@ class TestLatticeDirection:
         assert LatticeDirection.from_vector((-1, 2)).as_tuple() == (1, -2)
         assert LatticeDirection.from_vector((0, -1)).as_tuple() == (0, 1)
 
+    def test_from_vector_keeps_integral_inputs(self):
+        for l0 in ((1.0, 0.0), (np.int64(1), np.int32(0)), (-1, 0),
+                   np.array([-1.0, 0.0])):
+            assert LatticeDirection.from_vector(l0).as_tuple() == (1, 0)
+
+    def test_near_integers_refused_everywhere(self):
+        # one integer rule for l0, the one the config and the cone
+        # ratios apply: an entry 1e-10 off an integer is refused, never
+        # rounded onto (1, 0)
+        params = SystemParams(masses=(1.0, 1.0), radius=0.1)
+        state = sample_state(1, params)
+        l0 = (1 + 1e-10, 0)
+        calls = (lambda: LatticeDirection.from_vector(l0),
+                 lambda: degeneracy_report(state, params, l0=l0),
+                 lambda: in_L(state, l0, params),
+                 lambda: perpendicular_speed(state, l0, params),
+                 lambda: degenerate_radius_check(params, l0))
+        for call in calls:
+            with pytest.raises(ValidationError, match="l0 entries must be integers"):
+                call()
+        for bad in ((math.inf, 0), (math.nan, 1), (0.5, 1)):
+            with pytest.raises(ValidationError, match="l0 entries must be integers"):
+                LatticeDirection.from_vector(bad)
+
     def test_from_vector_rejects_non_primitive(self):
         with pytest.raises(ValidationError):
             LatticeDirection.from_vector((2, 4))

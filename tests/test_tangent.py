@@ -1,20 +1,20 @@
 import dataclasses
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 from conftest import (contact_traj, fd_check_window, grazing_orbit,
-                      ref_propagate_tangent, ref_tangent_map, stalled_copy,
-                      table_orbit)
+                      ref_propagate_tangent, ref_scatter_post, ref_scatter_pre,
+                      ref_tangent_map, stalled_copy, table_orbit)
 
 from hardtorus import tangent
 from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
                               TangentialFrameError)
 from hardtorus.events import TrajectorySegment, simulate
-from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
-                                mass_norm, reduced_space, sample_state,
-                                transverse_basis)
+from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
+                                reduced_space, sample_state, transverse_basis)
 from hardtorus.hyperbolic import q_evolution_audit
 from hardtorus.tangent import (NormalVector, TangentVector, _apply_event,
                                _apply_event_inverse, frame_for_event,
@@ -40,17 +40,31 @@ def resting(t=3.0):
     return traj
 
 
+@functools.lru_cache(maxsize=None)
+def table_frames():
+    """Frames of every unflagged event of the N = 2, 3, 5 and 8 table
+    orbits."""
+    return tuple(frame_for_event(traj, k)
+                 for traj in map(table_orbit, (2, 3, 5, 8))
+                 for k in range(traj.n_events) if not traj.ev_flags[k])
+
+
 class TestCollisionFrame:
     def setup_method(self):
         self.traj = eventful()
         self.frames = [frame_for_event(self.traj, k)
                        for k in range(self.traj.n_events)]
 
-    def test_unit_vectors(self):
+    def test_slid_tangents_transverse(self):
+        # each side's slid tangent is perp moved along u, and transverse
+        # to that side's relative velocity
         for f in self.frames:
-            assert math.isclose(mass_norm(f.nu, P3), 1.0, abs_tol=1e-12)
-            assert math.isclose(mass_norm(f.w_hat, P3), 1.0, abs_tol=1e-12)
-            assert abs(mass_inner(f.nu, f.w_hat, P3)) <= 1e-12
+            for t, v in zip(f.slid, (f.v_pre, f.v_post)):
+                w = v[2 * f.i: 2 * f.i + 2] - v[2 * f.j: 2 * f.j + 2]
+                assert abs(t @ w) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(w)
+                slide = t - f.perp
+                assert abs(f.u[0] * slide[1] - f.u[1] * slide[0]) \
+                    <= 1e-15 * np.linalg.norm(t)
 
     def test_base_radius_matches_cylinder(self):
         for f in self.frames:
@@ -67,19 +81,38 @@ class TestCollisionFrame:
             assert np.allclose(f.reflect(rx), x, atol=1e-12)
 
     def test_reflect_reproduces_exchange_bitwise(self):
-        for f in self.frames:
+        for f in self.frames + list(table_frames()):
             assert np.array_equal(f.reflect(f.v_pre), f.v_post)
 
-    def test_boundary_projections_kill_velocities(self):
-        for f in self.frames:
-            assert not np.any(f.to_boundary_pre(f.v_pre))
-            assert not np.any(f.to_boundary_post(f.v_post))
+    def test_scatter_kills_own_velocity(self):
+        # exact zeros: the flow direction crosses every collision
+        # unscattered, which criterion 07's flow advance and the
+        # Lyapunov flow exponent rely on
+        for f in self.frames + list(table_frames()):
+            assert not np.any(f.scatter_pre(f.v_pre))
+            assert not np.any(f.scatter_post(f.v_post))
 
-    def test_curvature_spectrum(self):
-        for f in self.frames:
-            assert np.allclose(f.curvature(f.w_hat),
-                               f.w_hat / f.base_radius, atol=1e-12)
-            assert np.abs(f.curvature(f.nu)).max() <= 1e-14
+    def test_scatter_is_rank_one_on_pair(self):
+        # the term lives on rows i and j, along the side's slid tangent,
+        # with zero total momentum, and vanishes on vectors whose pair
+        # difference is zero
+        rng = np.random.default_rng(1)
+        for f in self.frames + list(table_frames()):
+            n2 = f.v_pre.size
+            i2, j2 = 2 * f.i, 2 * f.j
+            others = np.setdiff1d(np.arange(n2), [i2, i2 + 1, j2, j2 + 1])
+            x = rng.standard_normal((n2, 4))
+            for out, t in ((f.scatter_pre(x), f.slid[0]),
+                           (f.scatter_post(x), f.slid[1])):
+                assert not np.any(out[others])
+                assert np.abs(t[0] * out[i2 + 1] - t[1] * out[i2]).max() \
+                    <= 1e-14 * np.abs(out).max()
+                assert np.allclose(f.mi * out[i2: i2 + 2],
+                                   -f.mj * out[j2: j2 + 2], rtol=1e-14, atol=0.0)
+            flat = x.copy()
+            flat[j2: j2 + 2] = flat[i2: i2 + 2]
+            assert not np.any(f.scatter_pre(flat))
+            assert not np.any(f.scatter_post(flat))
 
     def test_grazing_contact_refused(self):
         traj = grazing_orbit()
@@ -103,18 +136,17 @@ def event_by_event_frame(traj, k):
         d = x[2 * i: 2 * i + 2] - x[2 * j: 2 * j + 2]
         return (u[0] * d[0] + u[1] * d[1]) / s
 
-    def pair_vector(a):
-        out = np.zeros(2 * params.n)
-        out[2 * i: 2 * i + 2] = a / (mi * s)
-        out[2 * j: 2 * j + 2] = -a / (mj * s)
-        return out
+    def slid(v, cos):
+        w = v[i] - v[j]
+        return perp + u * ((w[0] * perp[0] + w[1] * perp[1]) / (s * cos))
 
+    cos_pre = -float(dot_nu(traj.ev_v_pre[k]))
+    cos_phi = float(dot_nu(traj.ev_v_post[k]))
     return {"i": i, "j": j, "mi": mi, "mj": mj, "s": s,
             "base_radius": 2.0 * params.radius * math.sqrt(mi * mj / (mi + mj)),
-            "cos_pre": -float(dot_nu(traj.ev_v_pre[k])),
-            "cos_phi": float(dot_nu(traj.ev_v_post[k])),
-            "u": u, "perp": perp, "nu": pair_vector(u),
-            "w_hat": pair_vector(perp)}
+            "cos_pre": cos_pre, "cos_phi": cos_phi, "u": u, "perp": perp,
+            "slid": np.array([slid(traj.ev_v_pre[k], cos_pre),
+                              slid(traj.ev_v_post[k], -cos_phi)])}
 
 
 class TestCollisionTable:
@@ -129,6 +161,23 @@ class TestCollisionTable:
                 got = getattr(f, name)
                 assert type(got) is type(want), (k, name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_scatter_matches_projection_form(self, n):
+        # the pair-local scattering against the projection-form oracle,
+        # on flat vectors and stacks
+        traj = table_orbit(n)
+        rng = np.random.default_rng(n)
+        for k in range(traj.n_events):
+            if traj.ev_flags[k]:
+                continue
+            f = frame_for_event(traj, k)
+            for x in (rng.standard_normal(2 * n), rng.standard_normal((2 * n, 3))):
+                for got, want in (
+                        (f.scatter_pre(x), ref_scatter_pre(f, x, traj.params)),
+                        (f.scatter_post(x), ref_scatter_post(f, x, traj.params))):
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_block_matches_apply_event(self, n):
