@@ -176,21 +176,13 @@ def in_L(state: PhaseState, l0, params: SystemParams, *,
 
     Velocities only change at collisions, so the check samples the
     initial state, every post-collision snapshot, and the final state.
-    A refuted direction stays refuted, so the orbit is first simulated
-    under an event cap of 4(N - 1); only when no velocity off l0 has
-    appeared by then is the whole horizon simulated, as it is for every
-    member.  A numerical failure of the engine after the cap of a
-    refuted orbit is not raised, since those events are never simulated.
+    An initial velocity off l0 refutes the direction without a run;
+    otherwise the whole horizon is simulated in one engine call.
     """
     l = LatticeDirection.from_vector(l0)
     if perpendicular_speed(state, l, params) > PARALLEL_TOL:
         return False
-    traj = _capped_orbit(state, params, horizon)
-    parallel = _parallel_audit(state, l, params, traj)
-    if parallel and traj.stopped_by_count:
-        parallel = _parallel_audit(state, l, params,
-                                   simulate(state, horizon, params))
-    return parallel
+    return _parallel_audit(state, l, params, simulate(state, horizon, params))
 
 
 def _tube_offset(q_disk, l: LatticeDirection) -> float:

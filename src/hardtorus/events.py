@@ -5,7 +5,7 @@ located as roots of the pairwise distance condition over candidate
 lattice images and resolved by elastic momentum exchange along the
 contact line.  Prediction works in time chunks: every pair is solved
 against all lattice images reachable within the chunk horizon, the
-earliest admissible root per pair enters a priority queue, and after
+earliest admissible time per pair enters a priority queue, and after
 each collision only the pairs touching the two participants are
 re-predicted.  Ties in the queue break lexicographically on the pair.
 
@@ -98,9 +98,10 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
     [-_NEG_ROOT_SLACK, 0) of an approaching pair means the disks overlap
     now, |x| < 2r.  No image outside the bound can hold an admissible
     root.
-    Returns (t, lx, ly, discriminant) or None.  ``guard`` is the lower
-    time cutoff; small negative roots (a contact within rounding of
-    "now", still approaching) clamp to zero when the guard admits them.
+    Returns the earliest admissible time or None; the event finds the
+    image from the wrapped positions.  ``guard`` is the lower time
+    cutoff; small negative roots (a contact within rounding of "now",
+    still approaching) clamp to zero when the guard admits them.
     """
     a = wx * wx + wy * wy
     if a == 0.0 or horizon <= 0.0:
@@ -138,8 +139,8 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
                 t0 = 0.0
             if t0 <= guard or t0 > horizon:
                 continue
-            if best is None or (t0, lx, ly) < (best[0], best[1], best[2]):
-                best = (t0, lx, ly, disc)
+            if best is None or t0 < best:
+                best = t0
     return best
 
 
@@ -214,9 +215,15 @@ class TrajectorySegment:
             q0, v, t0 = self.initial.q, self.initial.v, 0.0
         else:
             q0, v, t0 = self.ev_q[idx], self.ev_v_post[idx], float(self.ev_t[idx])
-        q = (q0 + (t - t0) * v) % 1.0
-        q[q >= 1.0] -= 1.0
-        return PhaseState(q, v)
+        return PhaseState(_wrap(q0 + (t - t0) * v), v)
+
+
+def _wrap(q: np.ndarray) -> np.ndarray:
+    """Positions taken into [0, 1)^2.  A coordinate just below 0 rounds
+    to 1.0 under % 1.0, and is taken to 0 instead."""
+    q = q % 1.0
+    q[q >= 1.0] = 0.0
+    return q
 
 
 def reverse_state(state: PhaseState) -> PhaseState:
@@ -335,8 +342,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
                                  vx[i] - vx[j], vy[i] - vy[j], horizon, two_r,
                                  _SELF_GUARD if pair == self_pair else -1.0)
             if hit is not None:
-                heapq.heappush(heap, (t_now + hit[0], i, j, hit[1], hit[2],
-                                      counters[i], counters[j]))
+                heapq.heappush(heap, (t_now + hit, i, j, counters[i], counters[j]))
 
     def chunk_length():
         vmax = max(map(math.hypot, vx, vy))
@@ -360,12 +366,13 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         ev = None
         while heap:
             cand = heapq.heappop(heap)
-            if counters[cand[1]] == cand[5] and counters[cand[2]] == cand[6]:
+            if counters[cand[1]] == cand[3] and counters[cand[2]] == cand[4]:
                 ev = cand
                 break
         # free flight to the chunk boundary or to the event
         t_next = t_block if ev is None else ev[0]
         dt = t_next - t_now
+        # _wrap's rule, one coordinate at a time
         for k in range(n):
             x = (qx[k] + dt * vx[k]) % 1.0
             y = (qy[k] + dt * vy[k]) % 1.0
@@ -386,8 +393,9 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
         t_ev, i, j = ev[0], ev[1], ev[2]
 
-        # contact vector from the wrapped positions; at contact the
-        # touching image is a minimal one, so a 3x3 stencil suffices
+        # the one image rule: the contact vector from the wrapped
+        # positions; at contact the touching image is a minimal one, so
+        # a 3x3 stencil suffices
         dx0, dy0 = qx[i] - qx[j], qy[i] - qy[j]
         wx, wy = vx[i] - vx[j], vy[i] - vy[j]
         best = None

@@ -275,34 +275,26 @@ def reduced_space(params: SystemParams) -> ReducedSpace:
     return ReducedSpace(2 * (n - 1), basis)
 
 
-def _mass_orthonormal_complement(cols: np.ndarray, params: SystemParams,
-                                 within: np.ndarray) -> np.ndarray:
-    """Mass-orthonormal basis of the complement of span(cols) inside the
-    span of ``within`` (mass-orthonormal columns).
-
-    Scaling coordinates by sqrt(m) turns the mass metric Euclidean, so
-    plain linear algebra applies in between.
-    """
-    scale = np.sqrt(params.mass_weights)
-    coords = (within * scale[:, None]).T @ (cols * scale[:, None])
-    u, svals, _ = np.linalg.svd(np.eye(within.shape[1]) - _proj(coords))
-    return within @ u[:, svals > 0.5]
-
-
-def _proj(cols: np.ndarray) -> np.ndarray:
-    """Euclidean orthogonal projector onto span of the given columns."""
-    q, r = np.linalg.qr(cols)
-    rank = int(np.sum(np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())))
-    q = q[:, :rank]
-    return q @ q.T
+def _null_of_row(g: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (m, m - 1) of the vectors orthogonal to g: the
+    last columns of the Householder reflection that sends g to an axis."""
+    h = g / np.linalg.norm(g)
+    h[0] += math.copysign(1.0, h[0])
+    refl = np.eye(g.size) - np.outer(h, h) / abs(h[0])
+    return refl[:, 1:]
 
 
 def transverse_basis(v, params: SystemParams) -> np.ndarray:
-    """Mass-orthonormal basis of {v}^perp inside Z, dimension 2(N-1)-1."""
-    z = reduced_space(params)
+    """Mass-orthonormal basis of {v}^perp inside Z, dimension 2(N-1)-1:
+    Z's basis times the complement of v's coordinates on it.  A velocity
+    whose part in Z is below rank_rel_tol of its norm (a state at rest,
+    or every disk moving alike) raises ``ValidationError``."""
+    zb = reduced_space(params).basis
     vf = _flat(v)
-    nrm = mass_norm(vf, params)
-    if nrm < 1e-14:
-        raise ValueError("velocity direction is numerically zero")
-    vhat = (vf / nrm)[:, None]
-    return _mass_orthonormal_complement(vhat, params, within=z.basis)
+    coords = (zb.T * params.mass_weights) @ vf
+    cut = params.tolerances.rank_rel_tol * mass_norm(vf, params)
+    if not np.linalg.norm(coords) > cut:
+        raise ValidationError("transverse_basis needs a velocity with a part "
+                              "in Z; a state at rest or a pure translation "
+                              "has none")
+    return zb @ _null_of_row(coords)

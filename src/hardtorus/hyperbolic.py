@@ -56,10 +56,12 @@ class JumpRecord:
 class QEvolutionAudit:
     """Per-row samples of the audited tangent vector.
 
-    A collision time has rows on both sides of the collision;
-    ``collisions_before`` (collisions crossed before each row) tells the
-    incoming row from the outgoing ones.  ``dq_rows`` and ``dv_rows`` are
-    the read-only (rows, 2N) vectors the columns are taken from.
+    The rows are the flights' samples in walk order, so a collision
+    time has two rows: the last of the incoming flight and the first of
+    the outgoing one.  ``collisions_before`` (collisions crossed before
+    each row, the row's flight index) tells them apart.  ``dq_rows`` and
+    ``dv_rows`` are the read-only (rows, 2N) vectors the columns are
+    taken from.
     """
 
     times: np.ndarray
@@ -123,12 +125,12 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     for which the midpoint rule is exact; both residuals are pure
     floating-point noise on a healthy transport.
 
-    Each flight's samples are its two ends and the grid points strictly
-    inside it, at dq + (t - t_a) dv; a collision adds the outgoing row at
-    its time.  The forward carry gives the flight starts, the outgoing
-    vectors and the scattering terms, and refuses a non-finite vector
-    with ``NumericalFailureError`` naming the event; the rows and
-    residuals are then taken over whole stacks.
+    The rows are each flight's samples: its two ends and the grid points
+    strictly inside it, at dq + (t - t_a) dv.  A collision's incoming row
+    ends its flight and its outgoing row starts the next.  The forward
+    carry gives the flight starts and the scattering terms, and refuses
+    a non-finite vector with ``NumericalFailureError`` naming the event;
+    the rows and residuals are then taken over whole stacks.
     """
     params = traj.params
     mw = params.mass_weights
@@ -137,8 +139,7 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     t_a, t_b, start_q, start_v, _, scatter = zip(*_carry(traj, tau0.dq, tau0.dv))
     ta, tb = np.array(t_a), np.array(t_b)
     sq, sv = np.array(start_q), np.array(start_v)
-    # the carry crosses every event in order; each collision's outgoing
-    # vector starts the next flight
+    # the carry crosses every event in order
     n_ev = ta.size - 1
     pairs = map(tuple, traj.ev_pair[:n_ev].tolist())
     scatter = np.array(scatter[:-1], dtype=float).reshape(n_ev, sq.shape[1])
@@ -155,21 +156,8 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     t = grid[np.clip(lo[fl] + at - 1, 0, grid.size - 1)]
     t[first] = ta
     t[last] = tb
-    s_dv = sv[fl]
-    s_dq = sq[fl] + (t - ta[fl])[:, None] * s_dv
-
-    # every row in walk order: each collision's outgoing row follows the
-    # last sample of its incoming flight
-    s_at = np.arange(fl.size) + fl
-    p_at = last[:n_ev] + 1 + np.arange(n_ev)
-
-    def column(samples, posts):
-        out = np.empty((fl.size + n_ev,) + samples.shape[1:], samples.dtype)
-        out[s_at] = samples
-        out[p_at] = posts
-        return out
-
-    dq_rows, dv_rows = column(s_dq, sq[1:]), column(s_dv, sv[1:])
+    dv_rows = sv[fl]
+    dq_rows = sq[fl] + (t - ta[fl])[:, None] * dv_rows
     dq_rows.setflags(write=False)
     dv_rows.setflags(write=False)
     q_values = _mass_dots(dq_rows, dv_rows, mw)
@@ -183,25 +171,27 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     step = t[cur] - t[prev]
     keep = step > 0
     cur, prev, step = cur[keep], prev[keep], step[keep]
-    mid = sq[fl[cur]] + (0.5 * (t[cur] + t[prev]) - ta[fl[cur]])[:, None] * s_dv[cur]
-    rhs = 2.0 * _mass_dots(mid, s_dv[cur], mw) * step
-    n2_s = dq_norms[s_at] * dq_norms[s_at]
-    mid_res = _max_of(np.abs(n2_s[cur] - n2_s[prev] - rhs)
-                      / _local_scale(n2_s[cur], n2_s[prev]))
+    dv_cur = dv_rows[cur]
+    mid = sq[fl[cur]] + (0.5 * (t[cur] + t[prev]) - ta[fl[cur]])[:, None] * dv_cur
+    rhs = 2.0 * _mass_dots(mid, dv_cur, mw) * step
+    n2 = dq_norms * dq_norms
+    mid_res = _max_of(np.abs(n2[cur] - n2[prev] - rhs)
+                      / _local_scale(n2[cur], n2[prev]))
 
     # Q increment over each whole flight against dt * ||dv||^2
     q_start = _mass_dots(sq, sv, mw)
-    q_end = q_values[s_at[last]]
-    f_nv = dv_norms[s_at[first]]
+    q_end = q_values[last]
+    f_nv = dv_norms[first]
     flight_res = _max_of(np.abs(q_end - q_start - (tb - ta) * (f_nv * f_nv))
                          / _local_scale(np.abs(q_end), np.abs(q_start)))
 
-    p_q = q_values[p_at]
+    # a collision's Q jumps from its flight's last row to the next
+    # flight's first
     jumps = []
     jump_defect = 0.0
     for t_ev, pair, q_pre, q_post, formula in zip(
-            t_b, pairs, q_end.tolist(), p_q.tolist(),
-            _mass_dots(scatter, dq_rows[s_at[last[:n_ev]]], mw).tolist()):
+            t_b, pairs, q_end.tolist(), q_values[first[1:]].tolist(),
+            _mass_dots(scatter, dq_rows[last[:n_ev]], mw).tolist()):
         jumps.append(JumpRecord(t=t_ev, pair=pair, q_pre=q_pre,
                                 q_post=q_post, jump=q_post - q_pre,
                                 formula=formula))
@@ -212,9 +202,9 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         default=0.0)
 
     return QEvolutionAudit(
-        times=column(t, tb[:n_ev]), dq_rows=dq_rows, dv_rows=dv_rows,
+        times=t, dq_rows=dq_rows, dv_rows=dv_rows,
         q_values=q_values, dq_norms=dq_norms, dv_norms=dv_norms,
-        collisions_before=column(fl, np.arange(1, n_ev + 1)),
+        collisions_before=fl,
         jumps=tuple(jumps), max_flight_residual=flight_res,
         max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
         min_jump_relative=min_jump_rel)

@@ -21,9 +21,9 @@ import numpy as np
 from .errors import (IllConditionedAdvanceError, PerturbationTooLargeError,
                      SingularSegmentError, TangentialFrameError,
                      ValidationError)
-from .events import TrajectorySegment, simulate, symbolic_sequence
-from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
-                       reduced_space)
+from .events import TrajectorySegment, _wrap, simulate, symbolic_sequence
+from .geometry import (PhaseState, SystemParams, _null_of_row, mass_inner,
+                       mass_norm, reduced_space)
 from .tangent import _walk, frame_for_event, transport_between
 
 _EDGE_GUARD = 1e-6          # keep reference times away from collisions
@@ -60,15 +60,6 @@ class NeutralSpaceResult:
     cut_margins: np.ndarray
     max_kept_residual: float
     flow_residual: float
-
-
-def _null_of_row(g: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (m, m - 1) of the vectors orthogonal to g: the
-    last columns of the Householder reflection that sends g to an axis."""
-    h = g / np.linalg.norm(g)
-    h[0] += math.copysign(1.0, h[0])
-    refl = np.eye(g.size) - np.outer(h, h) / abs(h[0])
-    return refl[:, 1:]
 
 
 def neutral_space(traj: TrajectorySegment, a: float, b: float, t_ref: float,
@@ -253,7 +244,7 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
             else 0.5 * (traj.t_end - t_k)
         times = []
         for sgn in (+1.0, -1.0):
-            pert = PhaseState(q=(ref_state.q + sgn * eps * w) % 1.0, v=ref_state.v)
+            pert = PhaseState(q=_wrap(ref_state.q + sgn * eps * w), v=ref_state.v)
             seg = simulate(pert, horizon, params)
             if seg.n_events <= k_local or \
                     tuple(seg.ev_pair[k_local]) != (i, j):

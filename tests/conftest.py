@@ -465,7 +465,6 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
                                 formula=formula))
         jump_defect = max(jump_defect, abs((q_post - q_end) - formula)
                           / max(1.0, abs(q_post), abs(q_end)))
-        record(t_b, dq_post, dv_post)
         dq, dv = dq_post, dv_post
 
     min_jump_rel = min(
@@ -479,6 +478,24 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
         jumps=tuple(jumps), max_flight_residual=flight_res,
         max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
         min_jump_relative=min_jump_rel)
+
+
+def ref_transverse_basis(v, params):
+    """Mass-orthonormal basis of {v}^perp inside Z, by the projector
+    form: a QR projector onto v's coordinates on Z's basis, then the
+    SVD of its complement.  ``geometry.transverse_basis`` takes the
+    Householder complement of the same coordinates instead; the two
+    bases differ, but span the same space."""
+    zb = reduced_space(params).basis
+    vf = np.asarray(v, dtype=float).reshape(-1)
+    scale = np.sqrt(params.mass_weights)
+    vhat = vf / mass_norm(vf, params)
+    coords = (zb * scale[:, None]).T @ (vhat * scale)[:, None]
+    q, r = np.linalg.qr(coords)
+    rank = int(np.sum(np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())))
+    proj = q[:, :rank] @ q[:, :rank].T
+    u, svals, _ = np.linalg.svd(np.eye(zb.shape[1]) - proj)
+    return zb @ u[:, svals > 0.5]
 
 
 def ref_curvature_propagate(b0, traj, *, n_samples=64):

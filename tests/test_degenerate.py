@@ -410,18 +410,22 @@ class TestSettledSurvey:
         assert len(degenerate._components(prefix)[0]) == 2
         assert simulate(collisionless_n2(), 100.0, P2).n_events == 0
 
-    @pytest.mark.parametrize("survey", [
-        lambda state: degeneracy_report(state, P2, l0=(0, 1))[
-            "entries"][0]["member"],
-        lambda state: in_L(state, (0, 1), P2)], ids=["report", "in_L"])
+    @pytest.mark.parametrize("survey, capped", [
+        (lambda state: degeneracy_report(state, P2, l0=(0, 1))[
+            "entries"][0]["member"], True),
+        (lambda state: in_L(state, (0, 1), P2), False)],
+        ids=["report", "in_L"])
     @pytest.mark.parametrize("make, caps", [
         (bouncing_member, [4]),          # collisionless: the cap reaches
         (shared_member, [4, None])],     # the horizon, else one more call
         ids=["bouncing", "shared"])
-    def test_member_makes_one_full_horizon_call(self, survey, make, caps,
-                                                monkeypatch):
-        # a member is never refuted: after its capped run it gets one
-        # uncapped call, and exactly one of its calls reaches the horizon
+    def test_member_makes_one_full_horizon_call(self, survey, capped, make,
+                                                caps, monkeypatch):
+        # a member is never refuted: the report's capped run is followed
+        # by one uncapped call unless it reached the horizon, in_L makes
+        # the uncapped call alone, and exactly one call reaches the horizon
+        if not capped:
+            caps = [None]
         calls = []
         original = degenerate.simulate
 

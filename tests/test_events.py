@@ -41,9 +41,10 @@ def assert_same_orbit(a, b):
 def earliest_root_reference(dx, dy, wx, wy, horizon, two_r, guard):
     """The root solve over every image within |w|*h + 2r + 1.0.
 
-    The same root arithmetic, clamp, guard and tie-break as
-    ``events._earliest_root``; only the image enumeration is wider, by a
-    whole lattice spacing.
+    The same root arithmetic, clamp and guard as ``events._earliest_root``
+    over an image enumeration wider by a whole lattice spacing.  Returns
+    (t, lx, ly, discriminant) of the earliest root, ties broken on the
+    image, or None; the library returns the time alone.
     """
     a = wx * wx + wy * wy
     if a == 0.0 or horizon <= 0.0:
@@ -84,6 +85,13 @@ def earliest_root_reference(dx, dy, wx, wy, horizon, two_r, guard):
             if best is None or (t0, lx, ly) < (best[0], best[1], best[2]):
                 best = (t0, lx, ly, disc)
     return best
+
+
+def earliest_time_reference(*args):
+    """The reference solve's earliest time, or None: all that
+    ``events._earliest_root`` returns."""
+    hit = earliest_root_reference(*args)
+    return None if hit is None else hit[0]
 
 
 def head_on():
@@ -299,7 +307,7 @@ class TestSimulate:
     def test_orbit_matches_reference_root_solve(self, monkeypatch, params, t_max):
         state = sample_state(1, params)
         fast = simulate(state, t_max, params)
-        monkeypatch.setattr(events, "_earliest_root", earliest_root_reference)
+        monkeypatch.setattr(events, "_earliest_root", earliest_time_reference)
         ref = simulate(state, t_max, params)
         assert fast.n_events > 100
         assert_same_orbit(fast, ref)
@@ -342,7 +350,7 @@ class TestEarliestRoot:
     def test_matches_reference_on_random_lifts(self, dx, dy, wx, wy, h, two_r,
                                                guard):
         args = (dx, dy, wx, wy, h, two_r, guard)
-        assert _earliest_root(*args) == earliest_root_reference(*args)
+        assert _earliest_root(*args) == earliest_time_reference(*args)
 
     @given(st.floats(0, 2 * math.pi), st.floats(-3, 3), st.floats(-3, 3),
            st.floats(0.01, 1), st.floats(-2e-9, 1.2), st.integers(-3, 3),
@@ -355,37 +363,36 @@ class TestEarliestRoot:
         px, py = two_r * math.cos(angle), two_r * math.sin(angle)
         dx, dy = _contact_case(px, py, wx, wy, frac * h, lx, ly)
         args = (dx, dy, wx, wy, h, two_r, guard)
-        assert _earliest_root(*args) == earliest_root_reference(*args)
+        assert _earliest_root(*args) == earliest_time_reference(*args)
 
     def test_contact_at_zero_clamps(self):
         # overlapping by 1e-12 and approaching: the root at t = -1e-12
         # clamps to 0 when the guard admits it
         args = (0.25 - 1e-12, 0.0, -1.0, 0.0, 0.5, 0.25)
-        hit = _earliest_root(*args, -1.0)
-        assert hit[:3] == (0.0, 0, 0)
-        assert hit == earliest_root_reference(*args, -1.0)
+        assert earliest_root_reference(*args, -1.0)[:3] == (0.0, 0, 0)
+        assert _earliest_root(*args, -1.0) == 0.0
         for guard in (0.0, _SELF_GUARD):
-            assert _earliest_root(*args, guard) == earliest_root_reference(*args, guard)
+            assert earliest_time_reference(*args, guard) is None
             assert _earliest_root(*args, guard) is None
         # a fast pair that touched 5e-10 ago, solved over a tiny horizon
         args = (0.25 - 1e4 * 5e-10, 0.0, -1e4, 0.0, 1e-12, 0.25, -1.0)
-        assert _earliest_root(*args)[:3] == (0.0, 0, 0)
-        assert _earliest_root(*args) == earliest_root_reference(*args)
+        assert earliest_root_reference(*args)[:3] == (0.0, 0, 0)
+        assert _earliest_root(*args) == 0.0
 
     def test_grazing_pass(self):
         # the relative path runs tangent to the contact circle at t = 0.5
         args = (0.5, 0.25, -1.0, 0.0, 1.0, 0.25, 0.0)
-        hit = _earliest_root(*args)
-        assert hit is not None and hit[1:3] == (0, 0)
-        assert math.isclose(hit[0], 0.5, abs_tol=1e-6) and hit[3] < 1e-12
-        assert hit == earliest_root_reference(*args)
+        ref = earliest_root_reference(*args)
+        assert ref is not None and ref[1:3] == (0, 0) and ref[3] < 1e-12
+        t = _earliest_root(*args)
+        assert math.isclose(t, 0.5, abs_tol=1e-6)
+        assert t == ref[0]
 
     def test_root_exactly_at_horizon(self):
         # |x| = |w|*h + 2r exactly: the image sits on the reach bound
         args = (0.5, 0.0, -1.0, 0.0)
-        hit = _earliest_root(*args, 0.25, 0.25, 0.0)
-        assert hit == (0.25, 0, 0, 0.0625)
-        assert hit == earliest_root_reference(*args, 0.25, 0.25, 0.0)
+        assert earliest_root_reference(*args, 0.25, 0.25, 0.0) == (0.25, 0, 0, 0.0625)
+        assert _earliest_root(*args, 0.25, 0.25, 0.0) == 0.25
         h = math.nextafter(0.25, 0.0)
         assert _earliest_root(*args, h, 0.25, 0.0) is None
         assert earliest_root_reference(*args, h, 0.25, 0.0) is None
@@ -428,7 +435,8 @@ class TestScreen:
     def test_reach_edges(self):
         # head-on contact exactly at the horizon h = 1/8, |x| = |w|*h + 2r
         args = (-1.0, 0.0, 0.125, 0.25)
-        assert _earliest_root(0.375, 0.0, *args, 0.0)[:3] == (0.125, 0, 0)
+        assert earliest_root_reference(0.375, 0.0, *args, 0.0)[:3] == (0.125, 0, 0)
+        assert _earliest_root(0.375, 0.0, *args, 0.0) == 0.125
         assert screen_keeps(0.375, 0.0, *args)
         # a lift on the solve's own reach bound is kept, one beyond it
         # by more than the margin is dropped

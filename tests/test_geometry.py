@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ref_min_image, ref_pair_distance, ref_torus_delta
+from conftest import (ref_min_image, ref_pair_distance, ref_torus_delta,
+                      ref_transverse_basis)
 from hardtorus.errors import FeasibilityError, ValidationError
 from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, _pair_gaps, energy,
@@ -150,10 +151,28 @@ class TestReducedSpace:
             assert abs(mass_inner(col, v, P3)) < 1e-12
             assert np.allclose(P3.mass_array @ col.reshape(3, 2), 0.0,
                                atol=1e-12)
+        gram = (basis.T * P3.mass_weights) @ basis
+        assert np.allclose(gram, np.eye(3), rtol=0.0, atol=1e-14)
+        # the projector form spans the same space: its mass projector
+        # onto the span is the same matrix
+        ref = ref_transverse_basis(v, P3)
+        assert np.allclose(basis @ (basis.T * P3.mass_weights),
+                           ref @ (ref.T * P3.mass_weights), rtol=0.0,
+                           atol=1e-14)
 
     def test_transverse_basis_zero_velocity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="at rest"):
             transverse_basis(np.zeros(6), P3)
+
+    def test_transverse_basis_translation(self):
+        # every disk moving alike has no part in Z, so no direction to
+        # exclude: a 2(N-1) - 1 = 3 column basis cannot exist
+        v = np.tile([0.3, 0.1], 3)
+        with pytest.raises(ValidationError, match="pure translation"):
+            transverse_basis(v, P3)
+        # any part in Z above roundoff is enough
+        basis = transverse_basis(v + 1e-6 * project_to_Z(np.arange(6.0), P3), P3)
+        assert basis.shape == (6, 3)
 
 
 class TestValidation:

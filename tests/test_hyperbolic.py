@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (grazing_orbit, ref_cone_ratio, ref_curvature_propagate,
-                      ref_expansion_check, ref_hyperbolicity_series,
-                      ref_lyapunov_spectrum, ref_q_evolution_audit,
-                      table_orbit)
+from conftest import (P3_DYADIC, double_orbit, grazing_orbit, ref_cone_ratio,
+                      ref_curvature_propagate, ref_expansion_check,
+                      ref_hyperbolicity_series, ref_lyapunov_spectrum,
+                      ref_q_evolution_audit, table_orbit)
 from hardtorus import hyperbolic, tangent
-from hardtorus.errors import NumericalFailureError, ValidationError
+from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
+                              ValidationError)
 from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
                                 project_to_Z, reduced_space, sample_state,
@@ -616,6 +617,47 @@ def _segment(case):
     traj = simulate(sample_state(seed, params), t_max, params)
     assert traj.n_events >= 5 and not traj.singular
     return traj, 64
+
+
+def near_double_orbit():
+    """double_orbit with disk 2 held back by 1e-6: it reaches disk 1 about
+    4e-6 after disk 0 does, two regular collisions with no grid point
+    between them."""
+    state = PhaseState(q=[[0.125, 0.5], [0.5, 0.5], [0.5, 0.125 - 1e-6]],
+                       v=[[0.25, 0.0], [0.0, 0.0], [0.0, 0.25]])
+    traj = simulate(state, 20.0, P3_DYADIC)
+    assert not traj.singular and 0.0 < traj.ev_t[1] - traj.ev_t[0] < 1e-5
+    return traj, 64
+
+
+class TestAuditRows:
+    """One row per side of each collision: the incoming flight's last
+    sample and the outgoing flight's first."""
+
+    @pytest.mark.parametrize("case", ["near_double", "event_on_grid",
+                                      "n3_seed1"])
+    def test_each_collision_has_two_rows(self, case):
+        traj, n_samples = (near_double_orbit() if case == "near_double"
+                           else _segment(case))
+        audit = q_evolution_audit(traj, cone_seed(traj.params, 1),
+                                  n_samples=n_samples)
+        crossed = audit.collisions_before
+        for k, t_k in enumerate(traj.ev_t):
+            rows = np.flatnonzero(audit.times == t_k)
+            assert rows.size == 2 and rows[1] == rows[0] + 1
+            assert crossed[rows].tolist() == [k, k + 1]
+            assert audit.q_values[rows[0]] == audit.jumps[k].q_pre
+            assert audit.q_values[rows[1]] == audit.jumps[k].q_post
+        rows = np.column_stack([audit.times, audit.dq_rows, audit.dv_rows])
+        assert not np.any(np.all(rows[1:] == rows[:-1], axis=1))
+
+    def test_double_event_refused(self):
+        # the collisions of a double event share one time; the audit
+        # refuses the segment rather than order rows inside that instant
+        traj = double_orbit()
+        assert traj.singular
+        with pytest.raises(SingularSegmentError):
+            q_evolution_audit(traj, cone_seed(traj.params, 1))
 
 
 class TestStackedMatchesRowReference:

@@ -267,6 +267,17 @@ class TestAdvance:
                 fd = advance(traj, vec, k, P2B, method="finite_difference")
                 assert abs(cf - fd) <= 1e-6
 
+    def test_finite_difference_wraps_below_zero_to_zero(self):
+        # q - eps*W lands 5e-17 below 0, which % 1.0 rounds to 1.0; the
+        # perturbed positions are wrapped by the engine's rule instead
+        state = PhaseState(q=[[1e-6 - 5e-17, 0.25], [0.5, 0.25]],
+                           v=[[0.1, 0.0], [-0.1, 0.0]])
+        traj = simulate(state, 2.0, P2)
+        W = np.array([1.0, 0.0, 0.0, 0.0])
+        assert advance(traj, W, 0, P2) == pytest.approx(5.0, abs=1e-12)
+        fd = advance(traj, W, 0, P2, method="finite_difference")
+        assert abs(fd - 5.0) <= 1e-6
+
     def test_closed_form_linear(self):
         traj = simulate(sample_state(3, P2B), 8.0, P2B)
         W = is_sufficient(traj, P2B).result.basis[:, 0]

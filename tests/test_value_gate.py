@@ -1,14 +1,16 @@
 """The value-level comparison helper, and the gate it gives the
-pair-local scattering: audit outputs under the library's scattering
-and under the projection-form oracle agree to 1e-12 relative."""
+pair-local scattering and the Householder transverse basis: audit
+outputs under the library's forms and under the projection-form
+oracles agree to 1e-12 relative."""
 import csv
 import json
 
 import numpy as np
 import pytest
-from conftest import assert_values_close, ref_scatter_post, ref_scatter_pre
+from conftest import (assert_values_close, ref_scatter_post, ref_scatter_pre,
+                      ref_transverse_basis)
 
-from hardtorus import cli
+from hardtorus import cli, hyperbolic
 from hardtorus.config import parse_config
 from hardtorus.tangent import CollisionFrame
 
@@ -91,6 +93,11 @@ def audit_outputs(out_dir, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_audit_matches_projection_form(tmp_path, monkeypatch, seed):
     got = audit_outputs(tmp_path / "pair_local", seed)
+    # the transverse basis reaches only the curvature operators, whose
+    # eigenvalues do not depend on it: no path is free
+    monkeypatch.setattr(hyperbolic, "transverse_basis", ref_transverse_basis)
+    assert_values_close(audit_outputs(tmp_path / "qr_svd", seed), got,
+                        rel=1e-12)
     for name, oracle in (("scatter_pre", ref_scatter_pre),
                          ("scatter_post", ref_scatter_post)):
         monkeypatch.setattr(CollisionFrame, name, lambda f, x, oracle=oracle:
