@@ -227,14 +227,6 @@ class TubeStructure:
     singleton_ok: bool
     singleton_violations: tuple[tuple[int, int], ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.coincide_ok and self.disjoint_ok and self.singleton_ok
-
     def to_dict(self) -> dict:
         return {
             "direction": list(self.direction.as_tuple()),

@@ -144,10 +144,12 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     pairs = map(tuple, traj.ev_pair[:n_ev].tolist())
     scatter = np.array(scatter[:-1], dtype=float).reshape(n_ev, sq.shape[1])
 
-    # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b
+    # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b;
+    # a zero-length flight (a segment that ends on its last event) holds
+    # its one time once
     lo = np.searchsorted(grid, ta, side="right")
     hi = np.maximum(np.searchsorted(grid, tb, side="left"), lo)
-    size = hi - lo + 2
+    size = np.where(tb > ta, hi - lo + 2, 1)
     first = np.cumsum(size) - size
     last = first + size - 1
     fl = np.repeat(np.arange(ta.size), size)
@@ -233,20 +235,10 @@ class CurvatureOperator:
         inv.setflags(write=False)
         return inv
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    @property
-    def eig_min(self) -> float:
-        return float(self.eigenvalues()[0])
-
     def apply(self, dq, params: SystemParams) -> np.ndarray:
         """dv = B dq for a configuration vector in the transverse space."""
         coeff = (self.basis.T * params.mass_weights) @ np.asarray(dq, dtype=float)
         return self.basis @ (self.matrix @ coeff)
-
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
 
 
 @dataclass(frozen=True)

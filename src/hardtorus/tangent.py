@@ -6,10 +6,9 @@ R in the contact normal plus a scattering term from the curvature of
 the cylinder the pair meets on.  That curvature lives only along the
 cylinder's base circle, so the term is rank one on the colliding
 pair's rows, along a tangent the collision table computes once per
-side of each event.  With every operator expressed in
-the mass metric the transported pair is exactly the derivative of the
-flow map in plain phase coordinates, which is what the finite
-difference tests check.
+event.  With every operator expressed in the mass metric the
+transported pair is exactly the derivative of the flow map in plain
+phase coordinates, which is what the finite difference tests check.
 
 Every walk follows one flight rule: a vector at t inside a flight from
 t_a is (dq + (t - t_a) dv, dv) of the flight's start vector, never
@@ -18,7 +17,12 @@ bit for bit.
 
 Normal vectors (z, w) transport by the adjoint (inverse-transpose)
 rule: w is the configuration component, z the momentum-like one, and
-the form <z, w> never increases along the flow.
+the form <z, w> never increases along the flow.  The tangent map is
+symplectic for <dq, dv'> - <dq', dv> in the mass metric, so its
+inverse transpose is the map itself turned by that form: a normal
+vector moves as the tangent vector (dq, dv) = (w, -z) does, and the
+normal transport reuses the tangent's flight and collision steps
+instead of a collision rule of its own.
 """
 from __future__ import annotations
 
@@ -111,12 +115,12 @@ class _CollisionTable:
 
     ``scalars`` holds, per event, mi, mj, s, the base radius, cos_pre
     and cos_phi, next to ``perp`` and the record's pair and u.
-    ``slid`` holds each event's two slid tangents, the base-circle
-    tangent perp slid along u until it is transverse to the incoming
-    (row 0) or outgoing (row 1) relative velocity; the event's
-    scattering term acts along them.  All come from the same elementwise
-    IEEE operations as an event-by-event evaluation, so every frame
-    reads the bits it would compute on its own.  The event's tangent map
+    ``slid`` holds each event's slid tangent, the base-circle tangent
+    perp slid along u until it is transverse to the incoming relative
+    velocity; the event's scattering term acts along it.  All come from
+    the same elementwise IEEE operations as an event-by-event
+    evaluation, so every frame reads the bits it would compute on its
+    own.  The event's tangent map
     acts on the colliding pair's eight rows of a (4N, m) stack in
     mass-orthonormal coordinates (dq rows first) as the 8x8 block
     [[A, 0], [B, A]], with A the reflection and B = A S the
@@ -140,7 +144,7 @@ class _CollisionTable:
         self.v_pre, self.v_post = traj.ev_v_pre, traj.ev_v_post
         self.perp = np.empty((k, 2))
         self.scalars = np.empty((k, 6))
-        self.slid = np.full((k, 2, 2), np.nan)
+        self.slid = np.full((k, 2), np.nan)
         for a in range(0, k, _TABLE_CHUNK):
             self._fill_scalars(self._chunk(a))
         for arr in (self.perp, self.scalars, self.slid):
@@ -163,23 +167,20 @@ class _CollisionTable:
         base = 2.0 * params.radius * np.sqrt(mi * mj / (mi + mj))
         w = self._relative(self.v_pre, ev)
         w_post = self._relative(self.v_post, ev)
-        # (u . w) / s over these cosines is exactly -1 on the incoming
-        # side and +1 on the outgoing one, so the frame's scattering,
-        # which projects along w by that ratio, sends v_pre and v_post
+        # (u . w) / s over cos_pre is exactly -1, so the frame's
+        # scattering, which projects along w by that ratio, sends v_pre
         # to exact zero
         cos_pre = -((u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) / s)
         cos_phi = (u[:, 0] * w_post[:, 0] + u[:, 1] * w_post[:, 1]) / s
         perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
         self.perp[ev] = perp
         self.scalars[ev] = np.stack([mi, mj, s, base, cos_pre, cos_phi], axis=1)
-        # t = perp + u (w . perp) / (s cos), with cos = cos_pre on the
-        # incoming side and -cos_phi on the outgoing one
+        # t = perp + u (w . perp) / (s cos_pre)
         ok = np.minimum(cos_pre, cos_phi) > self.tangency_tol
-        u, perp, s = u[ok], perp[ok], s[ok]
-        for side, (v, cos) in enumerate(((w, cos_pre), (w_post, -cos_phi))):
-            v = v[ok]
-            self.slid[ev[ok], side] = perp + u * (
-                (v[:, 0] * perp[:, 0] + v[:, 1] * perp[:, 1]) / (s * cos[ok]))[:, None]
+        u, perp, w = u[ok], perp[ok], w[ok]
+        self.slid[ev[ok]] = perp + u * (
+            (w[:, 0] * perp[:, 0] + w[:, 1] * perp[:, 1])
+            / (s[ok] * cos_pre[ok]))[:, None]
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """dq then dv rows of disks i and j in a (4N, m) stack."""
@@ -210,12 +211,12 @@ class _CollisionTable:
 
     def _blocks(self, ev):
         mi, mj, s, base, _, cos_phi = self.scalars[ev].T
-        u, t = self.u[ev], self.slid[ev, 0]
+        u, t = self.u[ev], self.slid[ev]
         ri, rj = np.sqrt(mi)[:, None], np.sqrt(mj)[:, None]
         # unit contact normal in scaled pair coordinates; A = I - 2 n n^T
         nh = np.concatenate([rj * u, -ri * u], axis=1) / np.sqrt(mi + mj)[:, None]
         refl = np.eye(4) - 2.0 * nh[:, :, None] * nh[:, None, :]
-        # S = c t t^T along the incoming-side slid tangent t
+        # S = c t t^T along the slid tangent t
         ct = np.concatenate([t / ri, -t / rj], axis=1)
         coef = 2.0 * cos_phi / (s * s * base)
         act = ct - 2.0 * nh * (nh * ct).sum(axis=1)[:, None]
@@ -231,11 +232,13 @@ class CollisionFrame:
     The disks meet on a cylinder whose base circle, of radius
     ``base_radius``, lies in the pair's relative coordinate, so the
     scattering term is rank one and acts on rows i and j alone: it
-    reads a vector's pair difference d = x_i - x_j, projects it onto
-    the contact line along the side's relative velocity, and writes a
-    multiple of that side's slid tangent back.  ``reflect`` is the
-    mass-metric reflection R in the contact normal.  All apply methods
-    accept a flat vector or a (2N, k) stack.
+    reads a pre-collision vector's pair difference d = x_i - x_j,
+    projects it onto the contact line along the incoming relative
+    velocity, and writes a multiple of the event's one slid tangent
+    back.  The outgoing side needs no rule of its own: its term is the
+    reflection of the incoming term of the reflected vector.
+    ``reflect`` is the mass-metric reflection R in the contact normal.
+    All apply methods accept a flat vector or a (2N, k) stack.
 
     A frame is a thin read-only view of row k of a collision table:
     building it reads only the two cosines of the tangency check, and
@@ -300,30 +303,22 @@ class CollisionFrame:
         out[j2 + 1] += self.mi * g * self.u[1]
         return out
 
-    def _scatter(self, x, v, cos, t):
-        """2 cos(phi) V* K V on dq, for the side with velocity v, signed
-        cosine cos and slid tangent t.  The projection of d along the
-        relative velocity w divides (u . d) / s by the very cosine the
-        table computed from w, so the side's own velocity maps to exact
-        zero and the flow direction crosses the collision unscattered."""
-        d = self._pair_delta(x)
-        c = (self.u[0] * d[0] + self.u[1] * d[1]) / self.s / cos
-        y = d + np.multiply.outer(self._pair_delta(v), c)
+    def scatter_pre(self, xq):
+        """Scattering term 2 cos(phi) V* K V of a pre-collision dq.  The
+        projection of d along the incoming relative velocity w divides
+        (u . d) / s by the very cosine the table computed from w, so
+        v_pre maps to exact zero and the flow direction crosses the
+        collision unscattered."""
+        d = self._pair_delta(xq)
+        c = (self.u[0] * d[0] + self.u[1] * d[1]) / self.s / self.cos_pre
+        y = d + np.multiply.outer(self._pair_delta(self.v_pre), c)
         k = ((2.0 * self.cos_phi) * (self.perp[0] * y[0] + self.perp[1] * y[1])
              / (self.s * self.base_radius))
-        tk = np.multiply.outer(t, k)
-        out = np.zeros(np.shape(x))
+        tk = np.multiply.outer(self.slid, k)
+        out = np.zeros(np.shape(xq))
         out[2 * self.i: 2 * self.i + 2] = tk / (self.mi * self.s)
         out[2 * self.j: 2 * self.j + 2] = -tk / (self.mj * self.s)
         return out
-
-    def scatter_pre(self, xq):
-        """Scattering term of a pre-collision dq."""
-        return self._scatter(xq, self.v_pre, self.cos_pre, self.slid[0])
-
-    def scatter_post(self, xq):
-        """Scattering term of a post-collision dq."""
-        return self._scatter(xq, self.v_post, -self.cos_phi, self.slid[1])
 
 
 def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
@@ -347,7 +342,8 @@ def _apply_event(frame, xq, xv):
 
 def _apply_event_inverse(frame, xq, xv):
     """Exact inverse of ``_apply_event`` (outgoing side given)."""
-    return frame.reflect(xq), frame.reflect(xv) - frame.reflect(frame.scatter_post(xq))
+    bq = frame.reflect(xq)
+    return bq, frame.reflect(xv) - frame.scatter_pre(bq)
 
 
 def _frame_failure(traj: TrajectorySegment, k: int,
@@ -530,14 +526,15 @@ def propagate_normal(traj: TrajectorySegment, n0: NormalVector) -> NormalTranspo
     times, q_pre, q_post, logs, q_start, zz_start = [], [], [], [], [], []
     q_initial = float((mw * z) @ w)
     zz_initial = float((mw * z) @ z)
+    # (w, -z) is a tangent vector: the tangent's flight and collision
+    # steps move it (see the module docstring)
     for t_a, t_b, k, frame in _walk(traj):
         w = w - (t_b - t_a) * z
         if frame is None:
             break
         q_pre.append(float((mw * z) @ w))
-        rw = frame.reflect(w)
-        z = frame.reflect(z) - frame.scatter_post(rw)
-        w = rw
+        w, mz = _apply_event(frame, w, -z)
+        z = -mz
         q_post.append(float((mw * z) @ w))
         scale = math.sqrt(float((mw * z) @ z + (mw * w) @ w))
         z /= scale

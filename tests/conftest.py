@@ -22,7 +22,8 @@ from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
                                   ExpansionCheck, JumpRecord, QEvolutionAudit,
                                   _as_operator_matrix)
 from hardtorus.rng import make_generator
-from hardtorus.tangent import (_TABLE_CHUNK, TangentVector, _apply_event,
+from hardtorus.tangent import (_TABLE_CHUNK, NormalTransportResult,
+                               NormalVector, TangentVector, _apply_event,
                                _CollisionTable, _walk, propagate_tangent)
 
 
@@ -136,6 +137,20 @@ def neutral_deviations(traj, w, a, b, t_ref, params, eps=1e-5):
 # Exact dyadic set-ups with r = 1/8 (2r = 1/4), so the contacts of
 # grazing_orbit and double_orbit happen at exactly t = 1/2.
 P3_DYADIC = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.125)
+
+
+def clean_segments(params, t, count, start_seed=0, min_events=1):
+    """First ``count`` nonsingular segments from consecutive seeds."""
+    out = []
+    seed = start_seed
+    while len(out) < count and seed < start_seed + 20 * count:
+        traj = simulate(sample_state(seed, params), t, params)
+        seed += 1
+        if traj.singular or traj.n_events < min_events:
+            continue
+        out.append(traj)
+    assert len(out) == count
+    return out
 
 
 def grazing_orbit():
@@ -434,7 +449,7 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
 
     for t_a, t_b, k, frame in _walk(traj):
         inner = grid[(grid > t_a) & (grid < t_b)]
-        samples = np.r_[t_a, inner, t_b]
+        samples = np.r_[t_a, inner, t_b] if t_b > t_a else np.r_[t_a]
         prev_t, prev_dq = None, None
         for t in samples:
             dq_t = dq + (t - t_a) * dv
@@ -630,6 +645,42 @@ def ref_scatter_pre(frame, xq, params):
 def ref_scatter_post(frame, xq, params):
     """2 cos(phi) V1* K V1 applied to a post-collision dq."""
     return _ref_scatter(frame, xq, params, frame.v_post, frame.cos_phi, -1.0)
+
+
+def ref_propagate_normal(traj, n0):
+    """propagate_normal with its own collision rule: the outgoing-side
+    scattering z <- R z - scatter_post(R w), then w <- R w, with the
+    projection-form scattering.  The library instead moves (w, -z) by the
+    tangent's incoming-side step; the two agree to roundoff."""
+    params = traj.params
+    mw = params.mass_weights
+    z, w = np.array(n0.z), np.array(n0.w)
+    log_scale = 0.0
+    times, q_pre, q_post, logs, q_start, zz_start = [], [], [], [], [], []
+    q_initial, zz_initial = float((mw * z) @ w), float((mw * z) @ z)
+    for t_a, t_b, _, frame in _walk(traj):
+        w = w - (t_b - t_a) * z
+        if frame is None:
+            break
+        q_pre.append(float((mw * z) @ w))
+        rw = frame.reflect(w)
+        z = frame.reflect(z) - ref_scatter_post(frame, rw, params)
+        w = rw
+        q_post.append(float((mw * z) @ w))
+        scale = math.sqrt(float((mw * z) @ z + (mw * w) @ w))
+        z /= scale
+        w /= scale
+        log_scale += math.log(scale)
+        times.append(t_b)
+        logs.append(log_scale)
+        q_start.append(float((mw * z) @ w))
+        zz_start.append(float((mw * z) @ z))
+    return NormalTransportResult(
+        times=np.array(times), q_pre=np.array(q_pre), q_post=np.array(q_post),
+        log_scale=np.array(logs), q_start=np.array(q_start),
+        zz_start=np.array(zz_start), q_initial=q_initial, zz_initial=zz_initial,
+        final=NormalVector(z, w), final_log_scale=log_scale,
+        final_q=float((mw * z) @ w))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from conftest import fd_check_window
+from conftest import clean_segments, fd_check_window
 
 from hardtorus import cli
 from hardtorus.degenerate import (admissible_directions,
@@ -31,20 +31,6 @@ from hardtorus.tangent import (NormalVector, TangentVector, propagate_normal,
 C = 1.0 / math.sqrt(2.0)
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
-
-
-def clean_segments(params, t, count, start_seed=0, min_events=1):
-    """First ``count`` nonsingular segments from consecutive seeds."""
-    out = []
-    seed = start_seed
-    while len(out) < count and seed < start_seed + 20 * count:
-        traj = simulate(sample_state(seed, params), t, params)
-        seed += 1
-        if traj.singular or traj.n_events < min_events:
-            continue
-        out.append(traj)
-    assert len(out) == count
-    return out
 
 
 def test_criterion_01_conservation():

@@ -415,6 +415,75 @@ class TestCollisionGraph:
         assert richness_count(traj) == len(symbolic_sequence(traj))
 
 
+def degenerate_member(l0, masses, q, speeds):
+    """An exact member of L(l0): disk i sits at q[i] and moves along the
+    unit vector of l0 with speed speeds[i] less the mass-weighted mean,
+    so the total momentum is zero.  Disks in one tube meet head-on, with
+    contact normals exactly +-l0, so the float orbit stays a member."""
+    params = SystemParams(masses=masses, radius=0.1)
+    m, s = np.array(masses), np.array(speeds)
+    e = np.array(l0, dtype=float) / math.hypot(*l0)
+    state = PhaseState(q=q, v=np.outer(s - (m @ s) / m.sum(), e))
+    return params, state, e
+
+
+# (l0, masses, positions, speeds), in the order of the tube groupings
+# of MEMBER_IDS
+MEMBER_IDS = ["01-2+1", "01-3", "01-1+1+1", "01-2+2", "01-3+2",
+              "10-2+1+1", "10-2+2", "11-2+1", "11-3"]
+DEGENERATE_MEMBERS = [
+    ((0, 1), (1.0, 1.3, 0.7), [[0.25, 0.1], [0.25, 0.6], [0.75, 0.3]],
+     [0.4, -0.3, 0.2]),
+    ((0, 1), (1.0, 1.3, 0.7), [[0.5, 0.1], [0.5, 0.4], [0.5, 0.75]],
+     [0.5, -0.2, 0.1]),
+    ((0, 1), (1.0, 1.3, 0.7), [[1 / 6, 0.1], [0.5, 0.3], [5 / 6, 0.7]],
+     [0.8, -0.5, 0.3]),
+    ((0, 1), (1.0, 1.3, 0.7, 0.9),
+     [[0.25, 0.1], [0.25, 0.6], [0.75, 0.3], [0.75, 0.8]],
+     [0.4, -0.3, 0.2, -0.35]),
+    ((0, 1), (1.0, 1.3, 0.7, 0.9, 1.1),
+     [[0.25, 0.1], [0.25, 0.4], [0.25, 0.75], [0.75, 0.3], [0.75, 0.8]],
+     [0.4, -0.3, 0.1, 0.2, -0.35]),
+    ((1, 0), (1.0, 1.3, 0.7, 0.9),
+     [[0.1, 0.2], [0.6, 0.2], [0.3, 0.5], [0.7, 0.8]],
+     [0.4, -0.3, 0.2, -0.1]),
+    ((1, 0), (1.0, 1.3, 0.7, 0.9),
+     [[0.1, 0.2], [0.6, 0.2], [0.3, 0.7], [0.8, 0.7]],
+     [0.4, -0.3, 0.2, -0.35]),
+    ((1, 1), (1.0, 1.3, 0.7), [[0.2, 0.2], [0.65, 0.65], [0.6, 0.1]],
+     [0.4, -0.3, 0.2]),
+    ((1, 1), (1.0, 1.3, 0.7), [[0.1, 0.1], [0.45, 0.45], [0.8, 0.8]],
+     [0.4, -0.3, 0.2]),
+]
+
+
+class TestDegenerateMembers:
+    """On an exact member of L(l0) the neutral space is predictable: a
+    slide of any one disk along l0 keeps every contact head-on, and a
+    common perpendicular slide of one collision-graph component keeps
+    that component's contacts, so after Z removes the two translations
+    the dimension is N + k - 2.  The collisionless case k = N is
+    criterion 07's 2(N - 1)."""
+
+    @pytest.mark.parametrize("member", DEGENERATE_MEMBERS, ids=MEMBER_IDS)
+    def test_dimension_is_n_plus_k_minus_2(self, member):
+        params, state, e = degenerate_member(*member)
+        t_end = 20.0
+        traj = simulate(state, t_end, params)
+        assert not traj.singular
+        k = collision_graph(symbolic_sequence(traj), params.n).k
+        res = neutral_space(traj, 0.0, t_end, 0.0, params)
+        assert res.dimension == params.n + k - 2
+        assert np.all(res.cut_margins >= 0.5)
+        # the slides span what the dimension counts
+        for i in range(params.n):
+            slide = np.zeros((params.n, 2))
+            slide[i] = e
+            x = project_to_Z(slide.reshape(-1), params)
+            kept = res.basis @ ((res.basis.T * params.mass_weights) @ x)
+            assert mass_norm(x - kept, params) <= 1e-12 * mass_norm(x, params), i
+
+
 class TestNeutralTranslate:
     def test_identity_at_zero(self):
         state = tube_state()

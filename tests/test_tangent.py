@@ -5,8 +5,9 @@ import re
 
 import numpy as np
 import pytest
-from conftest import (contact_traj, fd_check_window, grazing_orbit,
-                      ref_propagate_tangent, ref_scatter_post, ref_scatter_pre,
+from conftest import (assert_values_close, clean_segments, contact_traj,
+                      fd_check_window, grazing_orbit, ref_propagate_normal,
+                      ref_propagate_tangent, ref_scatter_pre,
                       ref_tangent_map, stalled_copy, table_orbit)
 
 from hardtorus import tangent
@@ -16,8 +17,9 @@ from hardtorus.events import TrajectorySegment, simulate
 from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
                                 reduced_space, sample_state, transverse_basis)
 from hardtorus.hyperbolic import q_evolution_audit
+from hardtorus.rng import make_generator
 from hardtorus.tangent import (NormalVector, TangentVector, _apply_event,
-                               _apply_event_inverse, frame_for_event,
+                               _apply_event_inverse, _carry, frame_for_event,
                                propagate_normal, propagate_tangent, q_of,
                                reverse_normal, transport_between)
 
@@ -56,15 +58,15 @@ class TestCollisionFrame:
                        for k in range(self.traj.n_events)]
 
     def test_slid_tangents_transverse(self):
-        # each side's slid tangent is perp moved along u, and transverse
-        # to that side's relative velocity
+        # the slid tangent is perp moved along u, and transverse to the
+        # incoming relative velocity
         for f in self.frames:
-            for t, v in zip(f.slid, (f.v_pre, f.v_post)):
-                w = v[2 * f.i: 2 * f.i + 2] - v[2 * f.j: 2 * f.j + 2]
-                assert abs(t @ w) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(w)
-                slide = t - f.perp
-                assert abs(f.u[0] * slide[1] - f.u[1] * slide[0]) \
-                    <= 1e-15 * np.linalg.norm(t)
+            t, v = f.slid, f.v_pre
+            w = v[2 * f.i: 2 * f.i + 2] - v[2 * f.j: 2 * f.j + 2]
+            assert abs(t @ w) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(w)
+            slide = t - f.perp
+            assert abs(f.u[0] * slide[1] - f.u[1] * slide[0]) \
+                <= 1e-15 * np.linalg.norm(t)
 
     def test_base_radius_matches_cylinder(self):
         for f in self.frames:
@@ -90,11 +92,10 @@ class TestCollisionFrame:
         # Lyapunov flow exponent rely on
         for f in self.frames + list(table_frames()):
             assert not np.any(f.scatter_pre(f.v_pre))
-            assert not np.any(f.scatter_post(f.v_post))
 
     def test_scatter_is_rank_one_on_pair(self):
-        # the term lives on rows i and j, along the side's slid tangent,
-        # with zero total momentum, and vanishes on vectors whose pair
+        # the term lives on rows i and j, along the slid tangent, with
+        # zero total momentum, and vanishes on vectors whose pair
         # difference is zero
         rng = np.random.default_rng(1)
         for f in self.frames + list(table_frames()):
@@ -102,17 +103,15 @@ class TestCollisionFrame:
             i2, j2 = 2 * f.i, 2 * f.j
             others = np.setdiff1d(np.arange(n2), [i2, i2 + 1, j2, j2 + 1])
             x = rng.standard_normal((n2, 4))
-            for out, t in ((f.scatter_pre(x), f.slid[0]),
-                           (f.scatter_post(x), f.slid[1])):
-                assert not np.any(out[others])
-                assert np.abs(t[0] * out[i2 + 1] - t[1] * out[i2]).max() \
-                    <= 1e-14 * np.abs(out).max()
-                assert np.allclose(f.mi * out[i2: i2 + 2],
-                                   -f.mj * out[j2: j2 + 2], rtol=1e-14, atol=0.0)
+            out, t = f.scatter_pre(x), f.slid
+            assert not np.any(out[others])
+            assert np.abs(t[0] * out[i2 + 1] - t[1] * out[i2]).max() \
+                <= 1e-14 * np.abs(out).max()
+            assert np.allclose(f.mi * out[i2: i2 + 2],
+                               -f.mj * out[j2: j2 + 2], rtol=1e-14, atol=0.0)
             flat = x.copy()
             flat[j2: j2 + 2] = flat[i2: i2 + 2]
             assert not np.any(f.scatter_pre(flat))
-            assert not np.any(f.scatter_post(flat))
 
     def test_grazing_contact_refused(self):
         traj = grazing_orbit()
@@ -136,17 +135,14 @@ def event_by_event_frame(traj, k):
         d = x[2 * i: 2 * i + 2] - x[2 * j: 2 * j + 2]
         return (u[0] * d[0] + u[1] * d[1]) / s
 
-    def slid(v, cos):
-        w = v[i] - v[j]
-        return perp + u * ((w[0] * perp[0] + w[1] * perp[1]) / (s * cos))
-
     cos_pre = -float(dot_nu(traj.ev_v_pre[k]))
     cos_phi = float(dot_nu(traj.ev_v_post[k]))
+    w = traj.ev_v_pre[k, i] - traj.ev_v_pre[k, j]
     return {"i": i, "j": j, "mi": mi, "mj": mj, "s": s,
             "base_radius": 2.0 * params.radius * math.sqrt(mi * mj / (mi + mj)),
             "cos_pre": cos_pre, "cos_phi": cos_phi, "u": u, "perp": perp,
-            "slid": np.array([slid(traj.ev_v_pre[k], cos_pre),
-                              slid(traj.ev_v_post[k], -cos_phi)])}
+            "slid": perp + u * ((w[0] * perp[0] + w[1] * perp[1])
+                                / (s * cos_pre))}
 
 
 class TestCollisionTable:
@@ -173,11 +169,9 @@ class TestCollisionTable:
                 continue
             f = frame_for_event(traj, k)
             for x in (rng.standard_normal(2 * n), rng.standard_normal((2 * n, 3))):
-                for got, want in (
-                        (f.scatter_pre(x), ref_scatter_pre(f, x, traj.params)),
-                        (f.scatter_post(x), ref_scatter_post(f, x, traj.params))):
-                    assert got.shape == want.shape
-                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
+                got, want = f.scatter_pre(x), ref_scatter_pre(f, x, traj.params)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_block_matches_apply_event(self, n):
@@ -520,3 +514,82 @@ class TestNormalTransport:
         v0 = traj.initial.v.reshape(-1)
         with pytest.raises(ValueError, match="transverse"):
             propagate_normal(traj, NormalVector(v0, np.zeros_like(v0)))
+
+    def test_matches_outgoing_side_rule(self):
+        # the tangent step on (w, -z) against the normal loop with its
+        # own outgoing-side scattering, on criterion 04's orbits and
+        # normal vectors
+        rng = make_generator(9, 0)
+        for traj in clean_segments(P3, 4.0, 20, min_events=2):
+            tb = transverse_basis(traj.initial.v, P3)
+            n0 = NormalVector(tb @ rng.standard_normal(tb.shape[1]),
+                              tb @ rng.standard_normal(tb.shape[1]))
+            assert_values_close(
+                dataclasses.asdict(ref_propagate_normal(traj, n0)),
+                dataclasses.asdict(propagate_normal(traj, n0)), rel=1e-12)
+
+    def test_long_window_stays_finite(self):
+        # the per-event renormalization keeps a long window finite
+        traj = simulate(sample_state(3, P3), 200.0, P3)
+        assert traj.n_events > 250 and not traj.singular
+        tb = transverse_basis(traj.initial.v, P3)
+        rng = np.random.default_rng(200)
+        n0 = NormalVector(tb @ rng.standard_normal(tb.shape[1]),
+                          tb @ rng.standard_normal(tb.shape[1]))
+        got = dataclasses.asdict(propagate_normal(traj, n0))
+        for name in ("q_pre", "q_post", "log_scale", "q_start", "zz_start"):
+            assert np.isfinite(got[name]).all(), name
+        assert math.isfinite(got["final_log_scale"]) \
+            and got["final_log_scale"] > 100.0
+        assert_values_close(dataclasses.asdict(ref_propagate_normal(traj, n0)),
+                            got, rel=1e-11)
+
+
+@functools.lru_cache(maxsize=None)
+def analysis_orbits():
+    """The nonsingular orbits of seeds 1-40 at N = 3, t_max 20, with the
+    masses (1, 1.3, 0.7) and r = 0.1."""
+    orbits = (simulate(sample_state(seed, P3M), 20.0, P3M)
+              for seed in range(1, 41))
+    return tuple(traj for traj in orbits if not traj.singular)
+
+
+def omega(xi, eta, params):
+    """Symplectic form <dq_xi, dv_eta> - <dq_eta, dv_xi>, mass metric."""
+    mw = params.mass_weights
+    return float((mw * xi[0]) @ eta[1] - (mw * eta[0]) @ xi[1])
+
+
+class TestSymplectic:
+    """The tangent map preserves the symplectic form exactly, so its
+    roundoff-level drift bounds any error that breaks the symmetry of
+    the scattering term."""
+
+    def test_form_constant_along_carry(self):
+        orbits = analysis_orbits()
+        assert len(orbits) >= 35
+        rng = np.random.default_rng(11)
+        events = 0
+        for traj in orbits:
+            params = traj.params
+            n2 = 2 * params.n
+            xi0, eta0 = rng.standard_normal((2, 2, n2))
+            w0 = omega(xi0, eta0, params)
+            for a, b in zip(_carry(traj, *xi0), _carry(traj, *eta0)):
+                xi, eta = a[2:4], b[2:4]
+                size = math.hypot(mass_norm(xi[0], params), mass_norm(xi[1], params)) \
+                    * math.hypot(mass_norm(eta[0], params), mass_norm(eta[1], params))
+                assert abs(omega(xi, eta, params) - w0) <= 1e-14 * size, (a[0], a[4])
+            events += traj.n_events
+        assert events > 800
+
+    def test_pair_blocks_preserve_form(self):
+        j = np.block([[np.zeros((4, 4)), np.eye(4)],
+                      [-np.eye(4), np.zeros((4, 4))]])
+        blocks = 0
+        for traj in analysis_orbits():
+            for k in range(traj.n_events):
+                m = frame_for_event(traj, k).block
+                assert np.abs(m.T @ j @ m - j).max() <= 1e-12, k
+                blocks += 1
+        assert blocks > 800
