@@ -11,8 +11,10 @@ success, 2 on configuration or validation errors, 3 on numerical
 failures.  simulate additionally writes events.jsonl, audit writes
 series.csv.  The HARDTORUS_OUT environment variable overrides the
 output directory and nothing else.  Identical configs produce byte-
-identical summaries; scan points run in parallel processes but are
-merged in grid order, so the output does not depend on worker count.
+identical summaries.  Lyapunov ensemble members and scan points run
+on every CPU this process may use, in this process and in worker
+processes, and are merged in member and grid order, so the output does
+not depend on worker count.
 
 The layers only some subcommands use (neutral, degenerate and the
 process pool) are imported inside their runners, so a run loads only
@@ -117,19 +119,65 @@ def _run_neutral(config: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
-def _run_lyapunov(config: ExperimentConfig, out_dir: Path) -> dict:
+def _in_order(fn, tasks) -> list:
+    """[fn(task) for task in tasks], spread over the usable CPUs.
+
+    With L lanes this process runs tasks 0, L, 2L, ... and one worker
+    process per further lane runs the rest, so a profiler of this
+    process still sees task 0.  Workers come from the default start
+    method; where that is fork (Linux before Python 3.14) a worker
+    starts without importing numpy again.  As in the plain loop, a
+    failure raises the error of the lowest-index failing task; queued
+    tasks are cancelled, and every worker has exited on return.
+    """
+    cpus = os.cpu_count() or 1
+    # the affinity mask (taskset, a container's cpuset) may allow fewer
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    lanes = min(len(tasks), cpus)
+    if lanes <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=lanes - 1)
+    try:
+        futures = [None if i % lanes == 0 else pool.submit(fn, task)
+                   for i, task in enumerate(tasks)]
+        own, failure = {}, None
+        for i in range(0, len(tasks), lanes):
+            try:
+                own[i] = fn(tasks[i])
+            except Exception as exc:
+                failure = exc
+                break
+        results = []
+        for i, future in enumerate(futures):
+            if future is not None:
+                results.append(future.result())
+            elif i in own:
+                results.append(own[i])
+            else:
+                raise failure
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _lyapunov_member(task) -> dict:
+    config, k = task
     params = config.params
-    runs = []
-    tops = []
-    for k in range(config.ensemble):
-        state = sample_state(config.seed, params, stream=k)
-        spec = lyapunov_spectrum(state, config.t_max, params,
-                                 reorth_interval=config.reorth_interval,
-                                 seed=(config.seed + k) % 2**64)
-        runs.append(summary_dict(spectrum=spec)["lyapunov"])
-        tops.append(spec.exponents[0])
+    state = sample_state(config.seed, params, stream=k)
+    spec = lyapunov_spectrum(state, config.t_max, params,
+                             reorth_interval=config.reorth_interval,
+                             seed=(config.seed + k) % 2**64)
+    return summary_dict(spectrum=spec)["lyapunov"]
+
+
+def _run_lyapunov(config: ExperimentConfig, out_dir: Path) -> dict:
+    runs = _in_order(_lyapunov_member,
+                     [(config, k) for k in range(config.ensemble)])
     data = {"lyapunov": runs[0], "ensemble": runs}
-    if len(tops) > 1:
+    if len(runs) > 1:
+        tops = [run["exponents"][0] for run in runs]
         data["top_exponent_mean"] = float(np.mean(tops))
         data["top_exponent_std"] = float(np.std(tops, ddof=1))
     return data
@@ -217,18 +265,10 @@ def _run_scan(config: ExperimentConfig, out_dir: Path) -> dict:
     mass_rows, radii = _scan_axes(config)
     tasks = [(config, idx, masses, radius)
              for idx, (masses, radius) in enumerate(product(mass_rows, radii))]
-    if len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, tasks))
-    else:
-        rows = [_scan_point(tasks[0])]
-    rows.sort(key=lambda row: row["index"])
     return {
         "grid": {"mass_rows": [list(m) for m in mass_rows],
                  "radii": list(radii)},
-        "rows": rows,
+        "rows": _in_order(_scan_point, tasks),
     }
 
 

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 from collections import Counter
 
@@ -37,6 +39,9 @@ l0 = 1, 0
 [scan]
 radius_grid = 0.24, 0.25, 0.26
 """
+
+ENSEMBLE = (BASE.replace("t_max = 6.0", "t_max = 30.0")
+            + "\n[analysis]\nensemble = 3\n")
 
 # No collision happens before t_max.
 COLLISIONLESS = """\
@@ -211,6 +216,27 @@ class TestDeterminism:
         assert (out_multi / "summary.json").read_bytes() == \
             (out_single / "summary.json").read_bytes()
 
+    def test_ensemble_worker_count_invariant(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, ENSEMBLE)
+        out_multi = tmp_path / "multi"
+        assert cli.main(["lyapunov", "--config", str(cfg),
+                         "--out", str(out_multi)]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        out_single = tmp_path / "single"
+        assert cli.main(["lyapunov", "--config", str(cfg),
+                         "--out", str(out_single)]) == 0
+        assert (out_multi / "summary.json").read_bytes() == \
+            (out_single / "summary.json").read_bytes()
+
+    def test_ensemble_member_zero_is_the_single_run(self, tmp_path):
+        pair = run_cli(tmp_path, "lyapunov",
+                       ENSEMBLE.replace("ensemble = 3", "ensemble = 2"),
+                       out="pair")
+        single = run_cli(tmp_path, "lyapunov",
+                         ENSEMBLE.replace("ensemble = 3", "ensemble = 1"),
+                         out="single")
+        assert pair["ensemble"][0] == single["lyapunov"]
+
     def test_config_hash_tracks_content(self, tmp_path):
         s1 = run_cli(tmp_path, "simulate")
         s2 = run_cli(tmp_path, "simulate",
@@ -273,3 +299,72 @@ class TestExitCodes:
                          "--out", str(tmp_path / "ignored")]) == 0
         assert (target / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def two_lanes(monkeypatch):
+    # two lanes on any host: members 0 and 2 run here, member 1 in a worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+# the fault is patched into this process, and only a forked worker
+# inherits the patch
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="workers are not forked on this platform")
+
+
+def failing_members(monkeypatch, config_seed, members):
+    real = cli.lyapunov_spectrum
+
+    def spectrum(state, t_max, params, *, seed, **kwargs):
+        k = seed - config_seed
+        if k in members:
+            raise NumericalFailureError(f"member {k} drifted")
+        return real(state, t_max, params, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "lyapunov_spectrum", spectrum)
+
+
+class TestLanes:
+    """Ensemble members and scan points run on the usable CPUs; results
+    and errors come back as the plain loop would give them."""
+
+    def test_one_usable_cpu_creates_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        text = COLLISIONLESS + "\n[scan]\nradius_grid = 0.1, 0.09\n"
+        assert len(run_cli(tmp_path, "scan", text)["rows"]) == 2
+        summary = run_cli(tmp_path, "lyapunov", ENSEMBLE, out="lyap")
+        assert len(summary["ensemble"]) == 3
+
+    @forked_workers
+    def test_worker_lane_failure_is_three(self, tmp_path, monkeypatch,
+                                          capsys):
+        two_lanes(monkeypatch)
+        failing_members(monkeypatch, 3, {1})
+        cfg = write_config(tmp_path, ENSEMBLE)
+        assert cli.main(["lyapunov", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "numerical failure: member 1 drifted" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @forked_workers
+    def test_lowest_failing_member_wins(self, tmp_path, monkeypatch):
+        # member 2 fails in this process, member 1 in the worker lane
+        two_lanes(monkeypatch)
+        failing_members(monkeypatch, 3, {1, 2})
+        with pytest.raises(NumericalFailureError, match="member 1 drifted"):
+            cli.run("lyapunov", parse_config(ENSEMBLE), tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_passing_run(self, tmp_path, monkeypatch):
+        two_lanes(monkeypatch)
+        summary = run_cli(tmp_path, "lyapunov", ENSEMBLE)
+        assert len(summary["ensemble"]) == 3
+        assert multiprocessing.active_children() == []

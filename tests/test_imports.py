@@ -204,6 +204,25 @@ class TestLoadedLayers:
         assert not loaded & {"hardtorus.neutral", "hardtorus.degenerate",
                              "concurrent.futures.process"}
 
+    @pytest.mark.parametrize("subcommand, extra, one_cpu", [
+        ("lyapunov", "[analysis]\nensemble = 1\n", False),
+        ("lyapunov", "[analysis]\nensemble = 2\n", True),
+        ("scan", "[scan]\nradius_grid = 0.1, 0.09\n", True),
+    ])
+    def test_run_without_lanes_loads_no_pool(self, tmp_path, subcommand,
+                                             extra, one_cpu):
+        # a one-member ensemble, or any run with one usable CPU, runs its
+        # tasks in a plain loop
+        text = CONFIG_TEXT + "[run]\nt_max = 50\n" + extra
+        loaded = loaded_after(
+            "import os\n"
+            + ("os.cpu_count = lambda: 1\n" if one_cpu else "")
+            + "from hardtorus import cli, parse_config\n"
+            f"cli.run({subcommand!r}, parse_config({text!r}), "
+            f"{str(tmp_path)!r})")
+        assert "hardtorus.hyperbolic" in loaded
+        assert "concurrent.futures.process" not in loaded
+
     def test_submodule_resolves_after_bare_import(self):
         loaded_after("import sys, hardtorus\n"
                      "assert 'hardtorus.events' not in sys.modules\n"
