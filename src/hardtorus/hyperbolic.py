@@ -5,9 +5,9 @@ in free flight with slope ||dv||^2, jumps by a nonnegative amount at
 every nondegenerate collision, and controls the growth of ||dq||
 through d/dt ||dq||^2 = 2Q.  The curvature operator B is the matrix
 of the map dq -> dv on the velocity-transverse part of the reduced
-space; between collisions its inverse shifts by s*I (exactly, which
-is why the inverse is what gets propagated), and a collision adds the
-scattering form in a co-moving basis.  Along a free flight from the
+space.  Its inverse is what is carried: a free flight shifts it by
+s*I, exactly, and a collision, which adds a rank-one scattering form
+in a co-moving basis, updates it by rank one.  Along a free flight from the
 attachment at t_n, the minimum eigenvalue is therefore closed form,
 eig_min(B(t)) = 1 / (mu_n + t - t_n) with mu_n the top eigenvalue of
 B(t_n)^-1 (Sinai 1970; Chernov & Sinai 1987).  From a positive lower
@@ -218,22 +218,18 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """Symmetric operator on the velocity-transverse reduced space.
+    """Symmetric operator B on the velocity-transverse reduced space.
 
     ``basis`` is a mass-orthonormal co-moving basis of that space and
-    ``matrix`` the operator in it; ``time`` is the attachment time
-    (outgoing side when it coincides with a collision).  ``inverse`` is
-    computed once, on first use."""
+    ``inverse`` the stored matrix of B^-1 in it; ``time`` is the
+    attachment time (outgoing side when it coincides with a collision).
+    ``matrix``, B itself, is computed once, on first use."""
 
     time: float
     basis: np.ndarray
-    matrix: np.ndarray
+    inverse: np.ndarray
 
-    @_lazy
-    def inverse(self) -> np.ndarray:
-        inv = np.linalg.inv(self.matrix)
-        inv.setflags(write=False)
-        return inv
+    matrix = _lazy(lambda op: np.linalg.inv(op.inverse))
 
     def apply(self, dq, params: SystemParams) -> np.ndarray:
         """dv = B dq for a configuration vector in the transverse space."""
@@ -257,12 +253,12 @@ class CurvaturePath:
     sample_eig_min: np.ndarray
 
     def operator_at(self, t: float) -> CurvatureOperator:
-        """Free-flight inverse shift from the last attachment <= t."""
-        idx = 0
-        for k, op in enumerate(self.operators):
-            if op.time <= t:
-                idx = k
-        return _shift(self.operators[idx], t)
+        """Free-flight inverse shift from the last attachment <= t; a t
+        outside [0, t_end], NaN included, raises ValueError."""
+        times = [op.time for op in self.operators]
+        if not 0.0 <= t <= times[-1]:
+            raise ValueError(f"t = {t:g} outside [0, {times[-1]:g}]")
+        return _shift(self.operators[np.searchsorted(times, t, "right") - 1], t)
 
     @property
     def min_eig_min(self) -> float:
@@ -287,9 +283,8 @@ def _shift(op: CurvatureOperator, t: float) -> CurvatureOperator:
     s = t - op.time
     if s == 0.0:
         return op
-    binv = op.inverse + s * np.eye(op.matrix.shape[0])
-    b = np.linalg.inv(binv)
-    return CurvatureOperator(time=t, basis=op.basis, matrix=0.5 * (b + b.T))
+    return CurvatureOperator(time=t, basis=op.basis,
+                             inverse=op.inverse + s * np.eye(len(op.inverse)))
 
 
 def _as_operator_matrix(b0, dim: int) -> np.ndarray:
@@ -307,14 +302,14 @@ def curvature_propagate(b0, traj: TrajectorySegment,
                         *, n_samples: int = 64) -> CurvaturePath:
     """Propagate the curvature operator along a nonsingular segment.
 
-    Between collisions the inverse shifts, B(t+s)^-1 = B(t)^-1 + s*I,
-    which is exact and keeps positive operators positive.  A collision
-    conjugates by the reflection and adds the scattering form; in the
-    co-moving basis U -> RU the update is purely additive.  The matrix
-    is symmetrized after every update.  The samples read the closed
-    form of ``CurvaturePath`` on the ``n_samples`` grid, and a
-    non-finite, nonsymmetric or non-positive b0 raises
-    ``ValidationError``.
+    Only M = B^-1 is carried, from one ``np.linalg.inv`` of b0.  A flight
+    adds s*I, exactly.  A collision adds k k^T / kappa (see
+    ``CollisionFrame``) to B in the co-moving basis U -> RU, so M takes
+    the Sherman-Morrison update M - y y^T / (kappa + k^T y), y = M k.
+    Both add exactly symmetric terms: M is symmetric bit for bit wherever
+    inv(b0) is, as for any scalar b0.  The samples read the closed form
+    of ``CurvaturePath`` on the ``n_samples`` grid, and a non-finite,
+    nonsymmetric or non-positive b0 raises ``ValidationError``.
     """
     params = traj.params
     u = transverse_basis(traj.initial.v, params)
@@ -328,18 +323,17 @@ def curvature_propagate(b0, traj: TrajectorySegment,
             f"curvature operator must be positive definite; "
             f"min eigenvalue {eigs[0]:.3g}")
 
-    mw = params.mass_weights
-    eye = np.eye(dim)
-    ops = [CurvatureOperator(time=0.0, basis=u, matrix=b)]
-    for t_a, t_b, _, frame in _walk(traj):
+    ops = [CurvatureOperator(time=0.0, basis=u, inverse=np.linalg.inv(b))]
+    for _, t_b, _, frame in _walk(traj):
         if frame is None:
             break
-        b = np.linalg.inv(ops[-1].inverse + (t_b - t_a) * eye)
-        add = (u.T * mw) @ frame.scatter_pre(u)
-        b = b + 0.5 * (add + add.T)
-        b = 0.5 * (b + b.T)
+        m = _shift(ops[-1], t_b).inverse
+        k = frame.scatter_amplitude(u)
+        y = m @ k
+        kappa = 2.0 * frame.cos_phi / frame.base_radius
+        m = m - np.multiply.outer(y, y) / (kappa + k @ y)
         u = frame.reflect(u)
-        ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
+        ops.append(CurvatureOperator(time=t_b, basis=u, inverse=m))
     ops.append(_shift(ops[-1], traj.t_end))
 
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
@@ -360,7 +354,7 @@ def curvature_consistency(path: CurvaturePath, traj: TrajectorySegment,
     rng = make_generator(seed, 41)
     coeff = rng.standard_normal(op0.basis.shape[1])
     dq0 = op0.basis @ coeff
-    dv0 = op0.basis @ (op0.matrix @ coeff)
+    dv0 = op0.apply(dq0, params)
     safe = [t for t in np.linspace(0.0, traj.t_end, 16)
             if traj.n_events == 0
             or np.abs(traj.ev_t - t).min() > 1e-9 * max(1.0, traj.t_end)]

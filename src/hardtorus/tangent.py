@@ -235,8 +235,11 @@ class CollisionFrame:
     reads a pre-collision vector's pair difference d = x_i - x_j,
     projects it onto the contact line along the incoming relative
     velocity, and writes a multiple of the event's one slid tangent
-    back.  The outgoing side needs no rule of its own: its term is the
-    reflection of the incoming term of the reflected vector.
+    back.  ``scatter_amplitude`` gives that multiple k, and the term's
+    form <U, S U> on a mass-orthonormal basis U is k k^T / kappa, kappa =
+    2 cos(phi) / base_radius.  The outgoing side needs no rule of its
+    own: its term is the reflection of the incoming term of the
+    reflected vector.
     ``reflect`` is the mass-metric reflection R in the contact normal.
     All apply methods accept a flat vector or a (2N, k) stack.
 
@@ -303,18 +306,20 @@ class CollisionFrame:
         out[j2 + 1] += self.mi * g * self.u[1]
         return out
 
-    def scatter_pre(self, xq):
-        """Scattering term 2 cos(phi) V* K V of a pre-collision dq.  The
-        projection of d along the incoming relative velocity w divides
-        (u . d) / s by the very cosine the table computed from w, so
-        v_pre maps to exact zero and the flow direction crosses the
-        collision unscattered."""
+    def scatter_amplitude(self, xq):
+        """Amplitude k of a pre-collision dq's scattering term along the
+        slid tangent.  Projecting d along the incoming relative velocity w
+        divides (u . d) / s by the very cosine the table computed from w,
+        so v_pre, and with it the flow direction, scatters to exact zero."""
         d = self._pair_delta(xq)
         c = (self.u[0] * d[0] + self.u[1] * d[1]) / self.s / self.cos_pre
         y = d + np.multiply.outer(self._pair_delta(self.v_pre), c)
-        k = ((2.0 * self.cos_phi) * (self.perp[0] * y[0] + self.perp[1] * y[1])
-             / (self.s * self.base_radius))
-        tk = np.multiply.outer(self.slid, k)
+        return ((2.0 * self.cos_phi) * (self.perp[0] * y[0] + self.perp[1] * y[1])
+                / (self.s * self.base_radius))
+
+    def scatter_pre(self, xq):
+        """Scattering term 2 cos(phi) V* K V: amplitude times slid tangent."""
+        tk = np.multiply.outer(self.slid, self.scatter_amplitude(xq))
         out = np.zeros(np.shape(xq))
         out[2 * self.i: 2 * self.i + 2] = tk / (self.mi * self.s)
         out[2 * self.j: 2 * self.j + 2] = -tk / (self.mj * self.s)

@@ -514,6 +514,9 @@ def ref_transverse_basis(v, params):
 
 
 def ref_curvature_propagate(b0, traj, *, n_samples=64):
+    """The operator carried as B: each collision inverts the shifted
+    inverse, adds the symmetrized scattering form of ``scatter_pre``,
+    symmetrizes B and inverts it back."""
     params = traj.params
     u = transverse_basis(traj.initial.v, params)
     dim = u.shape[1]
@@ -521,16 +524,14 @@ def ref_curvature_propagate(b0, traj, *, n_samples=64):
     mw = params.mass_weights
     eye = np.eye(dim)
     binv = np.linalg.inv(b)
-    ops = [CurvatureOperator(time=0.0, basis=u, matrix=b)]
+    ops = [CurvatureOperator(time=0.0, basis=u, inverse=binv)]
     for t_a, t_b, k, frame in _walk(traj):
         binv = binv + (t_b - t_a) * eye
         if frame is None:
             if t_b == ops[-1].time:
                 ops.append(ops[-1])
             else:
-                b = np.linalg.inv(binv)
-                ops.append(CurvatureOperator(time=t_b, basis=u,
-                                             matrix=0.5 * (b + b.T)))
+                ops.append(CurvatureOperator(time=t_b, basis=u, inverse=binv))
             break
         b = np.linalg.inv(binv)
         add = (u.T * mw) @ frame.scatter_pre(u)
@@ -538,7 +539,7 @@ def ref_curvature_propagate(b0, traj, *, n_samples=64):
         b = 0.5 * (b + b.T)
         u = frame.reflect(u)
         binv = np.linalg.inv(b)
-        ops.append(CurvatureOperator(time=t_b, basis=u, matrix=b))
+        ops.append(CurvatureOperator(time=t_b, basis=u, inverse=binv))
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
     samp_e = []
     for t in grid:
@@ -553,8 +554,23 @@ def ref_eig_min_shifted(op, t):
     """eig_min of the attachment operator carried by free flight to t:
     the flight shifts the inverse by (t - op.time)*I, so its top
     eigenvalue mu becomes mu + (t - op.time)."""
-    top = np.linalg.eigvalsh(np.linalg.inv(op.matrix))[-1]
+    top = np.linalg.eigvalsh(op.inverse)[-1]
     return float(1.0 / (top + (t - op.time)))
+
+
+def curvature_entropy(path, t_total):
+    """h_B = (1/T) sum_n log det(I + tau_n B_n) over the flights of
+    ``path`` cut at T = t_total: a flight of length tau from an
+    attachment whose inverse has eigenvalues mu_i grows the unstable
+    front's configuration volume by prod_i (1 + tau / mu_i), and a
+    collision keeps it, so h_B tends to the sum of the positive Lyapunov
+    exponents (Pesin's formula)."""
+    ops = path.operators[:-1]
+    starts = np.array([op.time for op in ops])
+    ends = np.append(starts[1:], path.operators[-1].time)
+    tau = np.maximum(np.minimum(ends, t_total) - starts, 0.0)
+    mu = np.linalg.eigvalsh(np.stack([op.inverse for op in ops]))
+    return float(np.log1p(tau[:, None] / mu).sum()) / t_total
 
 
 def ref_expansion_check(traj, tau0, c0, *, n_samples=256):

@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (P3_DYADIC, double_orbit, grazing_orbit, ref_cone_ratio,
-                      ref_curvature_propagate, ref_expansion_check,
-                      ref_hyperbolicity_series, ref_lyapunov_spectrum,
-                      ref_q_evolution_audit, table_orbit)
+from conftest import (P3_DYADIC, curvature_entropy, double_orbit,
+                      grazing_orbit, ref_cone_ratio, ref_curvature_propagate,
+                      ref_expansion_check, ref_hyperbolicity_series,
+                      ref_lyapunov_spectrum, ref_q_evolution_audit,
+                      ref_scatter_pre, table_orbit)
 from hardtorus import hyperbolic, tangent
 from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
                               ValidationError)
@@ -158,6 +159,55 @@ class TestCurvature:
         b0[0, 1] = 0.5
         with pytest.raises(ValidationError, match="symmetric"):
             curvature_propagate(b0, traj)
+
+    def test_operator_at_refuses_times_off_the_path(self):
+        traj = eventful()
+        path = curvature_propagate(1.0, traj, n_samples=16)
+        for t in (-2.0, -1e-300, math.nan, traj.t_end * (1.0 + 1e-15), math.inf):
+            with pytest.raises(ValueError, match="outside"):
+                path.operator_at(t)
+        # the last attachment at or before t: an event time reads the
+        # operator attached on its outgoing side
+        assert path.operator_at(0.0) is path.operators[0]
+        assert path.operator_at(traj.t_end) is path.operators[-1]
+        for k, t_k in enumerate(traj.ev_t.tolist()):
+            assert path.operator_at(t_k) is path.operators[k + 1]
+
+    def test_collision_is_rank_one_in_the_inverse(self):
+        # on the co-moving basis U, the scattering form <U, S U> of both
+        # the pair-local and the projection-form rule is k k^T / kappa, k
+        # the frame's amplitude: the term the inverse's update adds
+        worst = 0.0
+        for seed in range(1, 41):
+            traj = simulate(sample_state(seed, P3M), 20.0, P3M)
+            u = transverse_basis(traj.initial.v, P3M)
+            mw = P3M.mass_weights
+            for _, _, _, frame in _walk(traj):
+                if frame is None:
+                    break
+                k = frame.scatter_amplitude(u)
+                want = np.multiply.outer(k, k) / (
+                    2.0 * frame.cos_phi / frame.base_radius)
+                scale = np.maximum(1.0, np.abs(want))
+                for got in ((u.T * mw) @ frame.scatter_pre(u),
+                            (u.T * mw) @ ref_scatter_pre(frame, u, P3M)):
+                    worst = max(worst, float((np.abs(got - want) / scale).max()))
+                u = frame.reflect(u)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_entropy_identity(self, seed):
+        # the curvature's volume growth against the sum of the positive
+        # Lyapunov exponents, two computations that share only the
+        # engine and the collision table
+        state = sample_state(seed, P3M)
+        traj = simulate(state, 750.0, P3M)
+        path = curvature_propagate(1.0, traj)
+        spec = lyapunov_spectrum(state, 750.0, P3M, seed=seed)
+        assert spec.n_restarts == 0
+        positive = spec.exponents[: spec.exponents.size // 2].sum()
+        t_total = spec.t_total
+        assert abs(curvature_entropy(path, t_total) - positive) <= 8.0 / t_total
 
 
 class TestExpansion:
@@ -722,15 +772,22 @@ class TestStackedMatchesRowReference:
 
     @pytest.mark.parametrize("case", CASES)
     def test_curvature_propagate(self, case):
+        # the rank-one update of the inverse against inverting B at every
+        # collision: times and bases bit for bit, values to roundoff
         traj, n_samples = _segment(case)
         got = curvature_propagate(1.0, traj, n_samples=n_samples)
         ref = ref_curvature_propagate(1.0, traj, n_samples=n_samples)
         assert bitwise(got.sample_times, ref.sample_times)
-        assert bitwise(got.sample_eig_min, ref.sample_eig_min)
+        assert np.allclose(got.sample_eig_min, ref.sample_eig_min,
+                           rtol=1e-11, atol=0.0)
         assert len(got.operators) == len(ref.operators)
         for a, b in zip(got.operators, ref.operators):
             assert a.time == b.time
-            assert bitwise(a.basis, b.basis) and bitwise(a.matrix, b.matrix)
+            assert bitwise(a.basis, b.basis)
+            assert (np.abs(a.inverse - b.inverse).max()
+                    <= 1e-11 * np.abs(b.inverse).max())
+            # no symmetrization: the shift and the update keep it exact
+            assert bitwise(a.inverse, a.inverse.T)
 
     @pytest.mark.parametrize("case", CASES)
     def test_expansion_check(self, case):
@@ -804,6 +861,29 @@ class TestStackedMatchesRowReference:
         assert calls[1][0] == traj.n_events + 1
         hyperbolicity_series(traj, audit, path=path)
         assert len(calls) == 2
+
+    def test_one_inv_call_per_path(self, monkeypatch):
+        # the given B0 is inverted once; collisions update the inverse
+        # and free flights shift it, so neither inverts anything
+        traj, n_samples = _segment("n3_seed1")
+        audit = q_evolution_audit(traj, cone_seed(traj.params, 4),
+                                  n_samples=n_samples)
+        calls = []
+        real = np.linalg.inv
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        path = curvature_propagate(2.0, traj, n_samples=n_samples)
+        assert len(calls) == 1
+        assert bitwise(calls[0], 2.0 * np.eye(len(calls[0])))
+        hyperbolicity_series(traj, audit, path=path)
+        for t in path.sample_times:
+            op = path.operator_at(float(t))
+            hyperbolic._shift(op, float(t) + 0.5)
+        assert len(calls) == 1
 
     def test_propagated_rows_are_read_only_views(self):
         traj, _ = _segment("n3_seed1")

@@ -98,6 +98,9 @@ def test_audit_matches_projection_form(tmp_path, monkeypatch, seed):
     monkeypatch.setattr(hyperbolic, "transverse_basis", ref_transverse_basis)
     assert_values_close(audit_outputs(tmp_path / "qr_svd", seed), got,
                         rel=1e-12)
+    # the projection-form scattering reaches the Q audit; the curvature
+    # reads scatter_amplitude, which the rank-one identity of
+    # test_hyperbolic.py ties to both forms
     monkeypatch.setattr(CollisionFrame, "scatter_pre", lambda f, x:
                         ref_scatter_pre(f, x, f._table.params))
     ref = audit_outputs(tmp_path / "projection", seed)
