@@ -324,10 +324,15 @@ def curvature_propagate(b0, traj: TrajectorySegment,
             f"min eigenvalue {eigs[0]:.3g}")
 
     ops = [CurvatureOperator(time=0.0, basis=u, inverse=np.linalg.inv(b))]
+    eye = np.eye(dim)
     for _, t_b, _, frame in _walk(traj):
         if frame is None:
             break
-        m = _shift(ops[-1], t_b).inverse
+        # the flight step of _shift; with s == 0 the attachment stays
+        # as it is, since adding 0*I would turn its -0.0 entries to +0.0
+        m, s = ops[-1].inverse, t_b - ops[-1].time
+        if s != 0.0:
+            m = m + s * eye
         k = frame.scatter_amplitude(u)
         y = m @ k
         kappa = 2.0 * frame.cos_phi / frame.base_radius

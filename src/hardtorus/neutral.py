@@ -232,11 +232,13 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
         return vals[0] if scalar else np.array(vals)
     if method == "finite_difference":
         i, j = terms[0][:2]
-        if t_ref > float(traj.ev_t[k]):
+        if t_ref >= float(traj.ev_t[k]):
             raise ValueError("finite-difference advance needs t_ref before the event")
+        # state_at is on the outgoing side of an event time, so an event
+        # at t_ref is behind the perturbed runs
         ref_state = traj.state_at(t_ref)
         w = np.asarray(W, dtype=float).reshape(-1, 2)
-        n_before = int(np.searchsorted(traj.ev_t, t_ref))
+        n_before = int(np.searchsorted(traj.ev_t, t_ref, side="right"))
         k_local = k - n_before
         t_k = float(traj.ev_t[k])
         horizon = t_k - t_ref
@@ -245,7 +247,14 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
         times = []
         for sgn in (+1.0, -1.0):
             pert = PhaseState(q=_wrap(ref_state.q + sgn * eps * w), v=ref_state.v)
-            seg = simulate(pert, horizon, params)
+            try:
+                seg = simulate(pert, horizon, params)
+            except ValidationError as exc:
+                # a pair in contact at t_ref that W moves apart overlaps
+                # on the other side of the difference
+                raise IllConditionedAdvanceError(
+                    f"perturbed state is not admissible ({exc}); W moves "
+                    f"disks in contact at t_ref") from exc
             if seg.n_events <= k_local or \
                     tuple(seg.ev_pair[k_local]) != (i, j):
                 raise IllConditionedAdvanceError(

@@ -26,6 +26,7 @@ instead of a collision rule of its own.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -105,8 +106,8 @@ class _lazy:
 
 
 # Events per vectorised pass of the collision-table build: the pass
-# temporaries and each stack of 8x8 blocks stay a few hundred kB
-# however long the segment is.
+# temporaries, each stack of 8x8 blocks and each slice of frame rows
+# stay a few hundred kB however long the segment is.
 _TABLE_CHUNK = 256
 
 
@@ -120,20 +121,24 @@ class _CollisionTable:
     velocity; the event's scattering term acts along it.  All come from
     the same elementwise IEEE operations as an event-by-event
     evaluation, so every frame reads the bits it would compute on its
-    own.  The event's tangent map
+    own.  ``row`` gives an event's frame data as Python numbers, the
+    form the frames compute with.  The event's tangent map
     acts on the colliding pair's eight rows of a (4N, m) stack in
     mass-orthonormal coordinates (dq rows first) as the 8x8 block
     [[A, 0], [B, A]], with A the reflection and B = A S the
     pre-collision scattering: the pair-local collision map of Dellago,
-    Posch & Hoover (PRE 53, 1485, 1996).  The blocks are built on first
-    use, one stack per ``_TABLE_CHUNK`` events, from their lower halves
-    [B, A]; only the stack of the slice last asked for is kept, so walks
-    that only apply the operators never pay for them and a forward walk
-    holds one stack at a time.  Events within the tangency tolerance are
+    Posch & Hoover (PRE 53, 1485, 1996).  Rows and blocks are built on
+    first use, one slice of ``_TABLE_CHUNK`` events at a time, the
+    blocks from their lower halves [B, A]; only the slice last asked
+    for is kept of each, so walks that only apply the operators never
+    pay for the blocks and a forward walk holds one slice at a time.
+    Events within the tangency tolerance are
     masked: nothing is divided by their cosines and their slid tangents
     stay NaN; flagged events' blocks stay NaN too.  ``perp``,
     ``scalars``, ``slid``, the block stacks and the per-pair ``rows``
     arrays are read-only, since every frame of the table shares them.
+    The walker reads the event times and flags from the lists ``times``
+    and ``flagged``, and the segment's ``singular`` from here too.
     """
 
     def __init__(self, traj: TrajectorySegment):
@@ -142,6 +147,8 @@ class _CollisionTable:
         self.tangency_tol = traj.params.tolerances.tangency_tol
         self.pair, self.u, self.flags = traj.ev_pair, traj.ev_u, traj.ev_flags
         self.v_pre, self.v_post = traj.ev_v_pre, traj.ev_v_post
+        self.times, self.flagged = traj.ev_t.tolist(), traj.ev_flags.tolist()
+        self.singular = any(self.flagged)
         self.perp = np.empty((k, 2))
         self.scalars = np.empty((k, 6))
         self.slid = np.full((k, 2), np.nan)
@@ -150,6 +157,7 @@ class _CollisionTable:
         for arr in (self.perp, self.scalars, self.slid):
             _frozen(arr)
         self._rows = {}
+        self._line_start, self._lines = -1, None
         self._stack_start, self._stack = -1, None
 
     def _chunk(self, a):
@@ -181,6 +189,20 @@ class _CollisionTable:
         self.slid[ev[ok]] = perp + u * (
             (w[:, 0] * perp[:, 0] + w[:, 1] * perp[:, 1])
             / (s[ok] * cos_pre[ok]))[:, None]
+
+    def row(self, k: int) -> tuple:
+        """Event k as one flat tuple of Python numbers, read from its
+        slice's rows: i, j, mi, mj, s, base_radius, cos_pre, cos_phi, then
+        the x and y of u, perp, slid and w, the incoming relative
+        velocity."""
+        a = k - k % _TABLE_CHUNK
+        if a != self._line_start:
+            ev = self._chunk(a)
+            self._line_start, self._lines = a, list(zip(
+                *self.pair[ev].T.tolist(), *np.concatenate(
+                    [self.scalars[ev], self.u[ev], self.perp[ev], self.slid[ev],
+                     self._relative(self.v_pre, ev)], axis=1).T.tolist()))
+        return self._lines[k - a]
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """dq then dv rows of disks i and j in a (4N, m) stack."""
@@ -226,6 +248,17 @@ class _CollisionTable:
         return low
 
 
+def _table(traj: TrajectorySegment) -> _CollisionTable:
+    """The segment's collision table, built on first use and kept on the
+    segment outside its dataclass fields, so ``simulate`` never builds
+    one and a copy made with ``dataclasses.replace`` builds its own."""
+    table = traj.__dict__.get("_collision_table")
+    if table is None:
+        table = _CollisionTable(traj)
+        object.__setattr__(traj, "_collision_table", table)
+    return table
+
+
 class CollisionFrame:
     """Operators of one collision in the mass metric.
 
@@ -241,69 +274,66 @@ class CollisionFrame:
     own: its term is the reflection of the incoming term of the
     reflected vector.
     ``reflect`` is the mass-metric reflection R in the contact normal.
-    All apply methods accept a flat vector or a (2N, k) stack.
+    All apply methods accept a flat vector or a (2N, k) stack, by one
+    code path that reads and writes only the pair's four entries (rows).
 
-    A frame is a thin read-only view of row k of a collision table:
-    building it reads only the two cosines of the tangency check, and
-    the other fields are read from the table on first access.
-    ``rows`` and ``block`` give its pair-block map on (4N, m) stacks in
-    mass-orthonormal coordinates (see ``_CollisionTable``); they, ``u``,
-    ``perp`` and ``slid`` are views of the table's shared read-only
-    storage.
+    A frame reads its table row (see ``_CollisionTable.row``) into its
+    slots when it is built: the pair, the six scalars and the vectors'
+    entries as Python numbers, which the apply methods compute with.
+    ``u``, ``perp``, ``slid``, ``v_pre`` and ``v_post`` are read-only
+    array views of the table's shared storage.  ``rows`` and ``block``
+    give its pair-block map on (4N, m) stacks in mass-orthonormal
+    coordinates (see ``_CollisionTable``); ``rows`` comes from a
+    per-pair cache and ``block`` is a view into its slice's stack.
     """
+
+    __slots__ = ("_table", "_k", "i", "j", "mi", "mj", "s", "base_radius",
+                 "cos_pre", "cos_phi", "_ux", "_uy", "_px", "_py", "_tx", "_ty",
+                 "_wx", "_wy")
 
     def __init__(self, table: _CollisionTable, k: int):
         self._table, self._k = table, k
-        self.cos_pre, self.cos_phi = table.scalars[k, 4:].tolist()
+        (self.i, self.j, self.mi, self.mj, self.s, self.base_radius,
+         self.cos_pre, self.cos_phi, self._ux, self._uy, self._px, self._py,
+         self._tx, self._ty, self._wx, self._wy) = table.row(k)
         if min(self.cos_phi, self.cos_pre) <= table.tangency_tol:
             raise TangentialFrameError(
                 f"collision of ({self.i}, {self.j}) is tangential: "
                 f"cos_phi = {self.cos_phi:.3g}")
 
-    def _row(self, name):
-        """Store every field of the row at the first access of any."""
-        table, k = self._table, self._k
-        self.i, self.j = table.pair[k].tolist()
-        self.mi, self.mj, self.s, self.base_radius = table.scalars[k, :4].tolist()
-        self.u, self.perp, self.slid = table.u[k], table.perp[k], table.slid[k]
-        return getattr(self, name)
-
-    i, j, mi, mj, s, base_radius, u, perp, slid = (
-        _lazy(lambda f, name=name: f._row(name))
-        for name in ("i", "j", "mi", "mj", "s", "base_radius", "u", "perp",
-                     "slid"))
-    v_pre = _lazy(lambda f: f._table.v_pre[f._k].reshape(-1))
-    v_post = _lazy(lambda f: f._table.v_post[f._k].reshape(-1))
+    u = property(lambda f: f._table.u[f._k])
+    perp = property(lambda f: f._table.perp[f._k])
+    slid = property(lambda f: f._table.slid[f._k])
+    v_pre = property(lambda f: f._table.v_pre[f._k].reshape(-1))
+    v_post = property(lambda f: f._table.v_post[f._k].reshape(-1))
 
     @property
     def rows(self):
         """dq then dv rows of disks i and j in a (4N, m) stack."""
-        return self._table.rows(*self._table.pair[self._k].tolist())
+        return self._table.rows(self.i, self.j)
 
     @property
     def block(self):
         """8x8 map [[A, 0], [B, A]] of the collision on ``rows``."""
         return self._table.block(self._k)
 
-    def _pair_delta(self, x):
-        """Block difference x_i - x_j; exact zero on equal blocks, which
-        keeps vectors flat along the cylinder generator exactly flat."""
-        return (x[2 * self.i: 2 * self.i + 2] - x[2 * self.j: 2 * self.j + 2])
-
     def reflect(self, x):
         # Impulse form, replicating the elastic exchange operation for
         # operation: reflect(v_pre) reproduces v_post bitwise, so the
         # flow direction transports through collisions without noise
-        # for downstream hyperbolicity to amplify.
-        d = self._pair_delta(x)
-        rad = self.u[0] * d[0] + self.u[1] * d[1]
-        g = 2.0 * rad / (self.mi + self.mj)
-        out = np.array(x)
+        # for downstream hyperbolicity to amplify.  The pair differences
+        # x_i - x_j are exact zero on equal blocks, which keeps vectors
+        # flat along the cylinder generator exactly flat.
         i2, j2 = 2 * self.i, 2 * self.j
-        out[i2] -= self.mj * g * self.u[0]
-        out[i2 + 1] -= self.mj * g * self.u[1]
-        out[j2] += self.mi * g * self.u[0]
-        out[j2 + 1] += self.mi * g * self.u[1]
+        ux, uy = self._ux, self._uy
+        rad = ux * (x[i2] - x[j2]) + uy * (x[i2 + 1] - x[j2 + 1])
+        g = 2.0 * rad / (self.mi + self.mj)
+        gi, gj = self.mj * g, self.mi * g
+        out = np.array(x)
+        out[i2] -= gi * ux
+        out[i2 + 1] -= gi * uy
+        out[j2] += gj * ux
+        out[j2 + 1] += gj * uy
         return out
 
     def scatter_amplitude(self, xq):
@@ -311,33 +341,29 @@ class CollisionFrame:
         slid tangent.  Projecting d along the incoming relative velocity w
         divides (u . d) / s by the very cosine the table computed from w,
         so v_pre, and with it the flow direction, scatters to exact zero."""
-        d = self._pair_delta(xq)
-        c = (self.u[0] * d[0] + self.u[1] * d[1]) / self.s / self.cos_pre
-        y = d + np.multiply.outer(self._pair_delta(self.v_pre), c)
-        return ((2.0 * self.cos_phi) * (self.perp[0] * y[0] + self.perp[1] * y[1])
+        i2, j2 = 2 * self.i, 2 * self.j
+        ux, uy, px, py = self._ux, self._uy, self._px, self._py
+        wx, wy = self._wx, self._wy
+        d0, d1 = xq[i2] - xq[j2], xq[i2 + 1] - xq[j2 + 1]
+        c = (ux * d0 + uy * d1) / self.s / self.cos_pre
+        return ((2.0 * self.cos_phi) * (px * (d0 + wx * c) + py * (d1 + wy * c))
                 / (self.s * self.base_radius))
 
     def scatter_pre(self, xq):
         """Scattering term 2 cos(phi) V* K V: amplitude times slid tangent."""
-        tk = np.multiply.outer(self.slid, self.scatter_amplitude(xq))
+        i2, j2 = 2 * self.i, 2 * self.j
+        tx, ty = self._tx, self._ty
+        amp = self.scatter_amplitude(xq)
+        ci, cj = self.mi * self.s, self.mj * self.s
         out = np.zeros(np.shape(xq))
-        out[2 * self.i: 2 * self.i + 2] = tk / (self.mi * self.s)
-        out[2 * self.j: 2 * self.j + 2] = -tk / (self.mj * self.s)
+        out[i2], out[i2 + 1] = tx * amp / ci, ty * amp / ci
+        out[j2], out[j2 + 1] = -(tx * amp) / cj, -(ty * amp) / cj
         return out
 
 
 def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
-    """Frame of event k, read from the segment's collision table.
-
-    The table is built on the first call and kept on the segment outside
-    its dataclass fields, so ``simulate`` never builds one and a copy
-    made with ``dataclasses.replace`` builds its own.
-    """
-    table = traj.__dict__.get("_collision_table")
-    if table is None:
-        table = _CollisionTable(traj)
-        object.__setattr__(traj, "_collision_table", table)
-    return CollisionFrame(table, k)
+    """Frame of event k, read from the segment's collision table."""
+    return CollisionFrame(_table(traj), k)
 
 
 def _apply_event(frame, xq, xv):
@@ -378,35 +404,34 @@ def _walk(traj: TrajectorySegment, t_from: float | None = None,
 
     Without t_from the walk starts from the initial state and crosses
     every event up to t_to, one at t = 0 included.  With t_from, vectors
-    sit on the outgoing side of an event time (searchsorted's "right"):
+    sit on the outgoing side of an event time (bisect's "right"):
     forward walks cross t_from < t_k <= t_to in order, backward walks
     t_to < t_k <= t_from in reverse, so a walk that ends on an event
     time ends on its outgoing side either way.  Segments with flagged
     (tangential or double) events are refused unless ``flagged``, which
-    yields their flights with frame None.
+    yields their flights with frame None.  A t_from or t_to outside
+    [0, t_end], NaN included, raises ``ValueError``.  The event times,
+    flags and ``singular`` are read from the segment's collision table.
     """
-    if traj.singular and not flagged:
+    table = _table(traj)
+    if table.singular and not flagged:
         raise SingularSegmentError(
             "segment carries singular events; transport refused")
-    ev_t = traj.ev_t
+    times, t_end = table.times, traj.t_end
     if t_to is None:
-        t_to = traj.t_end
+        t_to = t_end
     if t_from is None:
         t_from, first = 0.0, 0
     else:
-        first = int(np.searchsorted(ev_t, t_from, side="right"))
-    if min(t_from, t_to) < 0.0 or max(t_from, t_to) > traj.t_end:
+        first = bisect.bisect_right(times, t_from)
+    if not (0.0 <= t_from <= t_end and 0.0 <= t_to <= t_end):
         raise ValueError(f"[{t_from:g}, {t_to:g}] outside segment span")
-    last = int(np.searchsorted(ev_t, t_to, side="right"))
-    # the window's events, read as lists once rather than per event
-    lo, hi = min(first, last), max(first, last)
-    window = zip(range(lo, hi), ev_t[lo:hi].tolist(),
-                 traj.ev_flags[lo:hi].tolist())
-    if t_to < t_from:
-        window = reversed(list(window))
+    last = bisect.bisect_right(times, t_to)
+    window = range(first, last) if t_to >= t_from else range(first - 1, last - 1, -1)
     t = t_from
-    for k, t_k, flag in window:
-        yield t, t_k, k, None if flag else frame_for_event(traj, k)
+    for k in window:
+        t_k = times[k]
+        yield t, t_k, k, None if table.flagged[k] else frame_for_event(traj, k)
         t = t_k
     yield t, t_to, None, None
 
@@ -463,6 +488,8 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
     if times is None:
         times = [traj.t_end]
     times = np.array([float(t) for t in times])
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if np.any(np.diff(times, prepend=0.0) < 0.0):
         raise ValueError("times must be nondecreasing and nonnegative")
     if not times.size:

@@ -204,6 +204,19 @@ class TestDeterminism:
                           (out / "events.jsonl").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("subcommand", ["audit", "neutral"])
+    def test_analysis_rerun_byte_identical(self, tmp_path, subcommand):
+        cfg = write_config(tmp_path, BASE + "\n[analysis]\nl0 = 1, 0\n")
+        files = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli.main([subcommand, "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "summary.json" in files[0]
+        assert subcommand != "audit" or "series.csv" in files[0]
+        assert files[0] == files[1]
+
     def test_scan_worker_count_invariant(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, SCAN)
         out_multi = tmp_path / "multi"

@@ -278,6 +278,42 @@ class TestAdvance:
         fd = advance(traj, W, 0, P2, method="finite_difference")
         assert abs(fd - 5.0) <= 1e-6
 
+    def test_finite_difference_from_an_event_time(self):
+        # t_ref on event k - 1 starts on its outgoing side, as state_at
+        # does, so collision k is the next one the perturbed runs meet.
+        # W moves only the disk of pair k that pair k - 1 does not hold,
+        # along pair k's relative velocity, so its advance at k is 1 and
+        # neither perturbed state overlaps the pair in contact at t_ref.
+        traj = simulate(sample_state(1, P3M), 20.0, P3M)
+        for k in (3, 6):
+            i, j = traj.ev_pair[k].tolist()
+            assert set(traj.ev_pair[k - 1].tolist()) & {i, j} == {1}
+            W = np.zeros((3, 2))
+            W[j if i == 1 else i] = (-1.0 if i == 1 else 1.0) * (
+                traj.ev_v_pre[k, i] - traj.ev_v_pre[k, j])
+            W = W.reshape(-1)
+            t_ref = float(traj.ev_t[k - 1])
+            on = advance(traj, W, k, P3M, t_ref=t_ref,
+                         method="finite_difference")
+            after = advance(traj, W, k, P3M, t_ref=t_ref + 1e-3,
+                            method="finite_difference")
+            assert abs(on - after) <= 1e-6, k
+            assert abs(on - advance(traj, W, k, P3M, t_ref=t_ref)) <= 1e-6, k
+            with pytest.raises(ValueError, match="before the event"):
+                advance(traj, W, k, P3M, t_ref=float(traj.ev_t[k]),
+                        method="finite_difference")
+        # the flow direction moves the pair in contact at t_ref apart, so
+        # one side of the difference overlaps it: a typed refusal
+        for k in (4, 7):
+            t_ref = float(traj.ev_t[k - 1])
+            flow = traj.state_at(t_ref).v.reshape(-1)
+            with pytest.raises(IllConditionedAdvanceError, match="overlap"):
+                advance(traj, flow, k, P3M, t_ref=t_ref,
+                        method="finite_difference")
+            fd = advance(traj, flow, k, P3M, t_ref=t_ref + 1e-3,
+                         method="finite_difference")
+            assert abs(fd - 1.0) <= 1e-6, k
+
     def test_closed_form_linear(self):
         traj = simulate(sample_state(3, P2B), 8.0, P2B)
         W = is_sufficient(traj, P2B).result.basis[:, 0]

@@ -255,6 +255,48 @@ class TestCollisionTable:
             assert frame_for_event(traj, k).block.tobytes() == block.tobytes()
 
 
+    def test_kernels_serve_stacks_column_by_column(self):
+        # one code path serves a flat vector and a (2N, k) stack: each
+        # stack column carries the bits of the flat call on that column
+        rng = np.random.default_rng(12)
+        events = 0
+        for traj in analysis_orbits():
+            for k in range(traj.n_events):
+                f = frame_for_event(traj, k)
+                x = rng.standard_normal((2 * traj.params.n, 3))
+                for fn in (f.reflect, f.scatter_amplitude, f.scatter_pre):
+                    cols = np.stack([fn(x[:, c]) for c in range(3)], axis=-1)
+                    assert cols.tobytes() == fn(x).tobytes(), (k, fn.__name__)
+                events += 1
+        assert events > 800
+
+    def test_frame_rows_follow_their_slice(self):
+        # frames read their scalars from one slice of Python rows at a
+        # time; walked forward and then backward across the slice
+        # boundaries, every frame reads its own event's bits
+        traj = simulate(sample_state(1, P3M), 500.0, P3M)
+        assert traj.n_events > 2 * tangent._TABLE_CHUNK and not traj.singular
+        table = tangent._table(traj)
+        w_pre = table._relative(table.v_pre, np.arange(traj.n_events))
+        walked = []
+        for t_from, t_to in ((None, None), (traj.t_end, 0.0)):
+            for _, _, k, f in tangent._walk(traj, t_from, t_to):
+                if f is None:
+                    continue
+                walked.append(k)
+                assert [f.i, f.j] == table.pair[k].tolist(), k
+                got = np.array([f.mi, f.mj, f.s, f.base_radius,
+                                f.cos_pre, f.cos_phi])
+                assert got.tobytes() == table.scalars[k].tobytes(), k
+                for mine, want in (((f._ux, f._uy), table.u),
+                                   ((f._px, f._py), table.perp),
+                                   ((f._tx, f._ty), table.slid),
+                                   ((f._wx, f._wy), w_pre)):
+                    assert np.array(mine).tobytes() == want[k].tobytes(), k
+        n = traj.n_events
+        assert walked == list(range(n)) + list(range(n - 1, -1, -1))
+
+
 class TestPropagators:
     def test_free_flight(self):
         dv = np.array([0.1, -0.2, 0.3, 0.4])
@@ -321,6 +363,19 @@ class TestPropagators:
             propagate_tangent(traj, tau, [2.0, 1.0])
         with pytest.raises(ValueError, match="span"):
             propagate_tangent(traj, tau, [traj.t_end + 1.0])
+
+    def test_nan_walk_bounds_refused(self):
+        # NaN is outside the span, as state_at has it, rather than a
+        # silent NaN vector, a numerical failure or a bare IndexError
+        traj = simulate(sample_state(1, P3M), 20.0, P3M)
+        x = np.ones(6)
+        for t_from, t_to in ((0.0, math.nan), (math.nan, 5.0)):
+            with pytest.raises(ValueError, match="span"):
+                transport_between(traj, x, x, t_from, t_to)
+        tau = TangentVector(x, x)
+        for times in ([1.0, math.nan], [math.nan, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                propagate_tangent(traj, tau, times)
 
     def test_singular_segment_refused(self):
         traj = eventful()
