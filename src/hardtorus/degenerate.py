@@ -144,30 +144,17 @@ def perpendicular_speed(state: PhaseState, l0, params: SystemParams) -> float:
     return float(_perp_norms(v[None], l, params)[0])
 
 
-def _parallel_audit(state: PhaseState, l: LatticeDirection,
-                    params: SystemParams, traj: TrajectorySegment) -> bool:
-    """Check parallelism at every velocity change of the simulated
-    orbit ``traj`` started from ``state``."""
-    worst = perpendicular_speed(state, l, params)
-    if traj.n_events:
-        worst = max(worst, float(np.max(_perp_norms(traj.ev_v_post, l,
-                                                    params))))
-    worst = max(worst, perpendicular_speed(traj.final, l, params))
-    return worst <= PARALLEL_TOL
+def _perp_history(traj: TrajectorySegment,
+                  l: LatticeDirection) -> np.ndarray:
+    """Perpendicular speeds over the orbit's whole velocity history.
 
-
-def _capped_orbit(state: PhaseState, params: SystemParams,
-                  horizon: float) -> TrajectorySegment:
-    """The orbit of ``state`` over the horizon, cut after
-    ``_SETTLE_EVENTS_PER_DISK`` events per disk beyond the first.
-
-    The cap leaves t_max, and so the engine's chunk schedule, unchanged,
-    so the run is a bitwise prefix of the full one.  It reached the
-    horizon when ``traj.stopped_by_count`` is false.
+    Velocities only change at collisions, so the history is the initial
+    velocities, each collision's outgoing ones and the final ones,
+    stacked in that order; row 0 is the initial state's.
     """
-    # a single disk has no pair, and its run needs a cap of at least 1
-    return simulate(state, horizon, params,
-                    max_events=max(1, _SETTLE_EVENTS_PER_DISK * (params.n - 1)))
+    v = np.concatenate([traj.initial.v[None], traj.ev_v_post,
+                        traj.final.v[None]])
+    return _perp_norms(v, l, traj.params)
 
 
 def in_L(state: PhaseState, l0, params: SystemParams, *,
@@ -182,7 +169,8 @@ def in_L(state: PhaseState, l0, params: SystemParams, *,
     l = LatticeDirection.from_vector(l0)
     if perpendicular_speed(state, l, params) > PARALLEL_TOL:
         return False
-    return _parallel_audit(state, l, params, simulate(state, horizon, params))
+    perp = _perp_history(simulate(state, horizon, params), l)
+    return bool(perp.max() <= PARALLEL_TOL)
 
 
 def _tube_offset(q_disk, l: LatticeDirection) -> float:
@@ -244,67 +232,38 @@ class TubeStructure:
         }
 
 
-def _components(traj: TrajectorySegment):
-    """Collision-graph components of the horizon and each disk's label."""
-    comps = collision_graph(symbolic_sequence(traj), traj.params.n).components
-    label = {i: ci for ci, members in enumerate(comps) for i in members}
-    return comps, label
-
-
 def _audit_tubes(state: PhaseState, l: LatticeDirection,
-                 params: SystemParams, components) -> TubeStructure:
-    n = params.n
-    comps, label = components
-    q = np.asarray(state.q, dtype=float).reshape(n, 2)
-    v = np.asarray(state.v, dtype=float).reshape(n, 2)
-    offsets = [_tube_offset(q[i], l) for i in range(n)]
-    tubes = tuple(Tube(disk=i, direction=l, offset=offsets[i],
-                       half_width=params.radius) for i in range(n))
+                 params: SystemParams, components, offsets,
+                 pairs) -> TubeStructure:
+    """Tube audit from the survey's pair rows (i, j, offset distance,
+    same component, size of the larger component)."""
+    v = state.v
     two_r = 2.0 * params.radius
     coincide_bad, disjoint_bad, singleton_bad = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _offset_distance(offsets[i], offsets[j], l.width)
-            if label[i] == label[j]:
-                if d > OFFSET_TOL:
-                    coincide_bad.append((i, j))
-                continue
-            sizes = (len(comps[label[i]]), len(comps[label[j]]))
-            disjoint = d >= two_r - OFFSET_TOL
-            if max(sizes) >= 2:
-                if not disjoint:
-                    disjoint_bad.append((i, j))
-            else:
-                same_velocity = float(np.hypot(*(v[i] - v[j]))) <= PARALLEL_TOL
-                if not (disjoint or same_velocity):
-                    singleton_bad.append((i, j))
+    for i, j, d, same, largest in pairs:
+        if same:
+            if d > OFFSET_TOL:
+                coincide_bad.append((i, j))
+            continue
+        disjoint = d >= two_r - OFFSET_TOL
+        if largest >= 2:
+            if not disjoint:
+                disjoint_bad.append((i, j))
+        elif not (disjoint
+                  or float(np.hypot(*(v[i] - v[j]))) <= PARALLEL_TOL):
+            singleton_bad.append((i, j))
     return TubeStructure(
-        direction=l, width=l.width, tubes=tubes, components=comps,
+        direction=l, width=l.width,
+        tubes=tuple(Tube(disk=i, direction=l, offset=c,
+                         half_width=params.radius)
+                    for i, c in enumerate(offsets)),
+        components=components,
         coincide_ok=not coincide_bad,
         coincide_violations=tuple(coincide_bad),
         disjoint_ok=not disjoint_bad,
         disjoint_violations=tuple(disjoint_bad),
         singleton_ok=not singleton_bad,
         singleton_violations=tuple(singleton_bad))
-
-
-def _surrogate(state: PhaseState, l: LatticeDirection, params: SystemParams,
-               components) -> float:
-    perp = perpendicular_speed(state, l, params)
-    comps, label = components
-    q = np.asarray(state.q, dtype=float).reshape(params.n, 2)
-    offsets = [_tube_offset(q[i], l) for i in range(params.n)]
-    two_r = 2.0 * params.radius
-    overlap = 0.0
-    for i in range(params.n):
-        for j in range(i + 1, params.n):
-            if label[i] == label[j]:
-                continue
-            if max(len(comps[label[i]]), len(comps[label[j]])) < 2:
-                continue
-            d = _offset_distance(offsets[i], offsets[j], l.width)
-            overlap += max(0.0, two_r - d)
-    return perp + overlap
 
 
 @dataclass(frozen=True)
@@ -396,36 +355,60 @@ def degeneracy_report(state: PhaseState, params: SystemParams, *,
     failure of the engine after the cap of a settled orbit (drift,
     cascade or overlap) is not raised, since those events are never
     simulated.
+
+    Each direction reads the orbit's velocity history once: the maximum
+    of its perpendicular speeds decides membership, and the initial one
+    enters the distance.  One pass over the disk pairs serves both the
+    distance and the tube audit.
     """
     directions = admissible_directions(params.radius)
     if l0 is not None:
         targets = [LatticeDirection.from_vector(l0)]
     else:
         targets = list(directions)
-    # the orbit does not depend on the direction; a capped run that
-    # leaves a direction unrefuted, or the graph split, is run again to
-    # the horizon
-    traj = _capped_orbit(state, params, horizon)
-    if traj.stopped_by_count and any(_parallel_audit(state, l, params, traj)
-                                     for l in targets):
+    n = params.n
+
+    def read(traj):
+        return ([_perp_history(traj, l) for l in targets],
+                collision_graph(symbolic_sequence(traj), n))
+
+    # The orbit does not depend on the direction.  The cap leaves t_max,
+    # and so the engine's chunk schedule, unchanged, so the capped run is
+    # a bitwise prefix of the full one; a single disk has no pair, and
+    # its run needs a cap of at least 1.  A run the cap stopped is run
+    # again to the horizon unless the answer is settled.
+    traj = simulate(state, horizon, params,
+                    max_events=max(1, _SETTLE_EVENTS_PER_DISK * (n - 1)))
+    perps, graph = read(traj)
+    if traj.stopped_by_count and (
+            not graph.connected
+            or any(p.max() <= PARALLEL_TOL for p in perps)):
         traj = simulate(state, horizon, params)
-    components = _components(traj)
-    if traj.stopped_by_count and len(components[0]) > 1:
-        traj = simulate(state, horizon, params)
-        components = _components(traj)
+        perps, graph = read(traj)
+    label = graph.label
+    sizes = [len(graph.components[c]) for c in label]
+    two_r = 2.0 * params.radius
     entries = []
-    for l in targets:
-        ok = _parallel_audit(state, l, params, traj)
+    for l, perp in zip(targets, perps):
+        member = bool(perp.max() <= PARALLEL_TOL)
+        offsets = [_tube_offset(q, l) for q in state.q]
+        pairs = [(i, j, _offset_distance(offsets[i], offsets[j], l.width),
+                  label[i] == label[j], max(sizes[i], sizes[j]))
+                 for i in range(n) for j in range(i + 1, n)]
+        overlap = 0.0
+        for _, _, d, same, largest in pairs:
+            if not same and largest >= 2:
+                overlap += max(0.0, two_r - d)
         entry = {
             "direction": list(l.as_tuple()),
-            "member": ok,
-            "distance": _surrogate(state, l, params, components),
+            "member": member,
+            "distance": float(perp[0]) + overlap,
             "radius_flags": degenerate_radius_check(
                 params, l, max_group=max_group).to_dict(),
         }
-        if ok:
-            entry["tubes"] = _audit_tubes(state, l, params,
-                                          components).to_dict()
+        if member:
+            entry["tubes"] = _audit_tubes(state, l, params, graph.components,
+                                          offsets, pairs).to_dict()
         entries.append(entry)
     return {
         "radius": params.radius,

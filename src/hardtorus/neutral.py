@@ -281,6 +281,15 @@ class CollisionGraph:
     def connected(self) -> bool:
         return self.k == 1
 
+    @property
+    def label(self) -> tuple[int, ...]:
+        """Each disk's index in ``components``."""
+        out = [0] * self.n
+        for ci, members in enumerate(self.components):
+            for i in members:
+                out[i] = ci
+        return tuple(out)
+
 
 def _union_find_components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     parent = list(range(n))
@@ -341,13 +350,8 @@ def advance_report(traj: TrajectorySegment, W, params: SystemParams,
     direction, which ``parallel_residual`` quantifies.
     """
     graph = collision_graph(symbolic_sequence(traj), params.n)
-    vertex_comp = {}
-    for ci, comp in enumerate(graph.components):
-        for vtx in comp:
-            vertex_comp[vtx] = ci
     alphas = advance(traj, W, np.arange(traj.n_events), params, t_ref=t_ref)
-    comp_of = np.array([vertex_comp[int(i)] for i in traj.ev_pair[:, 0]],
-                       dtype=int)
+    comp_of = np.array(graph.label, dtype=int)[traj.ev_pair[:, 0]]
     spread = np.zeros(len(graph.components))
     for ci in range(len(graph.components)):
         vals = alphas[comp_of == ci]
@@ -409,16 +413,15 @@ def neutral_report(traj: TrajectorySegment, params: SystemParams,
     verdict = is_sufficient(traj, params, a=a, b=b, t_ref=t_ref)
     res = verdict.result
     graph = collision_graph(symbolic_sequence(traj), params.n)
+    every = np.arange(traj.n_events)
     advances = []
-    if traj.n_events and res.dimension:
-        every = np.arange(traj.n_events)
-        for col in range(res.dimension):
-            try:
-                vals = advance(traj, res.basis[:, col], every, params,
-                               t_ref=res.t_ref).tolist()
-            except IllConditionedAdvanceError:
-                vals = None
-            advances.append(vals)
+    for col in range(res.dimension):
+        try:
+            vals = advance(traj, res.basis[:, col], every, params,
+                           t_ref=res.t_ref).tolist()
+        except IllConditionedAdvanceError:
+            vals = None
+        advances.append(vals)
     return {
         "window": {"a": res.a, "b": res.b, "t_ref": res.t_ref},
         "dimension": res.dimension,

@@ -21,6 +21,7 @@ from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
 from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
                                   ExpansionCheck, JumpRecord, QEvolutionAudit,
                                   _as_operator_matrix)
+from hardtorus.neutral import collision_graph
 from hardtorus.rng import make_generator
 from hardtorus.tangent import (_TABLE_CHUNK, NormalTransportResult,
                                NormalVector, TangentVector, _apply_event,
@@ -573,6 +574,27 @@ def curvature_entropy(path, t_total):
     return float(np.log1p(tau[:, None] / mu).sum()) / t_total
 
 
+def curvature_exponents(path, t_total):
+    """Positive Lyapunov exponents from the flights of ``path`` cut at
+    T = t_total, largest first.  In the co-moving basis a collision
+    keeps the unstable front's configuration coefficients, and a flight
+    of length tau from an attachment with inverse M multiplies them by
+    (M + tau I) M^-1, so the exponents are the growth rates of the
+    running product of these factors, read from its QR (Benettin)."""
+    ops = path.operators[:-1]
+    starts = np.array([op.time for op in ops])
+    ends = np.append(starts[1:], path.operators[-1].time)
+    tau = np.maximum(np.minimum(ends, t_total) - starts, 0.0)
+    inverses = np.stack([op.inverse for op in ops])
+    eye = np.eye(inverses.shape[1])
+    frame, logs = eye, np.zeros(len(eye))
+    for m, b, s in zip(inverses, np.linalg.inv(inverses), tau):
+        if s > 0.0:
+            frame, r = np.linalg.qr((m + s * eye) @ (b @ frame))
+            logs += np.log(np.abs(np.diag(r)))
+    return np.sort(logs / t_total)[::-1]
+
+
 def ref_expansion_check(traj, tau0, c0, *, n_samples=256):
     params = traj.params
     norm0 = mass_norm(tau0.dq, params)
@@ -824,18 +846,131 @@ def ref_lyapunov_spectrum(state, t_max, params, *, reorth_interval=10,
 
 
 # ---------------------------------------------------------------------------
+# Covariance oracles: symmetries of the hard-disk flow on the square
+# torus under which the engine's record maps bit for bit.
+
+SYMMETRIES = ("swap", "relabel", "scale2", "scale_half")
+
+
+def symmetry_image(state, params, t_max, symmetry):
+    """A run's state, params and horizon mapped through one symmetry,
+    with the map of a record (event times, pairs, positions at contact)
+    onto the mapped run's record.
+
+    - swap: the x <-> y exchange of the square torus;
+    - relabel: the disk order reversed together with the masses;
+    - scale2, scale_half: velocities times c = 2 or 1/2 and the horizon
+      divided by c, exact in binary floating point.
+    """
+    n = params.n
+    if symmetry == "swap":
+        image = (PhaseState(state.q[:, ::-1], state.v[:, ::-1]), params, t_max)
+
+        def record(traj):
+            return traj.ev_t, traj.ev_pair, traj.ev_q[..., ::-1]
+    elif symmetry == "relabel":
+        image = (PhaseState(state.q[::-1], state.v[::-1]),
+                 dataclasses.replace(params, masses=params.masses[::-1]),
+                 t_max)
+
+        def record(traj):
+            return (traj.ev_t, np.sort(n - 1 - traj.ev_pair, axis=1),
+                    traj.ev_q[:, ::-1])
+    else:
+        c = {"scale2": 2.0, "scale_half": 0.5}[symmetry]
+        image = (PhaseState(state.q, c * state.v), params, t_max / c)
+
+        def record(traj):
+            return traj.ev_t / c, traj.ev_pair, traj.ev_q
+    return image, record
+
+
+# ---------------------------------------------------------------------------
 # Full-horizon degeneracy references.  These are the survey and the
 # membership test as they stood before the survey stopped simulating
-# once its answer was settled: one engine run over the whole horizon.
-# The library must give the same answers.
+# once its answer was settled: one engine run over the whole horizon,
+# two parallelism audits per direction, and a tube pass each for the
+# audit and the distance.  The library must give the same answers.
+
+
+def ref_parallel_audit(state, l, params, traj):
+    """Check parallelism at every velocity change of the simulated
+    orbit ``traj`` started from ``state``."""
+    worst = degenerate.perpendicular_speed(state, l, params)
+    if traj.n_events:
+        worst = max(worst, float(np.max(degenerate._perp_norms(
+            traj.ev_v_post, l, params))))
+    worst = max(worst, degenerate.perpendicular_speed(traj.final, l, params))
+    return worst <= degenerate.PARALLEL_TOL
+
+
+def ref_components(traj):
+    """Collision-graph components of the horizon and each disk's label."""
+    comps = collision_graph(symbolic_sequence(traj), traj.params.n).components
+    label = {i: ci for ci, members in enumerate(comps) for i in members}
+    return comps, label
+
+
+def ref_audit_tubes(state, l, params, components):
+    n = params.n
+    comps, label = components
+    q = np.asarray(state.q, dtype=float).reshape(n, 2)
+    v = np.asarray(state.v, dtype=float).reshape(n, 2)
+    offsets = [degenerate._tube_offset(q[i], l) for i in range(n)]
+    tubes = tuple(degenerate.Tube(disk=i, direction=l, offset=offsets[i],
+                                  half_width=params.radius) for i in range(n))
+    two_r = 2.0 * params.radius
+    coincide_bad, disjoint_bad, singleton_bad = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = degenerate._offset_distance(offsets[i], offsets[j], l.width)
+            if label[i] == label[j]:
+                if d > degenerate.OFFSET_TOL:
+                    coincide_bad.append((i, j))
+                continue
+            sizes = (len(comps[label[i]]), len(comps[label[j]]))
+            disjoint = d >= two_r - degenerate.OFFSET_TOL
+            if max(sizes) >= 2:
+                if not disjoint:
+                    disjoint_bad.append((i, j))
+            else:
+                same_velocity = (float(np.hypot(*(v[i] - v[j])))
+                                 <= degenerate.PARALLEL_TOL)
+                if not (disjoint or same_velocity):
+                    singleton_bad.append((i, j))
+    return degenerate.TubeStructure(
+        direction=l, width=l.width, tubes=tubes, components=comps,
+        coincide_ok=not coincide_bad,
+        coincide_violations=tuple(coincide_bad),
+        disjoint_ok=not disjoint_bad,
+        disjoint_violations=tuple(disjoint_bad),
+        singleton_ok=not singleton_bad,
+        singleton_violations=tuple(singleton_bad))
+
+
+def ref_surrogate(state, l, params, components):
+    perp = degenerate.perpendicular_speed(state, l, params)
+    comps, label = components
+    q = np.asarray(state.q, dtype=float).reshape(params.n, 2)
+    offsets = [degenerate._tube_offset(q[i], l) for i in range(params.n)]
+    two_r = 2.0 * params.radius
+    overlap = 0.0
+    for i in range(params.n):
+        for j in range(i + 1, params.n):
+            if label[i] == label[j]:
+                continue
+            if max(len(comps[label[i]]), len(comps[label[j]])) < 2:
+                continue
+            d = degenerate._offset_distance(offsets[i], offsets[j], l.width)
+            overlap += max(0.0, two_r - d)
+    return perp + overlap
 
 
 def ref_in_L(state, l0, params, *, horizon=100.0):
     l = degenerate.LatticeDirection.from_vector(l0)
     if degenerate.perpendicular_speed(state, l, params) > degenerate.PARALLEL_TOL:
         return False
-    return degenerate._parallel_audit(state, l, params,
-                                      simulate(state, horizon, params))
+    return ref_parallel_audit(state, l, params, simulate(state, horizon, params))
 
 
 def ref_degeneracy_report(state, params, *, l0=None, horizon=100.0,
@@ -846,20 +981,20 @@ def ref_degeneracy_report(state, params, *, l0=None, horizon=100.0,
     else:
         targets = list(directions)
     traj = simulate(state, horizon, params)
-    components = degenerate._components(traj)
+    components = ref_components(traj)
     entries = []
     for l in targets:
-        ok = degenerate._parallel_audit(state, l, params, traj)
+        ok = ref_parallel_audit(state, l, params, traj)
         entry = {
             "direction": list(l.as_tuple()),
             "member": ok,
-            "distance": degenerate._surrogate(state, l, params, components),
+            "distance": ref_surrogate(state, l, params, components),
             "radius_flags": degenerate.degenerate_radius_check(
                 params, l, max_group=max_group).to_dict(),
         }
         if ok:
-            entry["tubes"] = degenerate._audit_tubes(state, l, params,
-                                                     components).to_dict()
+            entry["tubes"] = ref_audit_tubes(state, l, params,
+                                             components).to_dict()
         entries.append(entry)
     return {
         "radius": params.radius,

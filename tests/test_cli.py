@@ -182,6 +182,12 @@ class TestCollisionless:
         assert conservation["n_events"] == 0
         assert conservation["min_cos_phi"] is None
 
+    def test_neutral_has_one_empty_advance_row_per_basis_vector(self,
+                                                                tmp_path):
+        neutral = run_cli(tmp_path, "neutral", COLLISIONLESS)["neutral"]
+        assert neutral["dimension"] == 4
+        assert neutral["advances_per_basis_vector"] == [[]] * 4
+
     def test_two_point_scan(self, tmp_path):
         text = COLLISIONLESS + "\n[scan]\nradius_grid = 0.1, 0.09\n"
         rows = run_cli(tmp_path, "scan", text)["rows"]
@@ -204,7 +210,7 @@ class TestDeterminism:
                           (out / "events.jsonl").read_bytes()))
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("subcommand", ["audit", "neutral"])
+    @pytest.mark.parametrize("subcommand", ["audit", "neutral", "degeneracy"])
     def test_analysis_rerun_byte_identical(self, tmp_path, subcommand):
         cfg = write_config(tmp_path, BASE + "\n[analysis]\nl0 = 1, 0\n")
         files = []

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ref_degeneracy_report, ref_in_L
+from conftest import (ref_components, ref_degeneracy_report, ref_in_L,
+                      ref_parallel_audit)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -402,12 +403,12 @@ class TestSettledSurvey:
             assert not full["entries"][0]["member"]
             cap = degenerate._SETTLE_EVENTS_PER_DISK * (params.n - 1)
             prefix = simulate(make(), 100.0, params, max_events=cap)
-            assert len(degenerate._components(prefix)[0]) == 1
-            assert degenerate._parallel_audit(make(), LatticeDirection(0, 1),
-                                              params, prefix)
+            assert len(ref_components(prefix)[0]) == 1
+            assert ref_parallel_audit(make(), LatticeDirection(0, 1), params,
+                                      prefix)
         cap = degenerate._SETTLE_EVENTS_PER_DISK * (P3.n - 1)
         prefix = simulate(connected_late_n3(), 100.0, P3, max_events=cap)
-        assert len(degenerate._components(prefix)[0]) == 2
+        assert len(ref_components(prefix)[0]) == 2
         assert simulate(collisionless_n2(), 100.0, P2).n_events == 0
 
     @pytest.mark.parametrize("survey, capped", [
@@ -456,3 +457,36 @@ class TestSettledSurvey:
             caps.clear()
             degeneracy_report(sample_state(seed, P3), P3)
             assert caps == [8]
+
+    def test_one_velocity_pass_per_direction_and_run(self, monkeypatch):
+        # each engine run's velocity history is read once per target
+        # direction: 8 passes on each settled analysis_n3 orbit, 320 for
+        # the 40 of a benchmark pass
+        passes, runs = [], []
+        perp_norms, simulate_ = degenerate._perp_norms, degenerate.simulate
+
+        def counting_perp(*args):
+            passes.append(args[1])
+            return perp_norms(*args)
+
+        def counting_simulate(*args, **kwargs):
+            runs.append(kwargs.get("max_events"))
+            return simulate_(*args, **kwargs)
+
+        monkeypatch.setattr(degenerate, "_perp_norms", counting_perp)
+        monkeypatch.setattr(degenerate, "simulate", counting_simulate)
+        total = 0
+        for seed in range(1, 41):
+            passes.clear()
+            degeneracy_report(sample_state(seed, P3), P3)
+            assert len(passes) == 8
+            total += len(passes)
+        assert total == 320
+        for _, make, params in SURVEY_CASES:
+            for l0 in (None, (0, 1)):
+                passes.clear()
+                runs.clear()
+                rep = degeneracy_report(make(), params, l0=l0)
+                targets = [tuple(e["direction"]) for e in rep["entries"]]
+                assert len(passes) == len(targets) * len(runs)
+                assert [l.as_tuple() for l in passes] == targets * len(runs)

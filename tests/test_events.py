@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (boundary_orbit, double_orbit, grazing_orbit,
-                      no_overlap_headroom, ref_resolve_collision, table_orbit)
+from conftest import (SYMMETRIES, boundary_orbit, double_orbit, grazing_orbit,
+                      no_overlap_headroom, ref_resolve_collision,
+                      symmetry_image, table_orbit)
 from hardtorus import events
 from hardtorus.errors import ValidationError
 from hardtorus.events import (_NEG_ROOT_SLACK, _REACH_SLACK, _SELF_GUARD,
@@ -629,3 +631,43 @@ class TestRecordMemory:
         record = (sum(getattr(traj, name).nbytes for name in RECORD_FIELDS)
                   - traj.ev_v_pre.nbytes + traj.initial.v.nbytes)
         assert peak <= 3 * record, (peak, record)
+
+
+# The orbits of the covariance oracles: lyapunov_n3's parameters, an
+# N = 8 system with unequal masses, and simulate_n32's parameters.
+COVARIANCE_RUNS = {
+    "n3": (SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1), 1500.0),
+    "n8": (SystemParams(masses=tuple(1.0 + 0.1 * k for k in range(8)),
+                        radius=0.05), 200.0),
+    "n32": (P32, 250.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def covariance_base(name):
+    params, t_max = COVARIANCE_RUNS[name]
+    state = sample_state(1, params)
+    return state, params, t_max, simulate(state, t_max, params)
+
+
+class TestCovariance:
+    """Whole orbits commute with the symmetries of the problem bit for
+    bit: event times, mapped pairs and positions at contact.  Time
+    scaling is checked at N = 3 only: the clamps of the chunk rule are
+    absolute time constants, and at N = 8 and 32 they move the event
+    times at roundoff."""
+
+    @pytest.mark.parametrize("name, symmetry", [
+        (name, symmetry) for name in COVARIANCE_RUNS
+        for symmetry in SYMMETRIES
+        if name == "n3" or not symmetry.startswith("scale")])
+    def test_record_maps_bitwise(self, name, symmetry):
+        state, params, t_max, traj = covariance_base(name)
+        assert traj.n_events > 500
+        (state2, params2, t_max2), record = symmetry_image(state, params,
+                                                           t_max, symmetry)
+        image = simulate(state2, t_max2, params2)
+        assert image.n_events == traj.n_events
+        for field, want, got in zip(("ev_t", "ev_pair", "ev_q"), record(traj),
+                                    (image.ev_t, image.ev_pair, image.ev_q)):
+            assert np.array_equal(want, got), field

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (P3_DYADIC, curvature_entropy, double_orbit,
-                      grazing_orbit, ref_cone_ratio, ref_curvature_propagate,
+from conftest import (P3_DYADIC, curvature_entropy, curvature_exponents,
+                      double_orbit, grazing_orbit, ref_cone_ratio,
+                      ref_curvature_propagate,
                       ref_expansion_check, ref_hyperbolicity_series,
                       ref_lyapunov_spectrum, ref_q_evolution_audit,
                       ref_scatter_pre, table_orbit)
@@ -207,6 +208,12 @@ class TestCurvature:
         assert spec.n_restarts == 0
         positive = spec.exponents[: spec.exponents.size // 2].sum()
         t_total = spec.t_total
+        # each positive exponent from the flights of the same path; the
+        # two estimates start from different transients, so the bound is
+        # O(1/T): over seeds 1-200, T |d| reached 7.5
+        each = curvature_exponents(path, t_total)
+        assert each.size == spec.exponents.size // 2
+        assert np.abs(each - spec.exponents[: each.size]).max() <= 10.0 / t_total
         assert abs(curvature_entropy(path, t_total) - positive) <= 8.0 / t_total
 
 
