@@ -13,12 +13,12 @@ series.csv.  The HARDTORUS_OUT environment variable overrides the
 output directory and nothing else.  Identical configs produce byte-
 identical summaries.  Lyapunov ensemble members and scan points run
 on every CPU this process may use, in this process and in worker
-processes, and are merged in member and grid order, so the output does
-not depend on worker count.
+processes started with multiprocessing, and are merged in member and
+grid order, so the output does not depend on worker count.
 
-The layers only some subcommands use (neutral, degenerate and the
-process pool) are imported inside their runners, so a run loads only
-what it calls.
+The layers only some subcommands use (neutral, degenerate and
+multiprocessing) are imported inside their runners, so a run loads
+only what it calls.
 """
 from __future__ import annotations
 
@@ -119,16 +119,39 @@ def _run_neutral(config: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
+def _run_share(fn, tasks) -> tuple:
+    """fn over tasks in order up to the first failure: (results, error)."""
+    results = []
+    for task in tasks:
+        try:
+            results.append(fn(task))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _share_worker(fn, tasks, conn) -> None:
+    conn.send(_run_share(fn, tasks))
+    conn.close()
+
+
 def _in_order(fn, tasks) -> list:
     """[fn(task) for task in tasks], spread over the usable CPUs.
 
-    With L lanes this process runs tasks 0, L, 2L, ... and one worker
-    process per further lane runs the rest, so a profiler of this
-    process still sees task 0.  Workers come from the default start
-    method; where that is fork (Linux before Python 3.14) a worker
-    starts without importing numpy again.  As in the plain loop, a
-    failure raises the error of the lowest-index failing task; queued
-    tasks are cancelled, and every worker has exited on return.
+    With L lanes and T = qL + r tasks, this process runs tasks 0, L,
+    ..., (q - 1)L, so a profiler of this process still sees task 0.
+    One worker process per further lane runs that lane's q tasks, and
+    each of the r tasks of the last, partial round gets a worker of its
+    own, so no lane idles through that round; at most 2L - 1 processes
+    run at once.  Every worker starts before this process begins its
+    share, and sends its results once, through a pipe, when it is done.
+    Workers come from the default start method; where that is fork
+    (Linux before Python 3.14) a worker starts without importing numpy
+    again.  As in the plain loop, a failure raises the error of the
+    lowest-index failing task.  A worker that dies without sending its
+    results counts as a RuntimeError at its first task, naming its tasks
+    and exit code.  Workers still running when the outcome is known are
+    terminated, and every worker has exited on return.
     """
     cpus = os.cpu_count() or 1
     # the affinity mask (taskset, a container's cpuset) may allow fewer
@@ -137,29 +160,54 @@ def _in_order(fn, tasks) -> list:
     lanes = min(len(tasks), cpus)
     if lanes <= 1:
         return [fn(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=lanes - 1)
+    import multiprocessing
+    full = len(tasks) // lanes * lanes
+    shares = ([range(lane, full, lanes) for lane in range(1, lanes)]
+              + [range(i, i + 1) for i in range(full, len(tasks))])
+    workers = []
     try:
-        futures = [None if i % lanes == 0 else pool.submit(fn, task)
-                   for i, task in enumerate(tasks)]
-        own, failure = {}, None
-        for i in range(0, len(tasks), lanes):
-            try:
-                own[i] = fn(tasks[i])
-            except Exception as exc:
-                failure = exc
-                break
+        for share in shares:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_share_worker,
+                args=(fn, [tasks[i] for i in share], send), daemon=True)
+            with send:  # this process keeps only the receiving end
+                proc.start()
+            workers.append((share, receive, proc))
+        done, failed = {}, {}
+
+        def record(share, results, error):
+            done.update(zip(share, results))
+            if error is not None:
+                failed[share[len(results)]] = error
+
+        own = range(0, full, lanes)
+        record(own, *_run_share(fn, [tasks[i] for i in own]))
+        # workers are listed by first task, so task i's worker has been
+        # heard from once every worker up to it has
+        pending = iter(workers)
         results = []
-        for i, future in enumerate(futures):
-            if future is not None:
-                results.append(future.result())
-            elif i in own:
-                results.append(own[i])
-            else:
-                raise failure
+        for i in range(len(tasks)):
+            while i not in done and i not in failed:
+                share, receive, proc = next(pending)
+                try:
+                    record(share, *receive.recv())
+                except EOFError:
+                    proc.join()
+                    failed[share[0]] = RuntimeError(
+                        f"the worker for task(s) "
+                        f"{', '.join(map(str, share))} exited with code "
+                        f"{proc.exitcode} before sending its results")
+            if i in failed:
+                raise failed[i]
+            results.append(done[i])
         return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for _, receive, proc in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            receive.close()
 
 
 def _lyapunov_member(task) -> dict:

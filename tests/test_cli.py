@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -320,11 +319,17 @@ class TestExitCodes:
         assert not (tmp_path / "ignored").exists()
 
 
+def set_lanes(monkeypatch, lanes):
+    # this many usable CPUs on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: lanes)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(lanes)), raising=False)
+
+
 def two_lanes(monkeypatch):
-    # two lanes on any host: members 0 and 2 run here, member 1 in a worker
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    # members 0, 1 and 2 of three: member 0 runs here, member 1 in the
+    # lane's worker and member 2 in a worker of its own
+    set_lanes(monkeypatch, 2)
 
 
 # the fault is patched into this process, and only a forked worker
@@ -346,21 +351,67 @@ def failing_members(monkeypatch, config_seed, members):
     monkeypatch.setattr(cli, "lyapunov_spectrum", spectrum)
 
 
+def counted(monkeypatch, name):
+    """Patch cli.<name> to count the calls made in this process."""
+    real, calls = getattr(cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def lane_config(subcommand, tasks):
+    if subcommand == "lyapunov":
+        return ENSEMBLE.replace("ensemble = 3", f"ensemble = {tasks}")
+    radii = ", ".join(str(0.1 + 0.01 * k) for k in range(tasks))
+    return BASE + f"\n[scan]\nradius_grid = {radii}\n"
+
+
 class TestLanes:
     """Ensemble members and scan points run on the usable CPUs; results
     and errors come back as the plain loop would give them."""
 
     def test_one_usable_cpu_creates_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created")
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was created")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "Process", no_process)
         text = COLLISIONLESS + "\n[scan]\nradius_grid = 0.1, 0.09\n"
         assert len(run_cli(tmp_path, "scan", text)["rows"]) == 2
         summary = run_cli(tmp_path, "lyapunov", ENSEMBLE, out="lyap")
         assert len(summary["ensemble"]) == 3
+
+    @pytest.mark.parametrize("subcommand", ["lyapunov", "scan"])
+    @pytest.mark.parametrize("tasks, lanes", [(3, 2), (5, 2), (4, 3)])
+    def test_lanes_match_one_lane(self, tmp_path, monkeypatch, subcommand,
+                                  tasks, lanes):
+        # T = qL + r: this process runs the q tasks 0, L, ..., (q - 1)L,
+        # and L - 1 lane workers and r partial-round workers run the rest
+        text = lane_config(subcommand, tasks)
+        inner = "lyapunov_spectrum" if subcommand == "lyapunov" else "simulate"
+        set_lanes(monkeypatch, lanes)
+        calls = counted(monkeypatch, inner)
+        real_start, starts = multiprocessing.Process.start, []
+
+        def start(proc):
+            starts.append(proc)
+            real_start(proc)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        run_cli(tmp_path, subcommand, text, out="lanes")
+        assert calls == [os.getpid()] * (tasks // lanes)
+        assert len(starts) == lanes - 1 + tasks % lanes
+        assert multiprocessing.active_children() == []
+        set_lanes(monkeypatch, 1)
+        run_cli(tmp_path, subcommand, text, out="one")
+        assert len(calls) == tasks // lanes + tasks
+        assert (tmp_path / "lanes" / "summary.json").read_bytes() == \
+            (tmp_path / "one" / "summary.json").read_bytes()
 
     @forked_workers
     def test_worker_lane_failure_is_three(self, tmp_path, monkeypatch,
@@ -375,11 +426,38 @@ class TestLanes:
 
     @forked_workers
     def test_lowest_failing_member_wins(self, tmp_path, monkeypatch):
-        # member 2 fails in this process, member 1 in the worker lane
+        # members 1 and 2 fail, each in a worker of its own
         two_lanes(monkeypatch)
         failing_members(monkeypatch, 3, {1, 2})
         with pytest.raises(NumericalFailureError, match="member 1 drifted"):
             cli.run("lyapunov", parse_config(ENSEMBLE), tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
+    @forked_workers
+    def test_partial_round_failure_is_raised(self, tmp_path, monkeypatch):
+        two_lanes(monkeypatch)
+        failing_members(monkeypatch, 3, {2})
+        with pytest.raises(NumericalFailureError, match="member 2 drifted"):
+            cli.run("lyapunov", parse_config(ENSEMBLE), tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
+    @forked_workers
+    def test_dead_worker_is_three(self, tmp_path, monkeypatch, capsys):
+        # member 2's worker dies without sending its result
+        two_lanes(monkeypatch)
+        real, here = cli.lyapunov_spectrum, os.getpid()
+
+        def spectrum(state, t_max, params, *, seed, **kwargs):
+            if seed - 3 == 2 and os.getpid() != here:
+                os._exit(9)
+            return real(state, t_max, params, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "lyapunov_spectrum", spectrum)
+        cfg = write_config(tmp_path, ENSEMBLE)
+        assert cli.main(["lyapunov", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert ("numerical failure: the worker for task(s) 2 exited with "
+                "code 9 before sending its results") in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_passing_run(self, tmp_path, monkeypatch):

@@ -202,7 +202,7 @@ class TestLoadedLayers:
     def test_cli_defers_neutral_degenerate_and_pool(self):
         loaded = loaded_after("import hardtorus.cli")
         assert not loaded & {"hardtorus.neutral", "hardtorus.degenerate",
-                             "concurrent.futures.process"}
+                             "multiprocessing"}
 
     @pytest.mark.parametrize("subcommand, extra, one_cpu", [
         ("lyapunov", "[analysis]\nensemble = 1\n", False),
@@ -221,7 +221,19 @@ class TestLoadedLayers:
             f"cli.run({subcommand!r}, parse_config({text!r}), "
             f"{str(tmp_path)!r})")
         assert "hardtorus.hyperbolic" in loaded
-        assert "concurrent.futures.process" not in loaded
+        assert "multiprocessing" not in loaded
+
+    def test_run_with_lanes_loads_multiprocessing(self, tmp_path):
+        # the control for the two checks above: two lanes start workers
+        text = (CONFIG_TEXT + "[run]\nt_max = 50\n"
+                "[analysis]\nensemble = 2\n")
+        loaded = loaded_after(
+            "import os\n"
+            "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from hardtorus import cli, parse_config\n"
+            f"cli.run('lyapunov', parse_config({text!r}), {str(tmp_path)!r})")
+        assert "multiprocessing" in loaded
 
     def test_submodule_resolves_after_bare_import(self):
         loaded_after("import sys, hardtorus\n"
