@@ -326,12 +326,6 @@ def set_lanes(monkeypatch, lanes):
                         lambda pid: set(range(lanes)), raising=False)
 
 
-def two_lanes(monkeypatch):
-    # members 0, 1 and 2 of three: member 0 runs here, member 1 in the
-    # lane's worker and member 2 in a worker of its own
-    set_lanes(monkeypatch, 2)
-
-
 # the fault is patched into this process, and only a forked worker
 # inherits the patch
 forked_workers = pytest.mark.skipif(
@@ -372,7 +366,9 @@ def lane_config(subcommand, tasks):
 
 class TestLanes:
     """Ensemble members and scan points run on the usable CPUs; results
-    and errors come back as the plain loop would give them."""
+    and errors come back as the plain loop would give them.  With two
+    lanes, ENSEMBLE's member 0 runs in this process, member 1 in the
+    lane's worker and member 2 in a worker of its own."""
 
     def test_one_usable_cpu_creates_no_pool(self, tmp_path, monkeypatch):
         def no_process(*args, **kwargs):
@@ -416,7 +412,7 @@ class TestLanes:
     @forked_workers
     def test_worker_lane_failure_is_three(self, tmp_path, monkeypatch,
                                           capsys):
-        two_lanes(monkeypatch)
+        set_lanes(monkeypatch, 2)
         failing_members(monkeypatch, 3, {1})
         cfg = write_config(tmp_path, ENSEMBLE)
         assert cli.main(["lyapunov", "--config", str(cfg),
@@ -427,7 +423,7 @@ class TestLanes:
     @forked_workers
     def test_lowest_failing_member_wins(self, tmp_path, monkeypatch):
         # members 1 and 2 fail, each in a worker of its own
-        two_lanes(monkeypatch)
+        set_lanes(monkeypatch, 2)
         failing_members(monkeypatch, 3, {1, 2})
         with pytest.raises(NumericalFailureError, match="member 1 drifted"):
             cli.run("lyapunov", parse_config(ENSEMBLE), tmp_path / "out")
@@ -435,7 +431,7 @@ class TestLanes:
 
     @forked_workers
     def test_partial_round_failure_is_raised(self, tmp_path, monkeypatch):
-        two_lanes(monkeypatch)
+        set_lanes(monkeypatch, 2)
         failing_members(monkeypatch, 3, {2})
         with pytest.raises(NumericalFailureError, match="member 2 drifted"):
             cli.run("lyapunov", parse_config(ENSEMBLE), tmp_path / "out")
@@ -444,7 +440,7 @@ class TestLanes:
     @forked_workers
     def test_dead_worker_is_three(self, tmp_path, monkeypatch, capsys):
         # member 2's worker dies without sending its result
-        two_lanes(monkeypatch)
+        set_lanes(monkeypatch, 2)
         real, here = cli.lyapunov_spectrum, os.getpid()
 
         def spectrum(state, t_max, params, *, seed, **kwargs):
@@ -461,7 +457,7 @@ class TestLanes:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_passing_run(self, tmp_path, monkeypatch):
-        two_lanes(monkeypatch)
+        set_lanes(monkeypatch, 2)
         summary = run_cli(tmp_path, "lyapunov", ENSEMBLE)
         assert len(summary["ensemble"]) == 3
         assert multiprocessing.active_children() == []
