@@ -43,13 +43,13 @@ _EXPORTS = {
     "neutral": ("AdvanceReport", "CollisionGraph", "NeutralSpaceResult",
                 "SufficiencyVerdict", "advance", "advance_report",
                 "collision_graph", "is_sufficient", "neutral_report",
-                "neutral_space", "neutral_translate", "richness_count"),
+                "neutral_space", "neutral_translate"),
     "tangent": ("CollisionFrame", "NormalVector", "TangentVector",
                 "frame_for_event", "propagate_normal", "propagate_tangent",
                 "q_of", "reverse_normal", "transport_between"),
     "hyperbolic": ("CollisionRateReport", "CurvatureOperator",
-                   "CurvaturePath", "ExpansionCheck", "JumpRecord",
-                   "LyapunovSpectrum", "QEvolutionAudit", "collision_rate",
+                   "CurvaturePath", "ExpansionCheck", "LyapunovSpectrum",
+                   "QEvolutionAudit", "collision_rate",
                    "curvature_consistency", "curvature_propagate",
                    "expansion_check", "hyperbolicity_series",
                    "lyapunov_spectrum", "q_evolution_audit", "summary_dict",

@@ -261,7 +261,7 @@ def _run_audit(config: ExperimentConfig, out_dir: Path) -> dict:
             "min_jump": audit.min_jump,
             "min_jump_relative": audit.min_jump_relative,
             "q_monotone": audit.q_monotone,
-            "n_jumps": len(audit.jumps),
+            "n_jumps": traj.n_events,
         },
         **summary_dict(rate=rate, expansion=expansion, curvature=path),
     }

@@ -40,26 +40,16 @@ from .tangent import (TangentVector, _carry, _frame_failure, _lazy, _walk,
 
 
 @dataclass(frozen=True)
-class JumpRecord:
-    """Q across one collision; ``formula`` is the scattering form
-    2 cos(phi) <V*KV dq, dq> that the jump must equal."""
-
-    t: float
-    pair: tuple[int, int]
-    q_pre: float
-    q_post: float
-    jump: float
-    formula: float
-
-
-@dataclass(frozen=True)
 class QEvolutionAudit:
     """Per-row samples of the audited tangent vector.
 
     The rows are the flights' samples in walk order, so a collision
     time has two rows: the last of the incoming flight and the first of
     the outgoing one.  ``collisions_before`` (collisions crossed before
-    each row, the row's flight index) tells them apart.  ``dq_rows`` and
+    each row, the row's flight index) tells them apart, so collision k's
+    jump of Q is read from ``q_values`` at its two rows.
+    ``jump_formulas`` holds, per collision, the scattering form
+    2 cos(phi) <V*KV dq, dq> that the jump must equal.  ``dq_rows`` and
     ``dv_rows`` are the read-only (rows, 2N) vectors the columns are
     taken from.
     """
@@ -71,17 +61,14 @@ class QEvolutionAudit:
     dq_norms: np.ndarray
     dv_norms: np.ndarray
     collisions_before: np.ndarray
-    jumps: tuple[JumpRecord, ...]
+    jump_formulas: np.ndarray
     # residuals are relative to the local scale of the quantities, so
     # they stay meaningful after orders of magnitude of growth
     max_flight_residual: float    # Q increment vs dt * ||dv||^2, per flight
     max_midpoint_residual: float  # d/dt ||dq||^2 = 2Q, midpoint rule
     max_jump_defect: float        # |jump - formula|
     min_jump_relative: float      # min jump / local |Q| scale
-
-    @property
-    def min_jump(self) -> float:
-        return min((r.jump for r in self.jumps), default=0.0)
+    min_jump: float
 
     @property
     def q_monotone(self) -> bool:
@@ -118,19 +105,21 @@ def _local_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
                       *, n_samples: int = 64) -> QEvolutionAudit:
-    """Walk the trajectory recording (t, Q, ||dq||, ||dv||) and the jump
-    of Q at every collision, together with the residuals of the exact
-    free-flight laws.  Between collisions dv is constant, so the Q
-    increment is dt*||dv||^2 on the nose and ||dq||^2 is a quadratic,
-    for which the midpoint rule is exact; both residuals are pure
-    floating-point noise on a healthy transport.
+    """Walk the trajectory recording (t, Q, ||dq||, ||dv||) and the
+    scattering form of every collision, together with the residuals of
+    the exact free-flight laws.  Between collisions dv is constant, so
+    the Q increment is dt*||dv||^2 on the nose and ||dq||^2 is a
+    quadratic, for which the midpoint rule is exact; both residuals are
+    pure floating-point noise on a healthy transport.
 
     The rows are each flight's samples: its two ends and the grid points
     strictly inside it, at dq + (t - t_a) dv.  A collision's incoming row
-    ends its flight and its outgoing row starts the next.  The forward
-    carry gives the flight starts and the scattering terms, and refuses
-    a non-finite vector with ``NumericalFailureError`` naming the event;
-    the rows and residuals are then taken over whole stacks.
+    ends its flight and its outgoing row starts the next, so its jump of
+    Q is the difference of the two rows' ``q_values`` and no record is
+    kept per collision.  The forward carry gives the flight starts and
+    the scattering terms, and refuses a non-finite vector with
+    ``NumericalFailureError`` naming the event; the rows, jumps and
+    residuals are then taken over whole stacks.
     """
     params = traj.params
     mw = params.mass_weights
@@ -141,7 +130,6 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     sq, sv = np.array(start_q), np.array(start_v)
     # the carry crosses every event in order
     n_ev = ta.size - 1
-    pairs = map(tuple, traj.ev_pair[:n_ev].tolist())
     scatter = np.array(scatter[:-1], dtype=float).reshape(n_ev, sq.shape[1])
 
     # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b;
@@ -189,27 +177,19 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
 
     # a collision's Q jumps from its flight's last row to the next
     # flight's first
-    jumps = []
-    jump_defect = 0.0
-    for t_ev, pair, q_pre, q_post, formula in zip(
-            t_b, pairs, q_end.tolist(), q_values[first[1:]].tolist(),
-            _mass_dots(scatter, dq_rows[last[:n_ev]], mw).tolist()):
-        jumps.append(JumpRecord(t=t_ev, pair=pair, q_pre=q_pre,
-                                q_post=q_post, jump=q_post - q_pre,
-                                formula=formula))
-        jump_defect = max(jump_defect, abs((q_post - q_pre) - formula)
-                          / max(1.0, abs(q_post), abs(q_pre)))
-    min_jump_rel = min(
-        (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
-        default=0.0)
+    q_pre, q_post = q_end[:n_ev], q_values[first[1:]]
+    jump = q_post - q_pre
+    formulas = _mass_dots(scatter, dq_rows[last[:n_ev]], mw)
+    scale = _local_scale(np.abs(q_post), np.abs(q_pre))
 
     return QEvolutionAudit(
         times=t, dq_rows=dq_rows, dv_rows=dv_rows,
         q_values=q_values, dq_norms=dq_norms, dv_norms=dv_norms,
-        collisions_before=fl,
-        jumps=tuple(jumps), max_flight_residual=flight_res,
-        max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
-        min_jump_relative=min_jump_rel)
+        collisions_before=fl, jump_formulas=formulas,
+        max_flight_residual=flight_res, max_midpoint_residual=mid_res,
+        max_jump_defect=_max_of(np.abs(jump - formulas) / scale),
+        min_jump_relative=float((jump / scale).min()) if n_ev else 0.0,
+        min_jump=float(jump.min()) if n_ev else 0.0)
 
 
 # ---------------------------------------------------------------------------

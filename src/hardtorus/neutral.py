@@ -27,6 +27,7 @@ from .geometry import (PhaseState, SystemParams, _null_of_row, mass_inner,
 from .tangent import _walk, frame_for_event, transport_between
 
 _EDGE_GUARD = 1e-6          # keep reference times away from collisions
+_FD_STEP = 1e-6             # configuration shift of the finite-difference advance
 
 
 def _check_window(traj: TrajectorySegment, a: float, b: float, t_ref: float):
@@ -129,29 +130,24 @@ class SufficiencyVerdict:
     result: NeutralSpaceResult
 
 
-def is_sufficient(traj: TrajectorySegment, params: SystemParams,
-                  a: float | None = None, b: float | None = None,
-                  t_ref: float | None = None) -> SufficiencyVerdict:
-    """Sufficient iff the neutral space is the flow line alone.
+def is_sufficient(traj: TrajectorySegment,
+                  params: SystemParams) -> SufficiencyVerdict:
+    """Sufficient iff the neutral space of the whole segment is the flow
+    line alone.
 
     The verdict is ``undecidable`` only when a rank decision sits near
     roundoff: a cut margin below 100 * rank_rel_tol, a kept residual
     above rank_rel_tol / 100, or no direction kept at all.  The window
-    defaults to [0, t_end]; a segment that ends within _EDGE_GUARD after
-    its last collision (as one stopped by max_events does) ends its
-    default window halfway between that collision and the later of a
-    and the collision before it.
+    is [0, t_end], attached at 0; a segment that ends within _EDGE_GUARD
+    after its last collision (as one stopped by max_events does) ends
+    its window halfway between that collision and the one before it, or
+    0 when it is the first.
     """
-    if a is None:
-        a = 0.0
-    if b is None:
-        b = traj.t_end
-        last = traj.ev_t[-2:].tolist()
-        if last and b - last[-1] < _EDGE_GUARD:
-            b = 0.5 * (max([a] + last[:-1]) + last[-1])
-    if t_ref is None:
-        t_ref = a
-    res = neutral_space(traj, a, b, t_ref, params)
+    b = traj.t_end
+    last = traj.ev_t[-2:].tolist()
+    if last and b - last[-1] < _EDGE_GUARD:
+        b = 0.5 * (max([0.0] + last[:-1]) + last[-1])
+    res = neutral_space(traj, 0.0, b, 0.0, params)
     tol = params.tolerances.rank_rel_tol
     if (res.dimension == 0 or res.max_kept_residual > tol / 100.0
             or np.any(res.cut_margins < 100.0 * tol)):
@@ -191,14 +187,13 @@ def _pre_collision_vectors(traj: TrajectorySegment, W, t_ref: float,
 
 
 def advance(traj: TrajectorySegment, W, k, params: SystemParams,
-            *, t_ref: float = 0.0, method: str = "closed_form",
-            eps: float = 1e-6):
+            *, t_ref: float = 0.0, method: str = "closed_form"):
     """Advance of collision k with respect to the neutral direction W.
 
     closed_form solves the proportionality of the pre-collision
     configuration variation difference against the relative velocity in
     least squares; finite_difference re-simulates from configurations
-    shifted by +-eps*W and differences the collision time.  With an
+    shifted by +-_FD_STEP*W and differences the collision time.  With an
     array of event indices for ``k`` the closed form returns an array
     of advances, one per index, from one sweep along the orbit.
     """
@@ -246,7 +241,8 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
             else 0.5 * (traj.t_end - t_k)
         times = []
         for sgn in (+1.0, -1.0):
-            pert = PhaseState(q=_wrap(ref_state.q + sgn * eps * w), v=ref_state.v)
+            pert = PhaseState(q=_wrap(ref_state.q + sgn * _FD_STEP * w),
+                              v=ref_state.v)
             try:
                 seg = simulate(pert, horizon, params)
             except ValidationError as exc:
@@ -261,7 +257,7 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
                     "perturbed trajectory lost the collision; W is not "
                     "neutral enough for the finite-difference advance")
             times.append(t_ref + float(seg.ev_t[k_local]))
-        return (times[1] - times[0]) / (2.0 * eps)
+        return (times[1] - times[0]) / (2.0 * _FD_STEP)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -282,6 +278,24 @@ class CollisionGraph:
         return self.k == 1
 
     @property
+    def richness(self) -> int:
+        """Maximum number of consecutive disjoint windows of ``edges``
+        with connected collision graphs, built greedily left to right
+        (shortest windows): one union-find pass that starts afresh each
+        time its window connects every disk."""
+        count = 0
+        parent, parts = list(range(self.n)), self.n
+        for i, j in self.edges:
+            ri, rj = _root(parent, i), _root(parent, j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+                parts -= 1
+            if parts == 1:
+                count += 1
+                parent, parts = list(range(self.n)), self.n
+        return count
+
+    @property
     def label(self) -> tuple[int, ...]:
         """Each disk's index in ``components``."""
         out = [0] * self.n
@@ -291,22 +305,23 @@ class CollisionGraph:
         return tuple(out)
 
 
+def _root(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _union_find_components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in edges:
-        ri, rj = find(i), find(j)
+        ri, rj = _root(parent, i), _root(parent, j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for x in range(n):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(_root(parent, x), []).append(x)
     return tuple(tuple(sorted(g)) for g in
                  sorted(groups.values(), key=lambda g: g[0]))
 
@@ -315,20 +330,6 @@ def collision_graph(sigma, n: int) -> CollisionGraph:
     edges = tuple((min(i, j), max(i, j)) for i, j in sigma)
     return CollisionGraph(n=n, edges=edges,
                           components=_union_find_components(n, edges))
-
-
-def richness_count(traj: TrajectorySegment) -> int:
-    """Maximum number of consecutive disjoint windows with connected
-    collision graphs, built greedily left to right (shortest windows)."""
-    n = traj.params.n
-    count = 0
-    edges: list[tuple[int, int]] = []
-    for pair in symbolic_sequence(traj):
-        edges.append(pair)
-        if len(_union_find_components(n, edges)) == 1:
-            count += 1
-            edges = []
-    return count
 
 
 @dataclass(frozen=True)
@@ -341,16 +342,17 @@ class AdvanceReport:
     parallel_residual: float             # distance of W from the flow line
 
 
-def advance_report(traj: TrajectorySegment, W, params: SystemParams,
-                   *, t_ref: float = 0.0) -> AdvanceReport:
-    """Advances of every collision, grouped by collision-graph component.
+def advance_report(traj: TrajectorySegment, W,
+                   params: SystemParams) -> AdvanceReport:
+    """Advances of every collision, grouped by collision-graph component,
+    for W attached at time 0.
 
     Within one component all advances of a neutral W agree; when the
     whole graph is connected and they all agree, W can only be the flow
     direction, which ``parallel_residual`` quantifies.
     """
     graph = collision_graph(symbolic_sequence(traj), params.n)
-    alphas = advance(traj, W, np.arange(traj.n_events), params, t_ref=t_ref)
+    alphas = advance(traj, W, np.arange(traj.n_events), params)
     comp_of = np.array(graph.label, dtype=int)[traj.ev_pair[:, 0]]
     spread = np.zeros(len(graph.components))
     for ci in range(len(graph.components)):
@@ -358,7 +360,7 @@ def advance_report(traj: TrajectorySegment, W, params: SystemParams,
         if vals.size:
             spread[ci] = float(vals.max() - vals.min())
     w = np.asarray(W, dtype=float).reshape(-1)
-    v = traj.state_at(t_ref).v.reshape(-1)
+    v = traj.state_at(0.0).v.reshape(-1)
     coeff = mass_inner(w, v, params) / mass_inner(v, v, params)
     resid = mass_norm(w - coeff * v, params) / max(mass_norm(w, params), 1e-300)
     return AdvanceReport(advances=alphas, components=graph.components,
@@ -404,13 +406,12 @@ def neutral_translate(state: PhaseState, w0, tau1: float, tau2: float,
     return PhaseState(q=q_new, v=scale * (v_new + tau2 * w).reshape(-1, 2))
 
 
-def neutral_report(traj: TrajectorySegment, params: SystemParams,
-                   *, a: float | None = None, b: float | None = None,
-                   t_ref: float | None = None) -> dict:
-    """JSON-ready summary: dimension, cut margins and largest kept
-    residual of the neutral space, sufficiency, per-collision advances
-    of the neutral basis, components, richness."""
-    verdict = is_sufficient(traj, params, a=a, b=b, t_ref=t_ref)
+def neutral_report(traj: TrajectorySegment, params: SystemParams) -> dict:
+    """JSON-ready summary of the window ``is_sufficient`` takes: dimension,
+    cut margins and largest kept residual of the neutral space,
+    sufficiency, per-collision advances of the neutral basis, and the
+    components and richness of the one collision graph."""
+    verdict = is_sufficient(traj, params)
     res = verdict.result
     graph = collision_graph(symbolic_sequence(traj), params.n)
     every = np.arange(traj.n_events)
@@ -431,6 +432,6 @@ def neutral_report(traj: TrajectorySegment, params: SystemParams,
         "verdict": verdict.verdict,
         "advances_per_basis_vector": advances,
         "components": [list(c) for c in graph.components],
-        "richness": richness_count(traj),
+        "richness": graph.richness,
         "n_events": traj.n_events,
     }

@@ -146,6 +146,7 @@ class _CollisionTable:
         self.params = traj.params
         self.tangency_tol = traj.params.tolerances.tangency_tol
         self.pair, self.u, self.flags = traj.ev_pair, traj.ev_u, traj.ev_flags
+        self.cosphi = traj.ev_cosphi
         self.v_pre, self.v_post = traj.ev_v_pre, traj.ev_v_post
         self.times, self.flagged = traj.ev_t.tolist(), traj.ev_flags.tolist()
         self.singular = any(self.flagged)
@@ -167,6 +168,12 @@ class _CollisionTable:
         return v[ev, self.pair[ev, 0]] - v[ev, self.pair[ev, 1]]
 
     def _fill_scalars(self, ev):
+        """Fill the slice ``ev`` of ``perp``, ``scalars`` and ``slid``.
+
+        cos_pre is the engine's recorded ``ev_cosphi``, -(u . w) / s from
+        the same floats, so (u . w) / s over cos_pre is exactly -1 and the
+        frame's scattering, which projects along w by that ratio, sends
+        v_pre to exact zero."""
         params = self.params
         mi = params.mass_array[self.pair[ev, 0]]
         mj = params.mass_array[self.pair[ev, 1]]
@@ -175,10 +182,7 @@ class _CollisionTable:
         base = 2.0 * params.radius * np.sqrt(mi * mj / (mi + mj))
         w = self._relative(self.v_pre, ev)
         w_post = self._relative(self.v_post, ev)
-        # (u . w) / s over cos_pre is exactly -1, so the frame's
-        # scattering, which projects along w by that ratio, sends v_pre
-        # to exact zero
-        cos_pre = -((u[:, 0] * w[:, 0] + u[:, 1] * w[:, 1]) / s)
+        cos_pre = self.cosphi[ev]
         cos_phi = (u[:, 0] * w_post[:, 0] + u[:, 1] * w_post[:, 1]) / s
         perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
         self.perp[ev] = perp

@@ -19,7 +19,7 @@ from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
                                 mass_norm, project_to_Z, reduced_space,
                                 sample_state, transverse_basis)
 from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
-                                  ExpansionCheck, JumpRecord, QEvolutionAudit,
+                                  ExpansionCheck, QEvolutionAudit,
                                   _as_operator_matrix)
 from hardtorus.neutral import collision_graph
 from hardtorus.rng import make_generator
@@ -358,11 +358,14 @@ def assert_values_close(ref, got, *, rel, free=(), path=""):
 
 
 def stalled_copy(traj, k):
-    """traj with the pair of event k given equal incoming velocities."""
+    """traj with the pair of event k given equal incoming velocities, and
+    the zero incidence cosine that such a pair has recorded."""
     i, j = traj.ev_pair[k]
     v_pre = traj.ev_v_pre.copy()
     v_pre[k, j] = v_pre[k, i]
-    return dataclasses.replace(traj, ev_v_pre=v_pre)
+    cosphi = traj.ev_cosphi.copy()
+    cosphi[k] = 0.0
+    return dataclasses.replace(traj, ev_v_pre=v_pre, ev_cosphi=cosphi)
 
 
 def bfs_components(n, edges):
@@ -386,6 +389,17 @@ def bfs_components(n, edges):
                     stack.append(nb)
         comps.append(tuple(sorted(comp)))
     return tuple(sorted(comps))
+
+
+def ref_richness(n, sigma):
+    """Reference richness: the greedy shortest windows, each decided
+    connected by bfs_components on the window's own edges."""
+    count, window = 0, []
+    for pair in sigma:
+        window.append(pair)
+        if len(bfs_components(n, window)) == 1:
+            count, window = count + 1, []
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +448,7 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
 
     times, rows_q, rows_v, qs, nq, nv, crossed = [], [], [], [], [], [], []
-    jumps = []
+    jumps, formulas = [], []     # (q_pre, q_post, jump) and formula per collision
     flight_res = 0.0
     mid_res = 0.0
     jump_defect = 0.0
@@ -476,24 +490,25 @@ def ref_q_evolution_audit(traj, tau0, *, n_samples=64):
         formula = mass_inner(frame.scatter_pre(dq_end), dq_end, params)
         dq_post, dv_post = _apply_event(frame, dq_end, dv)
         q_post = mass_inner(dq_post, dv_post, params)
-        jumps.append(JumpRecord(t=t_b, pair=(frame.i, frame.j), q_pre=q_end,
-                                q_post=q_post, jump=q_post - q_end,
-                                formula=formula))
+        jumps.append((q_end, q_post, q_post - q_end))
+        formulas.append(formula)
         jump_defect = max(jump_defect, abs((q_post - q_end) - formula)
                           / max(1.0, abs(q_post), abs(q_end)))
         dq, dv = dq_post, dv_post
 
     min_jump_rel = min(
-        (r.jump / max(1.0, abs(r.q_pre), abs(r.q_post)) for r in jumps),
+        (jump / max(1.0, abs(q_pre), abs(q_post))
+         for q_pre, q_post, jump in jumps),
         default=0.0)
     return QEvolutionAudit(
         times=np.array(times), dq_rows=np.array(rows_q),
         dv_rows=np.array(rows_v), q_values=np.array(qs),
         dq_norms=np.array(nq), dv_norms=np.array(nv),
         collisions_before=np.array(crossed, dtype=int),
-        jumps=tuple(jumps), max_flight_residual=flight_res,
+        jump_formulas=np.array(formulas), max_flight_residual=flight_res,
         max_midpoint_residual=mid_res, max_jump_defect=jump_defect,
-        min_jump_relative=min_jump_rel)
+        min_jump_relative=min_jump_rel,
+        min_jump=min((jump for _, _, jump in jumps), default=0.0))
 
 
 def ref_transverse_basis(v, params):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import assert_values_close, symmetry_image
 
 from hardtorus import cli, hyperbolic, tangent
 from hardtorus.config import parse_config
@@ -260,6 +261,86 @@ class TestDeterminism:
         s2 = run_cli(tmp_path, "simulate",
                      BASE.replace("seed = 3", "seed = 4"), out="out2")
         assert s1["config_hash"] != s2["config_hash"]
+
+
+# The analysis_n3 benchmark's audit config; SWAPPED is its x <-> y image.
+ANALYSIS = """\
+[system]
+masses = 1, 1.3, 0.7
+radius = 0.1
+
+[run]
+seed = {seed}
+t_max = 20.0
+
+[analysis]
+l0 = 1, 0
+"""
+SWAPPED = ANALYSIS.replace("l0 = 1, 0", "l0 = 0, 1")
+
+
+def _swap_columns(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, 2)[:, ::-1].reshape(-1)
+
+
+class TestSwapCovariance:
+    """The audit and neutral outputs of an orbit and of its x <-> y image
+    agree to value level.  The record maps bit for bit (see
+    test_events.TestCovariance); the analyses only to roundoff, so the
+    bounds are the agreement measured on the 40 analysis_n3 seeds:
+    3.1e-15 relative on the curvature minimum and on every other float,
+    series.csv included, and 2.3e-13 absolute on the residuals, which
+    sit at roundoff themselves.  The advances are amplified roundoff and
+    stay free."""
+
+    RESIDUALS = ("q_audit.max_flight_residual", "q_audit.max_midpoint_residual",
+                 "q_audit.max_jump_defect", "q_audit.min_jump",
+                 "q_audit.min_jump_relative", "neutral.max_kept_residual",
+                 "neutral.flow_residual")
+
+    @staticmethod
+    def outputs(tmp_path, subcommand, text, out):
+        data = run_cli(tmp_path, subcommand, text, out=out)
+        if subcommand == "audit":
+            data["series"] = np.loadtxt(tmp_path / out / "series.csv",
+                                        delimiter=",", skiprows=1)
+        return data
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("subcommand", ["audit", "neutral"])
+    def test_swapped_outputs_agree(self, tmp_path, monkeypatch, subcommand,
+                                   seed):
+        config = parse_config(ANALYSIS.format(seed=seed))
+        want = self.outputs(tmp_path, subcommand, ANALYSIS.format(seed=seed),
+                            "orbit")
+        seed_vector = cli._audit_seed_vector
+
+        def swapped_state(*args, **kwargs):
+            state = sample_state(*args, **kwargs)
+            (image, _, _), _ = symmetry_image(state, config.params,
+                                              config.t_max, "swap")
+            return image
+
+        def swapped_seed_vector(*args):
+            tau = seed_vector(*args)
+            return tangent.TangentVector(dq=_swap_columns(tau.dq),
+                                         dv=_swap_columns(tau.dv))
+
+        monkeypatch.setattr(cli, "sample_state", swapped_state)
+        monkeypatch.setattr(cli, "_audit_seed_vector", swapped_seed_vector)
+        got = self.outputs(tmp_path, subcommand, SWAPPED.format(seed=seed),
+                           "image")
+        assert want["conservation"]["n_events"] > 0
+        for path in self.RESIDUALS:
+            section, key = path.split(".")
+            if section in want:
+                assert abs(got[section][key] - want[section][key]) <= 2.3e-13
+        # verdict, dimension, components, richness and the event and jump
+        # counts are not floats, so they must be equal
+        assert_values_close(
+            want, got, rel=3.1e-15,
+            free=("config", "config_hash", "neutral.advances_per_basis_vector",
+                  *self.RESIDUALS))
 
 
 class TestExitCodes:

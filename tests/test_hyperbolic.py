@@ -26,7 +26,7 @@ from hardtorus.hyperbolic import (LyapunovSpectrum, collision_rate,
 from hardtorus.rng import make_generator
 from hardtorus.serialize import canonical_json
 from hardtorus.tangent import (TangentVector, _apply_event, _walk,
-                               propagate_tangent)
+                               propagate_tangent, q_of)
 
 P3 = SystemParams(masses=(1.0, 2.0, 0.5), radius=0.1)
 P3M = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
@@ -609,8 +609,9 @@ class TestSeriesAndSummary:
         for i in rows:
             t = float(series["t"][i])
             assert t == traj.ev_t[crossed[i]]
-            assert series["Q"][i] == audit.jumps[crossed[i]].q_pre
             near = propagate_tangent(traj, tau, [t - 1e-9])[0]
+            assert math.isclose(series["Q"][i], q_of(near, P3), rel_tol=1e-6,
+                                abs_tol=1e-9)
             assert math.isclose(series["cone_ratio_q"][i],
                                 ref_cone_ratio(near.dq, (1, 0), P3),
                                 rel_tol=1e-6, abs_tol=1e-9)
@@ -704,8 +705,11 @@ class TestAuditRows:
             rows = np.flatnonzero(audit.times == t_k)
             assert rows.size == 2 and rows[1] == rows[0] + 1
             assert crossed[rows].tolist() == [k, k + 1]
-            assert audit.q_values[rows[0]] == audit.jumps[k].q_pre
-            assert audit.q_values[rows[1]] == audit.jumps[k].q_post
+            # collision k's jump of Q, read from its two rows, is its
+            # scattering form
+            q_pre, q_post = audit.q_values[rows]
+            assert abs(q_post - q_pre - audit.jump_formulas[k]) <= \
+                1e-8 * max(1.0, abs(q_pre), abs(q_post))
         rows = np.column_stack([audit.times, audit.dq_rows, audit.dv_rows])
         assert not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
@@ -734,11 +738,8 @@ class TestStackedMatchesRowReference:
             for name in ("times", "dq_rows", "dv_rows", "q_values",
                          "dq_norms", "dv_norms", "collisions_before"):
                 assert bitwise(getattr(got, name), getattr(ref, name)), name
-            assert len(got.jumps) == len(ref.jumps) == traj.n_events
-            for a, b in zip(got.jumps, ref.jumps):
-                assert a.pair == b.pair
-                for name in ("t", "q_pre", "q_post", "jump", "formula"):
-                    assert bitwise(getattr(a, name), getattr(b, name)), name
+            assert got.jump_formulas.shape == (traj.n_events,)
+            assert bitwise(got.jump_formulas, ref.jump_formulas)
             for name in ("max_flight_residual", "max_midpoint_residual",
                          "max_jump_defect", "min_jump_relative", "min_jump"):
                 assert bitwise(getattr(got, name), getattr(ref, name)), name

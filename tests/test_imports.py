@@ -80,13 +80,13 @@ EXPORTS = {
     "neutral": ["AdvanceReport", "CollisionGraph", "NeutralSpaceResult",
                 "SufficiencyVerdict", "advance", "advance_report",
                 "collision_graph", "is_sufficient", "neutral_report",
-                "neutral_space", "neutral_translate", "richness_count"],
+                "neutral_space", "neutral_translate"],
     "tangent": ["CollisionFrame", "NormalVector", "TangentVector",
                 "frame_for_event", "propagate_normal", "propagate_tangent",
                 "q_of", "reverse_normal", "transport_between"],
     "hyperbolic": ["CollisionRateReport", "CurvatureOperator",
-                   "CurvaturePath", "ExpansionCheck", "JumpRecord",
-                   "LyapunovSpectrum", "QEvolutionAudit", "collision_rate",
+                   "CurvaturePath", "ExpansionCheck", "LyapunovSpectrum",
+                   "QEvolutionAudit", "collision_rate",
                    "curvature_consistency", "curvature_propagate",
                    "expansion_check", "hyperbolicity_series",
                    "lyapunov_spectrum", "q_evolution_audit", "summary_dict",
@@ -101,7 +101,7 @@ ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 class TestExports:
     def test_count(self):
-        assert len(ALL_NAMES) == 78
+        assert len(ALL_NAMES) == 76
         assert sorted(hardtorus.__all__) == ALL_NAMES
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import (bfs_components, contact_traj, neutral_deviations,
-                      stalled_copy)
+                      ref_richness, stalled_copy)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from hardtorus.geometry import (PhaseState, SystemParams, Tolerances,
                                 reduced_space, sample_state)
 from hardtorus.neutral import (advance, advance_report, collision_graph,
                                is_sufficient, neutral_report, neutral_space,
-                               neutral_translate, richness_count)
+                               neutral_translate)
 from hardtorus.tangent import (TangentVector, _apply_event_inverse,
                                frame_for_event, propagate_tangent,
                                transport_between)
@@ -444,11 +444,23 @@ class TestCollisionGraph:
                  for i, j in raw if i % n != j % n]
         g = collision_graph(edges, n)
         assert g.components == bfs_components(n, edges)
+        assert g.richness == ref_richness(n, edges)
 
     def test_richness(self):
-        assert richness_count(tube_traj()) == 0
-        traj = simulate(sample_state(3, P2B), 8.0, P2B)
-        assert richness_count(traj) == len(symbolic_sequence(traj))
+        assert collision_graph(symbolic_sequence(tube_traj()), 3).richness == 0
+        # at N = 2 every collision closes a window
+        sigma = symbolic_sequence(simulate(sample_state(3, P2B), 8.0, P2B))
+        assert collision_graph(sigma, 2).richness == len(sigma)
+
+    @pytest.mark.parametrize("params, seed", [(P3M, 1), (P3M, 3), (P8, 9),
+                                              (P8, 1)])
+    def test_richness_of_orbits_matches_bfs_windows(self, params, seed):
+        sigma = symbolic_sequence(simulate(sample_state(seed, params), 20.0,
+                                           params))
+        want = ref_richness(params.n, sigma)
+        # windows of several events each, not one window per collision
+        assert 0 < want and len(sigma) >= 2 * want + 1
+        assert collision_graph(sigma, params.n).richness == want
 
 
 def degenerate_member(l0, masses, q, speeds):
@@ -601,6 +613,24 @@ class TestNeutralReport:
         assert rep["components"] == [[0, 1], [2]]
         assert rep["richness"] == 0
         assert len(rep["advances_per_basis_vector"]) == 3
+
+    def test_one_sequence_per_report(self, monkeypatch):
+        # the graph's components and its richness come from one collision
+        # sequence and one component search
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("symbolic_sequence", "_union_find_components"):
+            monkeypatch.setattr(neutral, name,
+                                counting(name, getattr(neutral, name)))
+        rep = neutral_report(seed3_orbit(20.0), P3M)
+        assert rep["richness"] > 1
+        assert calls == {"symbolic_sequence": 1, "_union_find_components": 1}
 
     def test_frames_per_event_bounded(self, monkeypatch):
         # one sweep per basis column builds at most two frames per event
