@@ -54,9 +54,9 @@ _EXPORTS = {
                    "expansion_check", "hyperbolicity_series",
                    "lyapunov_spectrum", "q_evolution_audit", "summary_dict",
                    "write_series_csv"),
-    "degenerate": ("LatticeDirection", "RadiusFlags", "Tube", "TubeStructure",
-                   "admissible_directions", "degeneracy_report",
-                   "degenerate_radius_check", "in_L", "perpendicular_speed"),
+    "degenerate": ("LatticeDirection", "RadiusFlags", "admissible_directions",
+                   "degeneracy_report", "degenerate_radius_check", "in_L",
+                   "perpendicular_speed"),
     "rng": ("make_generator",),
     "serialize": (),
 }

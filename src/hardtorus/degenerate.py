@@ -184,86 +184,41 @@ def _offset_distance(c1: float, c2: float, width: float) -> float:
     return min(d, width - d)
 
 
-@dataclass(frozen=True)
-class Tube:
-    """Open tubular neighborhood of one disk's line on the torus."""
-
-    disk: int
-    direction: LatticeDirection
-    offset: float
-    half_width: float
-
-
-@dataclass(frozen=True)
-class TubeStructure:
-    """Tube geometry and collision-component consistency verdicts.
-
-    Same-component tubes must coincide; tubes of distinct components
-    are forced disjoint when either component has two or more members;
-    a pair of singleton components must have disjoint tubes or equal
-    velocities.
-    """
-
-    direction: LatticeDirection
-    width: float
-    tubes: tuple[Tube, ...]
-    components: tuple[tuple[int, ...], ...]
-    coincide_ok: bool
-    coincide_violations: tuple[tuple[int, int], ...]
-    disjoint_ok: bool
-    disjoint_violations: tuple[tuple[int, int], ...]
-    singleton_ok: bool
-    singleton_violations: tuple[tuple[int, int], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": list(self.direction.as_tuple()),
-            "width": self.width,
-            "tubes": [{"disk": t.disk, "offset": t.offset,
-                       "half_width": t.half_width} for t in self.tubes],
-            "components": [list(c) for c in self.components],
-            "coincide_ok": self.coincide_ok,
-            "coincide_violations": [list(p) for p in self.coincide_violations],
-            "disjoint_ok": self.disjoint_ok,
-            "disjoint_violations": [list(p) for p in self.disjoint_violations],
-            "singleton_ok": self.singleton_ok,
-            "singleton_violations": [list(p)
-                                     for p in self.singleton_violations],
-        }
-
-
 def _audit_tubes(state: PhaseState, l: LatticeDirection,
-                 params: SystemParams, components, offsets,
-                 pairs) -> TubeStructure:
-    """Tube audit from the survey's pair rows (i, j, offset distance,
-    same component, size of the larger component)."""
+                 params: SystemParams, components, offsets, pairs) -> dict:
+    """JSON-ready tube audit from the survey's pair rows (i, j, offset
+    distance, same component, size of the larger component): tubes of
+    one component must coincide, tubes of distinct components with two
+    or more members between them be disjoint, and the tubes of two
+    singletons be disjoint or carry equal velocities."""
     v = state.v
     two_r = 2.0 * params.radius
     coincide_bad, disjoint_bad, singleton_bad = [], [], []
     for i, j, d, same, largest in pairs:
         if same:
             if d > OFFSET_TOL:
-                coincide_bad.append((i, j))
+                coincide_bad.append([i, j])
             continue
         disjoint = d >= two_r - OFFSET_TOL
         if largest >= 2:
             if not disjoint:
-                disjoint_bad.append((i, j))
+                disjoint_bad.append([i, j])
         elif not (disjoint
                   or float(np.hypot(*(v[i] - v[j]))) <= PARALLEL_TOL):
-            singleton_bad.append((i, j))
-    return TubeStructure(
-        direction=l, width=l.width,
-        tubes=tuple(Tube(disk=i, direction=l, offset=c,
-                         half_width=params.radius)
-                    for i, c in enumerate(offsets)),
-        components=components,
-        coincide_ok=not coincide_bad,
-        coincide_violations=tuple(coincide_bad),
-        disjoint_ok=not disjoint_bad,
-        disjoint_violations=tuple(disjoint_bad),
-        singleton_ok=not singleton_bad,
-        singleton_violations=tuple(singleton_bad))
+            singleton_bad.append([i, j])
+    return {
+        "direction": list(l.as_tuple()),
+        "width": l.width,
+        "tubes": [{"disk": i, "offset": c, "half_width": params.radius}
+                  for i, c in enumerate(offsets)],
+        "components": [list(c) for c in components],
+        "coincide_ok": not coincide_bad,
+        "coincide_violations": coincide_bad,
+        "disjoint_ok": not disjoint_bad,
+        "disjoint_violations": disjoint_bad,
+        "singleton_ok": not singleton_bad,
+        "singleton_violations": singleton_bad,
+    }
 
 
 @dataclass(frozen=True)
@@ -408,7 +363,7 @@ def degeneracy_report(state: PhaseState, params: SystemParams, *,
         }
         if member:
             entry["tubes"] = _audit_tubes(state, l, params, graph.components,
-                                          offsets, pairs).to_dict()
+                                          offsets, pairs)
         entries.append(entry)
     return {
         "radius": params.radius,

@@ -36,7 +36,6 @@ echo of its own contact.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -559,8 +558,3 @@ def write_events_jsonl(traj: TrajectorySegment, path) -> None:
         for (cos_phi, t, *vecs), (i, j, lx, ly), label in zip(
                 floats, ints, labels):
             fh.write(_EVENT_LINE % (cos_phi, label, i, j, lx, ly, t, *vecs))
-
-
-def read_events_jsonl(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

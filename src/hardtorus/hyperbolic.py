@@ -23,15 +23,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalFailureError, ValidationError
 from .events import TrajectorySegment, simulate
 from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
                        reduced_space, transverse_basis)
 from .rng import make_generator
-from .tangent import (TangentVector, _carry, _frame_failure, _lazy, _walk,
+from .tangent import (TangentVector, _carry, _frame_failure, _walk,
                       propagate_tangent)
 
 
@@ -119,18 +120,32 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
     kept per collision.  The forward carry gives the flight starts and
     the scattering terms, and refuses a non-finite vector with
     ``NumericalFailureError`` naming the event; the rows, jumps and
-    residuals are then taken over whole stacks.
+    residuals are then taken over whole stacks.  Rows whose squares
+    overflow raise it too, naming the first collision whose outgoing
+    squared norms do (else the last collision).
     """
-    params = traj.params
-    mw = params.mass_weights
     grid = np.linspace(0.0, traj.t_end, max(2, n_samples))
+    flights = _carry(traj, tau0.dq, tau0.dv)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _audit_of_flights(traj, grid, *flights)
+    except FloatingPointError as exc:
+        sq, sv, mw = flights[2], flights[3], traj.params.mass_weights
+        with np.errstate(over="ignore"):
+            size = _mass_dots(sq, sq, mw) + _mass_dots(sv, sv, mw)
+        bad = np.flatnonzero(~np.isfinite(size[1:]))
+        what = f"Q-form rows beyond the float range ({exc})"
+        if size.size == 1:
+            raise NumericalFailureError(what) from exc
+        raise _frame_failure(traj, int(bad[0]) if bad.size else size.size - 2,
+                             what) from exc
 
-    t_a, t_b, start_q, start_v, _, scatter = zip(*_carry(traj, tau0.dq, tau0.dv))
-    ta, tb = np.array(t_a), np.array(t_b)
-    sq, sv = np.array(start_q), np.array(start_v)
+
+def _audit_of_flights(traj, grid, ta, tb, sq, sv, scatter) -> QEvolutionAudit:
+    """The audit's rows, jumps and residuals from the carry's flights."""
+    mw = traj.params.mass_weights
     # the carry crosses every event in order
     n_ev = ta.size - 1
-    scatter = np.array(scatter[:-1], dtype=float).reshape(n_ev, sq.shape[1])
 
     # sample rows: flight f holds t_a, the grid points in (t_a, t_b), t_b;
     # a zero-length flight (a segment that ends on its last event) holds
@@ -209,7 +224,9 @@ class CurvatureOperator:
     basis: np.ndarray
     inverse: np.ndarray
 
-    matrix = _lazy(lambda op: np.linalg.inv(op.inverse))
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return np.linalg.inv(self.inverse)
 
     def apply(self, dq, params: SystemParams) -> np.ndarray:
         """dv = B dq for a configuration vector in the transverse space."""
@@ -244,7 +261,7 @@ class CurvaturePath:
     def min_eig_min(self) -> float:
         return float(self.sample_eig_min.min())
 
-    @_lazy
+    @cached_property
     def _tops(self) -> tuple[np.ndarray, np.ndarray]:
         """(mu_n, t_n) of every attachment n; the closing operator starts
         no flight."""
@@ -369,9 +386,12 @@ class ExpansionCheck:
         return self.min_ratio >= 1.0 - 1e-6
 
 
-def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
-                    *, n_samples: int = 256) -> ExpansionCheck:
-    """Minimum of ||dq(t)|| / ((1 + c0 t) ||dq(0)||) over sampled times.
+_EXPANSION_SAMPLES = 256      # sample times of the expansion check
+
+
+def expansion_check(traj: TrajectorySegment, tau0: TangentVector,
+                    c0: float) -> ExpansionCheck:
+    """Minimum of ||dq(t)|| / ((1 + c0 t) ||dq(0)||) over 256 sampled times.
 
     The caller asserts dv(0) = B(0) dq(0) for some B(0) >= c0*I; what
     is actually verifiable from one vector is Q(0) >= 0, and a negative
@@ -392,7 +412,7 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector, c0: float,
         raise ValueError(
             "Q(0) < 0: no positive semi-definite operator sends this "
             "dq(0) to this dv(0)")
-    times = np.linspace(0.0, traj.t_end, max(2, n_samples))
+    times = np.linspace(0.0, traj.t_end, _EXPANSION_SAMPLES)
     dq = np.array([tau.dq for tau in propagate_tangent(traj, tau0, times)])
     ratios = _mass_norms(dq, params.mass_weights) / ((1.0 + c0 * times) * norm0)
     min_ratio = float(ratios[np.argmin(ratios)])
@@ -469,19 +489,18 @@ def _project_out_flow(frame: np.ndarray, vy: np.ndarray) -> None:
     frame -= excl[:, None] * (excl @ frame)
 
 
-def _mass_on_frame(rng, v, params: SystemParams, m: int) -> np.ndarray:
+def _mass_on_frame(rng, v, zy, scale, m: int) -> np.ndarray:
     """Random (4N, m) frame in Z + Z, mass-orthonormal, with the flow
-    direction (v, 0) and the velocity direction (0, v) projected out."""
-    z = reduced_space(params)
-    n2 = 2 * params.n
-    scale = np.sqrt(params.mass_weights)
+    direction (v, 0) and the velocity direction (0, v) projected out;
+    ``zy`` is the basis of Z times ``scale``, the roots of the mass
+    weights, so its columns are Euclidean-orthonormal."""
+    n2, dim = zy.shape
     vy = (np.asarray(v, dtype=float).reshape(-1) * scale)
     vy /= np.linalg.norm(vy)
-    zy = z.basis * scale[:, None]           # Euclidean-orthonormal columns
-    coeff = rng.standard_normal((2 * z.dimension, m))
+    coeff = rng.standard_normal((2 * dim, m))
     frame = np.zeros((2 * n2, m))
-    frame[:n2] = zy @ coeff[: z.dimension]
-    frame[n2:] = zy @ coeff[z.dimension:]
+    frame[:n2] = zy @ coeff[:dim]
+    frame[n2:] = zy @ coeff[dim:]
     _project_out_flow(frame, vy)
     q, _ = np.linalg.qr(frame)
     return q
@@ -524,7 +543,7 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
     zy = reduced_space(params).basis * scale[:, None]
     zy_t = zy.T
 
-    frame = _mass_on_frame(rng, traj.initial.v, params, m)
+    frame = _mass_on_frame(rng, traj.initial.v, zy, scale, m)
     logs = np.zeros(m)
     chunk_rates: list[tuple[float, np.ndarray]] = []
     t_accum = 0.0
@@ -560,7 +579,7 @@ def lyapunov_spectrum(state: PhaseState, t_max: float, params: SystemParams,
             # singular event: drop the partial chunk, restart downstream
             n_restarts += 1
             post_v = traj.ev_v_post[k].reshape(-1)
-            frame = _mass_on_frame(rng, post_v, params, m)
+            frame = _mass_on_frame(rng, post_v, zy, scale, m)
             chunk_t0 = t_k
             chunk_logs = np.zeros(m)
             events_in_chunk = 0

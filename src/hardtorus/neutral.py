@@ -24,7 +24,8 @@ from .errors import (IllConditionedAdvanceError, PerturbationTooLargeError,
 from .events import TrajectorySegment, _wrap, simulate, symbolic_sequence
 from .geometry import (PhaseState, SystemParams, _null_of_row, mass_inner,
                        mass_norm, reduced_space)
-from .tangent import _walk, frame_for_event, transport_between
+from .tangent import (_QUIET, _frame_failure, _walk, frame_for_event,
+                      transport_between)
 
 _EDGE_GUARD = 1e-6          # keep reference times away from collisions
 _FD_STEP = 1e-6             # configuration shift of the finite-difference advance
@@ -174,15 +175,16 @@ def _pre_collision_vectors(traj: TrajectorySegment, W, t_ref: float,
     out = np.full((traj.n_events, w.size), np.nan)
     wanted = range(traj.n_events) if ks is None else sorted({int(k) for k in ks})
     n_before = int(np.searchsorted(traj.ev_t, t_ref, side="right"))
-    for chain in ([k for k in wanted if k >= n_before],
-                  [k for k in reversed(wanted) if k < n_before]):
-        xq, xv = w.copy(), np.zeros_like(w)
-        t = t_ref
-        for k in chain:
-            t_k = float(traj.ev_t[k])
-            xq, xv = transport_between(traj, xq, xv, t, t_k)
-            out[k] = frame_for_event(traj, k).reflect(xq)
-            t = t_k
+    with np.errstate(**_QUIET):
+        for chain in ([k for k in wanted if k >= n_before],
+                      [k for k in reversed(wanted) if k < n_before]):
+            xq, xv = w.copy(), np.zeros_like(w)
+            t = t_ref
+            for k in chain:
+                t_k = float(traj.ev_t[k])
+                xq, xv = transport_between(traj, xq, xv, t, t_k)
+                out[k] = frame_for_event(traj, k).reflect(xq)
+                t = t_k
     return out
 
 
@@ -195,7 +197,8 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
     least squares; finite_difference re-simulates from configurations
     shifted by +-_FD_STEP*W and differences the collision time.  With an
     array of event indices for ``k`` the closed form returns an array
-    of advances, one per index, from one sweep along the orbit.
+    of advances, one per index, from one sweep along the orbit.  None is
+    inf or NaN: ``NumericalFailureError`` names the event instead.
     """
     if traj.singular:
         raise SingularSegmentError("segment carries singular events")
@@ -220,10 +223,13 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
     if method == "closed_form":
         pre = _pre_collision_vectors(traj, W, t_ref, ks)
         vals = []
-        for kk, (i, j, dv_rel, nrm2) in zip(ks, terms):
-            xq = pre[kk]
-            dq_rel = xq.reshape(-1, 2)[i] - xq.reshape(-1, 2)[j]
-            vals.append(float(dq_rel @ dv_rel) / nrm2)
+        with np.errstate(**_QUIET):
+            for kk, (i, j, dv_rel, nrm2) in zip(ks, terms):
+                xq = pre[kk]
+                dq_rel = xq.reshape(-1, 2)[i] - xq.reshape(-1, 2)[j]
+                vals.append(float(dq_rel @ dv_rel) / nrm2)
+                if not math.isfinite(vals[-1]):
+                    raise _frame_failure(traj, int(kk), "non-finite advance")
         return vals[0] if scalar else np.array(vals)
     if method == "finite_difference":
         i, j = terms[0][:2]

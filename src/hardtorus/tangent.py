@@ -85,26 +85,6 @@ def reverse_normal(n: NormalVector) -> NormalVector:
     return NormalVector(n.z, -n.w)
 
 
-class _lazy:
-    """Attribute computed on first access and then stored on the
-    instance.  ``functools.cached_property`` does the same but takes a
-    lock on every first access before Python 3.12, which cost more than
-    the values themselves on the transport paths.  It takes the name
-    it is bound to in the class body, so it also wraps a lambda."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 # Events per vectorised pass of the collision-table build: the pass
 # temporaries, each stack of 8x8 blocks and each slice of frame rows
 # stay a few hundred kB however long the segment is.
@@ -390,6 +370,12 @@ def _frame_failure(traj: TrajectorySegment, k: int,
         f"pair ({i}, {j}))")
 
 
+# numpy error state of a walk that carries vectors, entered once around
+# its loop (never inside ``_walk``, which yields): an overflow leaves an
+# inf or NaN for ``_check_finite`` to refuse, not a RuntimeWarning.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def _check_finite(traj: TrajectorySegment, k: int, *vectors):
     """Refuse a transport whose vectors left the floats at event k."""
     for x in vectors:
@@ -445,37 +431,42 @@ def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: floa
 
     Vectors are understood in plain phase coordinates at the source
     time (post-collision side at an event time) and arrive in plain
-    coordinates at the target time.
+    coordinates at the target time.  The walk runs under ``_QUIET``.
     """
     step = _apply_event if t_to >= t_from else _apply_event_inverse
-    for t_a, t_b, k, frame in _walk(traj, t_from, t_to):
-        xq = xq + (t_b - t_a) * xv
-        if frame is not None:
-            xq, xv = step(frame, xq, xv)
-            _check_finite(traj, k, xq, xv)
+    with np.errstate(**_QUIET):
+        for t_a, t_b, k, frame in _walk(traj, t_from, t_to):
+            xq = xq + (t_b - t_a) * xv
+            if frame is not None:
+                xq, xv = step(frame, xq, xv)
+                _check_finite(traj, k, xq, xv)
     return xq, xv
 
 
 def _carry(traj: TrajectorySegment, dq, dv, t_to: float | None = None):
     """Carry (dq, dv) forward from the initial state, one flight at a time.
 
-    Yields (t_a, t_b, dq, dv, k, sp) per flight of ``_walk``, with
-    (dq, dv) the flat vectors at the flight's start t_a.
-    A flight that ends on event k also yields the scattering term
-    sp = scatter_pre(dq_end) that the collision adds to dv; its outgoing
-    vector, the next flight's start, is checked finite before the flight
-    is yielded.  The closing flight to t_to has k = sp = None.
+    Returns the flights of ``_walk`` stacked: their ends t_a and t_b,
+    the flat (dq, dv) at each start as rows of sq and sv, and per
+    collision the term scatter_pre(dq_end) it adds to dv.  Each outgoing
+    vector is checked finite, under ``_QUIET``.
     """
-    for t_a, t_b, k, frame in _walk(traj, t_to=t_to):
-        if frame is None:
-            yield t_a, t_b, dq, dv, None, None
-            return
-        dq_end = dq + (t_b - t_a) * dv
-        sp = frame.scatter_pre(dq_end)
-        post = frame.reflect(dq_end), frame.reflect(dv + sp)
-        _check_finite(traj, k, *post)
-        yield t_a, t_b, dq, dv, k, sp
-        dq, dv = post
+    t_a, t_b, sq, sv, scatter = [], [], [dq], [dv], []
+    with np.errstate(**_QUIET):
+        for a, b, k, frame in _walk(traj, t_to=t_to):
+            t_a.append(a)
+            t_b.append(b)
+            if frame is None:
+                break
+            dq_end = dq + (b - a) * dv
+            scatter.append(frame.scatter_pre(dq_end))
+            dq, dv = frame.reflect(dq_end), frame.reflect(dv + scatter[-1])
+            _check_finite(traj, k, dq, dv)
+            sq.append(dq)
+            sv.append(dv)
+    sq, sv = np.array(sq), np.array(sv)
+    return (np.array(t_a), np.array(t_b), sq, sv,
+            np.array(scatter, dtype=float).reshape(len(scatter), sq.shape[1]))
 
 
 def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
@@ -498,13 +489,11 @@ def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
         raise ValueError("times must be nondecreasing and nonnegative")
     if not times.size:
         return []
-    t_a, _, start_q, start_v, _, _ = zip(
-        *_carry(traj, tau.dq, tau.dv, float(times[-1])))
+    t_a, _, sq, sv, _ = _carry(traj, tau.dq, tau.dv, float(times[-1]))
     # the flight holding each stop; at an event time, the outgoing one
     f = np.searchsorted(traj.ev_t, times, side="right")
-    dv = np.array(start_v)[f]
-    return _tangent_rows(
-        np.array(start_q)[f] + (times - np.array(t_a)[f])[:, None] * dv, dv)
+    dv = sv[f]
+    return _tangent_rows(sq[f] + (times - t_a[f])[:, None] * dv, dv)
 
 
 def _tangent_rows(dq: np.ndarray, dv: np.ndarray) -> list[TangentVector]:

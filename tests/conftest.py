@@ -9,6 +9,7 @@ comparing against junk.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -304,6 +305,86 @@ def ref_resolve_collision(state, i, j, image, params):
     v[j, 0] += mi * g * ux
     v[j, 1] += mi * g * uy
     return PhaseState(state.q, v)
+
+
+def ref_decimal_events(state, params, n_events):
+    """The first ``n_events`` collisions of the exact orbit through the
+    state's floats, computed in 60-digit decimal arithmetic.
+
+    Each step solves every pair against every lattice image that can
+    reach contact within a horizon, doubled until some image holds an
+    approaching root, and moves all disks to the earliest root.  The
+    positions are wrapped into [0, 1): decimal ``%`` keeps the dividend's
+    sign, so a negative remainder takes + 1.  The contact image is then
+    read from the wrapped positions (the nearest image, as the engine
+    reads it), not carried over from the solve's lift, and the pair
+    exchanges momentum as in ``ref_resolve_collision``.  Returns one
+    (t, (i, j), (lx, ly), q, v) per event, q and v the positions and
+    velocities after it as lists of decimal [x, y] pairs.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dec = decimal.Decimal
+        m = [dec(float(x)) for x in params.masses]
+        two_r = 2 * dec(float(params.radius))
+        q = [[dec(float(c)) for c in row] for row in np.asarray(state.q)]
+        v = [[dec(float(c)) for c in row] for row in np.asarray(state.v)]
+        t, events = dec(0), []
+        while len(events) < n_events:
+            horizon, hit = dec("0.125"), None
+            while hit is None:
+                hit = _ref_decimal_root(q, v, two_r, horizon)
+                horizon *= 2
+            dt, i, j = hit
+            t += dt
+            for row, vel in zip(q, v):
+                for c in (0, 1):
+                    x = (row[c] + dt * vel[c]) % 1
+                    row[c] = x + 1 if x < 0 else x
+            dx, dy = q[i][0] - q[j][0], q[i][1] - q[j][1]
+            _, lx, ly = min(((dx + a) ** 2 + (dy + b) ** 2, a, b)
+                            for a in (-1, 0, 1) for b in (-1, 0, 1))
+            cx, cy = dx + lx, dy + ly
+            dist = (cx * cx + cy * cy).sqrt()
+            ux, uy = cx / dist, cy / dist
+            g = 2 * ((v[i][0] - v[j][0]) * ux
+                     + (v[i][1] - v[j][1]) * uy) / (m[i] + m[j])
+            v[i][0] -= m[j] * g * ux
+            v[i][1] -= m[j] * g * uy
+            v[j][0] += m[i] * g * ux
+            v[j][1] += m[i] * g * uy
+            events.append((t, (i, j), (lx, ly), [row[:] for row in q],
+                           [row[:] for row in v]))
+    return events
+
+
+def _ref_decimal_root(q, v, two_r, horizon):
+    """Earliest approaching contact (dt, i, j) with dt in (0, horizon],
+    over every pair and every image within reach |w| horizon + 2r of it,
+    or None."""
+    best = None
+    for i in range(len(q)):
+        for j in range(i + 1, len(q)):
+            dx, dy = q[i][0] - q[j][0], q[i][1] - q[j][1]
+            wx, wy = v[i][0] - v[j][0], v[i][1] - v[j][1]
+            a = wx * wx + wy * wy
+            if a == 0:
+                continue
+            reach = a.sqrt() * horizon + two_r
+            for lx in range(math.floor(-reach - dx), math.ceil(reach - dx) + 1):
+                for ly in range(math.floor(-reach - dy),
+                                math.ceil(reach - dy) + 1):
+                    x, y = dx + lx, dy + ly
+                    b = x * wx + y * wy
+                    if b >= 0:
+                        continue  # receding from this image
+                    disc = b * b - a * (x * x + y * y - two_r * two_r)
+                    if disc < 0:
+                        continue
+                    dt = (-b - disc.sqrt()) / a
+                    if 0 < dt <= horizon and (best is None or dt < best[0]):
+                        best = (dt, i, j)
+    return best
 
 
 def _is_float(x):
@@ -932,8 +1013,8 @@ def ref_audit_tubes(state, l, params, components):
     q = np.asarray(state.q, dtype=float).reshape(n, 2)
     v = np.asarray(state.v, dtype=float).reshape(n, 2)
     offsets = [degenerate._tube_offset(q[i], l) for i in range(n)]
-    tubes = tuple(degenerate.Tube(disk=i, direction=l, offset=offsets[i],
-                                  half_width=params.radius) for i in range(n))
+    tubes = [{"disk": i, "offset": offsets[i], "half_width": params.radius}
+             for i in range(n)]
     two_r = 2.0 * params.radius
     coincide_bad, disjoint_bad, singleton_bad = [], [], []
     for i in range(n):
@@ -953,14 +1034,16 @@ def ref_audit_tubes(state, l, params, components):
                                  <= degenerate.PARALLEL_TOL)
                 if not (disjoint or same_velocity):
                     singleton_bad.append((i, j))
-    return degenerate.TubeStructure(
-        direction=l, width=l.width, tubes=tubes, components=comps,
-        coincide_ok=not coincide_bad,
-        coincide_violations=tuple(coincide_bad),
-        disjoint_ok=not disjoint_bad,
-        disjoint_violations=tuple(disjoint_bad),
-        singleton_ok=not singleton_bad,
-        singleton_violations=tuple(singleton_bad))
+    return {
+        "direction": list(l.as_tuple()), "width": l.width, "tubes": tubes,
+        "components": [list(c) for c in comps],
+        "coincide_ok": not coincide_bad,
+        "coincide_violations": [list(p) for p in coincide_bad],
+        "disjoint_ok": not disjoint_bad,
+        "disjoint_violations": [list(p) for p in disjoint_bad],
+        "singleton_ok": not singleton_bad,
+        "singleton_violations": [list(p) for p in singleton_bad],
+    }
 
 
 def ref_surrogate(state, l, params, components):
@@ -1008,8 +1091,7 @@ def ref_degeneracy_report(state, params, *, l0=None, horizon=100.0,
                 params, l, max_group=max_group).to_dict(),
         }
         if ok:
-            entry["tubes"] = ref_audit_tubes(state, l, params,
-                                             components).to_dict()
+            entry["tubes"] = ref_audit_tubes(state, l, params, components)
         entries.append(entry)
     return {
         "radius": params.radius,

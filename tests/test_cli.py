@@ -390,6 +390,29 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    # seed 1 of the analysis_n3 system: the audit's rows pass the float
+    # range of their squares at event 218 (t 163), and the carried audit
+    # vector and neutral basis vector the float range itself at events
+    # 427 and 437 (t 323 and 330)
+    @pytest.mark.parametrize("subcommand, t_max, event", [
+        ("audit", 200.0, 218), ("audit", 400.0, 427), ("neutral", 400.0, 437)])
+    def test_long_window_is_three_naming_the_event(self, tmp_path, capsys,
+                                                   subcommand, t_max, event):
+        # no RuntimeWarning escapes (the suite turns one into an error)
+        # and no inf or NaN reaches the summary as a ValueError, exit 2
+        text = COLLISIONLESS.replace("t_max = 0.01", f"t_max = {t_max}")
+        cfg = write_config(tmp_path, text)
+        assert cli.main([subcommand, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        config = parse_config(text)
+        traj = simulate(sample_state(1, config.params), t_max, config.params)
+        i, j = traj.ev_pair[event]
+        assert err.rstrip().endswith(
+            f"at event {event} (t = {float(traj.ev_t[event]):.17g}, "
+            f"pair ({i}, {j}))")
+
     def test_env_out_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         target = tmp_path / "env_out"

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import functools
+import json
 import math
 import tracemalloc
 
@@ -9,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SYMMETRIES, boundary_orbit, double_orbit, grazing_orbit,
-                      no_overlap_headroom, ref_resolve_collision,
-                      symmetry_image, table_orbit)
+                      no_overlap_headroom, ref_decimal_events,
+                      ref_resolve_collision, symmetry_image, table_orbit)
 from hardtorus import events
 from hardtorus.errors import ValidationError
 from hardtorus.events import (_NEG_ROOT_SLACK, _REACH_SLACK, _SELF_GUARD,
-                              _earliest_root, _screen, read_events_jsonl,
-                              reverse_state, simulate, symbolic_sequence,
-                              write_events_jsonl)
+                              _earliest_root, _screen, reverse_state, simulate,
+                              symbolic_sequence, write_events_jsonl)
 from hardtorus.geometry import (PhaseState, SystemParams, energy, min_gap,
                                 momentum, sample_state)
 from hardtorus.serialize import canonical_json
@@ -520,6 +521,12 @@ class TestSymbolicSequence:
         assert all(i < j for i, j in seq)
 
 
+def read_events_jsonl(path) -> list[dict]:
+    """The event log's lines, each parsed as one JSON object."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 class TestEventLogRoundTrip:
     def test_jsonl(self, tmp_path):
         traj = simulate(sample_state(3, P3), 10.0, P3)
@@ -648,6 +655,80 @@ def covariance_base(name):
     params, t_max = COVARIANCE_RUNS[name]
     state = sample_state(1, params)
     return state, params, t_max, simulate(state, t_max, params)
+
+
+P3M = SystemParams(masses=(1.0, 1.3, 0.7), radius=0.1)
+P8_REF = SystemParams(masses=tuple(1.0 + 0.1 * k for k in range(8)),
+                      radius=0.05)
+
+
+class TestDecimalReference:
+    """The 60-digit decimal orbit (``ref_decimal_events``) against closed
+    forms on hand orbits, and the float engine against it."""
+
+    @staticmethod
+    def dec(x):
+        return decimal.Decimal(float(x))
+
+    def test_head_on_pair(self):
+        params = SystemParams(masses=(1.0, 3.0), radius=0.1)
+        state = PhaseState(q=[[0.3, 0.5], [0.7, 0.5]],
+                           v=[[1.0, 0.0], [-0.5, 0.0]])
+        (t, pair, image, q, v), = ref_decimal_events(state, params, 1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = self.dec
+            # the gap 0.7 - 0.3 - 2r closes at the relative speed 1.5
+            want_t = (d(0.7) - d(0.3) - 2 * d(0.1)) / d(1.5)
+            assert abs(t - want_t) < d(1e-50)
+            assert abs(q[0][0] - (d(0.3) + want_t)) < d(1e-50)
+        assert pair == (0, 1) and image == (0, 0)
+        # one-dimensional elastic exchange: (1 - 3) 1 + 2 * 3 * (-0.5)
+        # over 4, and (3 - 1)(-0.5) + 2 * 1 over 4
+        for got, want in zip((v[0][0], v[1][0], v[0][1], v[1][1]),
+                             (-1.25, 0.25, 0.0, 0.0)):
+            assert abs(got - self.dec(want)) < self.dec(1e-50)
+
+    def test_pair_meeting_through_a_lattice_image(self):
+        # disk 0 meets the (1, 1) image of disk 1 head-on along the
+        # diagonal and crosses the corner of the torus first, so the
+        # contact, read from the wrapped positions, is at image (0, 0)
+        params = SystemParams(masses=(1.0, 2.0), radius=0.1)
+        state = PhaseState(q=[[0.01, 0.01], [0.81, 0.81]],
+                           v=[[-0.5, -0.5], [0.5, 0.5]])
+        (t, pair, image, q, v), = ref_decimal_events(state, params, 1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            d = self.dec
+            # |x + w t| = sqrt(2) (x_c - t) = 2r, x_c = 0.01 - 0.81 + 1
+            want_t = d(0.01) - d(0.81) + 1 - decimal.Decimal(2).sqrt() * d(0.1)
+            assert abs(t - want_t) < d(1e-50)
+            for c in (0, 1):
+                assert abs(q[0][c] - (1 + d(0.01) - want_t / 2)) < d(1e-50)
+                # 1-D exchange along the diagonal: 5/6 and -1/6
+                assert abs(v[0][c] - decimal.Decimal(5) / 6) < d(1e-50)
+                assert abs(v[1][c] + decimal.Decimal(1) / 6) < d(1e-50)
+        assert pair == (0, 1) and image == (0, 0)
+        traj = simulate(state, 0.2, params)
+        assert traj.ev_pair[0].tolist() == [0, 1]
+        assert traj.ev_image[0].tolist() == [0, 0]
+        assert abs(traj.ev_t[0] - float(t)) <= 1e-15
+
+    # at N = 3 the float orbit leaves the decimal one by 1e-9 at events
+    # 8-12 (seeds 1-5), at N = 8 at events 19-26 (seeds 1-12)
+    @pytest.mark.parametrize("params, seed, count",
+                             [(P3M, s, 5) for s in range(1, 6)]
+                             + [(P8_REF, s, 15) for s in range(1, 4)],
+                             ids=[f"n3_seed{s}" for s in range(1, 6)]
+                             + [f"n8_seed{s}" for s in range(1, 4)])
+    def test_float_engine_follows_reference(self, params, seed, count):
+        state = sample_state(seed, params)
+        traj = simulate(state, 20.0, params)
+        ref = ref_decimal_events(state, params, count)
+        for k, (t, pair, image, _, _) in enumerate(ref):
+            assert traj.ev_pair[k].tolist() == list(pair), k
+            assert traj.ev_image[k].tolist() == list(image), k
+            assert abs(traj.ev_t[k] - float(t)) <= 1e-9, k
 
 
 class TestCovariance:

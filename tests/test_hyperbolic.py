@@ -344,7 +344,7 @@ def reference_lyapunov(state, t_max, params, *, reorth_interval=10, seed=0):
     scale = np.sqrt(params.mass_weights)
     zy = reduced_space(params).basis * scale[:, None]
 
-    frame = hyperbolic._mass_on_frame(rng, traj.initial.v, params, m)
+    frame = hyperbolic._mass_on_frame(rng, traj.initial.v, zy, scale, m)
     logs = np.zeros(m)
     chunk_rates = []
     t_accum = 0.0
@@ -370,7 +370,7 @@ def reference_lyapunov(state, t_max, params, *, reorth_interval=10, seed=0):
         if fr is None:
             n_restarts += 1
             frame = hyperbolic._mass_on_frame(
-                rng, traj.ev_v_post[k].reshape(-1), params, m)
+                rng, traj.ev_v_post[k].reshape(-1), zy, scale, m)
             chunk_t0 = t_k
             chunk_logs = np.zeros(m)
             events_in_chunk = 0
@@ -436,6 +436,26 @@ class TestLyapunov:
         assert spec.n_collisions == traj.n_events > 0
         assert built == [k for k in range(traj.n_events)
                          if traj.ev_flags[k] == 0]
+
+    @pytest.mark.parametrize("case", ["regular", "grazing"])
+    def test_one_reduced_space_per_spectrum(self, monkeypatch, case):
+        # the first frame and each restart's draw on the spectrum's own
+        # reduced-space basis
+        calls = []
+        original = hyperbolic.reduced_space
+
+        def counting(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(hyperbolic, "reduced_space", counting)
+        if case == "grazing":
+            traj = grazing_orbit()
+            spec = lyapunov_spectrum(traj.initial, traj.t_end, traj.params)
+        else:
+            spec = lyapunov_spectrum(sample_state(3, P3), 50.0, P3, seed=4)
+        assert spec.n_restarts == (case == "grazing")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", [3, 5, 7, "grazing"])
     def test_flow_direction_is_outgoing_velocity(self, seed):
@@ -798,10 +818,12 @@ class TestStackedMatchesRowReference:
             assert bitwise(a.inverse, a.inverse.T)
 
     @pytest.mark.parametrize("case", CASES)
-    def test_expansion_check(self, case):
+    def test_expansion_check(self, case, monkeypatch):
+        # the case's grid, so that event_on_grid puts an event on a sample
         traj, n_samples = _segment(case)
+        monkeypatch.setattr(hyperbolic, "_EXPANSION_SAMPLES", n_samples)
         tau = cone_seed(traj.params, 3, c0=0.5)
-        got = expansion_check(traj, tau, 0.5, n_samples=n_samples)
+        got = expansion_check(traj, tau, 0.5)
         ref = ref_expansion_check(traj, tau, 0.5, n_samples=n_samples)
         for name in ("min_ratio", "t_argmin", "times", "ratios"):
             assert bitwise(getattr(got, name), getattr(ref, name)), name

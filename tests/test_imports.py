@@ -91,9 +91,9 @@ EXPORTS = {
                    "expansion_check", "hyperbolicity_series",
                    "lyapunov_spectrum", "q_evolution_audit", "summary_dict",
                    "write_series_csv"],
-    "degenerate": ["LatticeDirection", "RadiusFlags", "Tube", "TubeStructure",
-                   "admissible_directions", "degeneracy_report",
-                   "degenerate_radius_check", "in_L", "perpendicular_speed"],
+    "degenerate": ["LatticeDirection", "RadiusFlags", "admissible_directions",
+                   "degeneracy_report", "degenerate_radius_check", "in_L",
+                   "perpendicular_speed"],
     "rng": ["make_generator"],
 }
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
@@ -101,7 +101,7 @@ ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 class TestExports:
     def test_count(self):
-        assert len(ALL_NAMES) == 76
+        assert len(ALL_NAMES) == 74
         assert sorted(hardtorus.__all__) == ALL_NAMES
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))

@@ -630,11 +630,14 @@ class TestSymplectic:
             n2 = 2 * params.n
             xi0, eta0 = rng.standard_normal((2, 2, n2))
             w0 = omega(xi0, eta0, params)
-            for a, b in zip(_carry(traj, *xi0), _carry(traj, *eta0)):
-                xi, eta = a[2:4], b[2:4]
+            t_a, _, xi_q, xi_v, _ = _carry(traj, *xi0)
+            _, _, eta_q, eta_v, _ = _carry(traj, *eta0)
+            # row f is the start of flight f, after f collisions
+            for f in range(t_a.size):
+                xi, eta = (xi_q[f], xi_v[f]), (eta_q[f], eta_v[f])
                 size = math.hypot(mass_norm(xi[0], params), mass_norm(xi[1], params)) \
                     * math.hypot(mass_norm(eta[0], params), mass_norm(eta[1], params))
-                assert abs(omega(xi, eta, params) - w0) <= 1e-14 * size, (a[0], a[4])
+                assert abs(omega(xi, eta, params) - w0) <= 1e-14 * size, (t_a[f], f)
             events += traj.n_events
         assert events > 800
 
