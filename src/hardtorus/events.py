@@ -64,8 +64,8 @@ _CASCADE_LIMIT = 64
 # It covers the roundoff of |x + w*t0| at an accepted root.  Near
 # grazing the Newton polish divides by a slope of about
 # sqrt(discriminant); for a nonzero discriminant that keeps the error
-# below about 1e-8.  (At a discriminant of exactly zero the polish step
-# has no useful bound, and no finite slack would cover it.)
+# below about 1e-8.  At a discriminant of exactly zero the root is the
+# tangency itself and is not polished.
 _REACH_SLACK = 1e-6
 # Candidate lists at least this long are screened before the root solve
 # (see _screen); shorter ones go straight to it, where the numpy pass
@@ -129,7 +129,9 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
             sq = math.sqrt(disc)
             t0 = c / (sq - b)  # stable smaller root; -b > 0 here
             slope = b + a * t0
-            if slope != 0.0:
+            # at a graze (sq = 0) the slope is roundoff and a polish step
+            # could move the root anywhere: keep the tangency c / (-b)
+            if sq != 0.0 and slope != 0.0:
                 f = (x + wx * t0) ** 2 + (y + wy * t0) ** 2 - four_r2
                 t0 -= f / (2.0 * slope)
             if t0 < 0.0:

@@ -97,10 +97,6 @@ class ValidationReport:
     status: str                 # "ok" | "warning"
     messages: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
 
 def _flat(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
@@ -221,8 +217,12 @@ def validate_state(state: PhaseState, params: SystemParams) -> None:
             f"disks {pair} overlap: distance {gap:.17g} < 2r = {2 * params.radius:.17g}")
 
 
-def sample_state(seed: int, params: SystemParams, *, stream: int = 0,
-                 max_tries: int = 10000) -> PhaseState:
+# Position draws of sample_state before it gives up on a packing.
+_SAMPLE_TRIES = 10000
+
+
+def sample_state(seed: int, params: SystemParams, *,
+                 stream: int = 0) -> PhaseState:
     """Draw a reproducible admissible state on the standard shell.
 
     Positions are sampled by rejection until all min-image gaps clear
@@ -233,13 +233,13 @@ def sample_state(seed: int, params: SystemParams, *, stream: int = 0,
     report = validate_params(params)
     rng = make_generator(seed, stream)
     two_r = 2.0 * params.radius
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         q = rng.random((params.n, 2))
         if not np.any(_pair_gaps(q)[0] <= two_r):
             break
     else:
         raise FeasibilityError(
-            f"no admissible configuration in {max_tries} draws "
+            f"no admissible configuration in {_SAMPLE_TRIES} draws "
             f"(N = {params.n}, r = {params.radius:g}; status: {report.status})")
     while True:
         v = rng.standard_normal((params.n, 2)) / np.sqrt(params.mass_array)[:, None]

@@ -130,15 +130,22 @@ def q_evolution_audit(traj: TrajectorySegment, tau0: TangentVector,
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _audit_of_flights(traj, grid, *flights)
     except FloatingPointError as exc:
-        sq, sv, mw = flights[2], flights[3], traj.params.mass_weights
-        with np.errstate(over="ignore"):
-            size = _mass_dots(sq, sq, mw) + _mass_dots(sv, sv, mw)
-        bad = np.flatnonzero(~np.isfinite(size[1:]))
-        what = f"Q-form rows beyond the float range ({exc})"
-        if size.size == 1:
-            raise NumericalFailureError(what) from exc
-        raise _frame_failure(traj, int(bad[0]) if bad.size else size.size - 2,
-                             what) from exc
+        raise _range_failure(traj, np.arange(-1, flights[0].size - 1),
+                             f"Q-form rows beyond the float range ({exc})",
+                             *flights[2:4]) from exc
+
+
+def _range_failure(traj: TrajectorySegment, events: np.ndarray, what: str,
+                   *stacks: np.ndarray) -> NumericalFailureError:
+    """Typed failure naming ``events[r]``, the event before row r, for the
+    first row of the (rows, 2N) ``stacks`` whose summed squared mass
+    norms leave the float range, else the last event; -1 names none."""
+    mw = traj.params.mass_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = sum(_mass_dots(x, x, mw) for x in stacks)
+    bad = np.flatnonzero(~np.isfinite(size))
+    k = int(events[bad[0]]) if bad.size else traj.n_events - 1
+    return _frame_failure(traj, k, what) if k >= 0 else NumericalFailureError(what)
 
 
 def _audit_of_flights(traj, grid, ta, tb, sq, sv, scatter) -> QEvolutionAudit:
@@ -399,7 +406,9 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector,
     outside (0, inf) is rejected as a usage error.  ``t_argmin`` is the
     earliest sample within 1e-12 * max(1, |min_ratio|) of the minimum,
     so a plateau of ratios equal up to roundoff (1 along the first
-    flight of a cone seed dv = c0 dq) reports its start.
+    flight of a cone seed dv = c0 dq) reports its start.  A sample
+    whose squared norm leaves the float range raises
+    ``NumericalFailureError`` naming the event its flight starts at.
     """
     params = traj.params
     norm0 = mass_norm(tau0.dq, params)
@@ -414,7 +423,13 @@ def expansion_check(traj: TrajectorySegment, tau0: TangentVector,
             "dq(0) to this dv(0)")
     times = np.linspace(0.0, traj.t_end, _EXPANSION_SAMPLES)
     dq = np.array([tau.dq for tau in propagate_tangent(traj, tau0, times)])
-    ratios = _mass_norms(dq, params.mass_weights) / ((1.0 + c0 * times) * norm0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _mass_norms(dq, params.mass_weights)
+    if not np.isfinite(norms).all():
+        raise _range_failure(
+            traj, np.searchsorted(traj.ev_t, times, side="right") - 1,
+            "expansion rows beyond the float range", dq)
+    ratios = norms / ((1.0 + c0 * times) * norm0)
     min_ratio = float(ratios[np.argmin(ratios)])
     near = ratios <= min_ratio + 1e-12 * max(1.0, abs(min_ratio))
     return ExpansionCheck(min_ratio=min_ratio,
@@ -681,19 +696,17 @@ def collision_rate(traj: TrajectorySegment) -> CollisionRateReport:
 
 
 def hyperbolicity_series(traj: TrajectorySegment, audit: QEvolutionAudit, *,
-                         path: CurvaturePath | None = None,
+                         path: CurvaturePath,
                          l0=None) -> dict[str, np.ndarray]:
-    """Per-row arrays of an audit of ``traj``: t, Q, ||dq||, ||dv||,
-    optionally the minimum eigenvalue of B along ``path`` and the cone
+    """Per-row arrays of an audit of ``traj``: t, Q, ||dq||, ||dv||, the
+    minimum eigenvalue of B along ``path`` and, optionally, the cone
     ratios of the audit's own row vectors against l0.  Every column of a
     row is taken on the same side of a collision, the incoming one on a
     collision's first row."""
     series: dict[str, np.ndarray] = {
         "t": audit.times, "Q": audit.q_values,
-        "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
-    if path is not None:
-        series["b_eig_min"] = path._eig_min(audit.collisions_before,
-                                            audit.times)
+        "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms,
+        "b_eig_min": path._eig_min(audit.collisions_before, audit.times)}
     if l0 is not None:
         series["cone_ratio_q"] = _cone_ratios(audit.dq_rows, l0, traj.params)
         series["cone_ratio_v"] = _cone_ratios(audit.dv_rows, l0, traj.params)

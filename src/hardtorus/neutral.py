@@ -159,32 +159,27 @@ def is_sufficient(traj: TrajectorySegment,
 
 
 def _pre_collision_vectors(traj: TrajectorySegment, W, t_ref: float,
-                           ks=None) -> np.ndarray:
+                           ks) -> np.ndarray:
     """Incoming-side configuration parts of (W, 0) transported from t_ref.
 
-    Row k holds the value at event k for every k in ``ks`` (default:
-    every event); other rows stay NaN.  Events after t_ref are reached
-    by one forward chain of transport_between calls, events at or before
-    t_ref by one backward chain.  transport_between lands on the outgoing
-    side of an event time from either direction, so the chain continues
-    from there, and the reflection, the configuration half of the
-    inverse collision step, exposes the incoming representation.  Each
-    row equals a single transport from t_ref to its event.
+    Row k holds the value at event k for every k in ``ks``, events after
+    t_ref; other rows stay NaN.  One forward chain of transport_between
+    calls reaches them.  It lands on the outgoing side of an event time,
+    so the chain continues from there, and the reflection, the
+    configuration half of the inverse collision step, exposes the
+    incoming representation.  Each row equals a single transport from
+    t_ref to its event.
     """
     w = np.asarray(W, dtype=float).reshape(-1)
     out = np.full((traj.n_events, w.size), np.nan)
-    wanted = range(traj.n_events) if ks is None else sorted({int(k) for k in ks})
-    n_before = int(np.searchsorted(traj.ev_t, t_ref, side="right"))
+    xq, xv = w.copy(), np.zeros_like(w)
+    t = t_ref
     with np.errstate(**_QUIET):
-        for chain in ([k for k in wanted if k >= n_before],
-                      [k for k in reversed(wanted) if k < n_before]):
-            xq, xv = w.copy(), np.zeros_like(w)
-            t = t_ref
-            for k in chain:
-                t_k = float(traj.ev_t[k])
-                xq, xv = transport_between(traj, xq, xv, t, t_k)
-                out[k] = frame_for_event(traj, k).reflect(xq)
-                t = t_k
+        for k in sorted({int(k) for k in ks}):
+            t_k = float(traj.ev_t[k])
+            xq, xv = transport_between(traj, xq, xv, t, t_k)
+            out[k] = frame_for_event(traj, k).reflect(xq)
+            t = t_k
     return out
 
 
@@ -195,10 +190,12 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
     closed_form solves the proportionality of the pre-collision
     configuration variation difference against the relative velocity in
     least squares; finite_difference re-simulates from configurations
-    shifted by +-_FD_STEP*W and differences the collision time.  With an
-    array of event indices for ``k`` the closed form returns an array
-    of advances, one per index, from one sweep along the orbit.  None is
-    inf or NaN: ``NumericalFailureError`` names the event instead.
+    shifted by +-_FD_STEP*W and differences the collision time.  Both
+    carry W forward from t_ref, so an event at or before t_ref raises
+    ``ValueError``.  With an array of event indices for ``k`` the closed
+    form returns an array of advances, one per index, from one sweep
+    along the orbit.  None is inf or NaN: ``NumericalFailureError``
+    names the event instead.
     """
     if traj.singular:
         raise SingularSegmentError("segment carries singular events")
@@ -211,6 +208,9 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
     for kk in ks:
         if not 0 <= kk < traj.n_events:
             raise ValueError(f"event index {kk} out of range")
+        if not t_ref < float(traj.ev_t[kk]):
+            raise ValueError(f"advance needs t_ref before the event; "
+                             f"event {kk} is at t = {float(traj.ev_t[kk]):.17g}")
         i, j = int(traj.ev_pair[kk, 0]), int(traj.ev_pair[kk, 1])
         dv_rel = (traj.ev_v_pre[kk].reshape(-1, 2)[i]
                   - traj.ev_v_pre[kk].reshape(-1, 2)[j])
@@ -233,8 +233,6 @@ def advance(traj: TrajectorySegment, W, k, params: SystemParams,
         return vals[0] if scalar else np.array(vals)
     if method == "finite_difference":
         i, j = terms[0][:2]
-        if t_ref >= float(traj.ev_t[k]):
-            raise ValueError("finite-difference advance needs t_ref before the event")
         # state_at is on the outgoing side of an event time, so an event
         # at t_ref is behind the perturbed runs
         ref_state = traj.state_at(t_ref)

@@ -57,19 +57,6 @@ def _encode(obj, parts: list[str]) -> None:
             _encode(item, parts)
         parts.append("]")
     else:
-        try:
-            import numpy as np
-            if isinstance(obj, np.integer):
-                parts.append(str(int(obj)))
-                return
-            if isinstance(obj, np.floating):
-                parts.append(fmt17(float(obj)))
-                return
-            if isinstance(obj, np.ndarray):
-                _encode(obj.tolist(), parts)
-                return
-        except ImportError:
-            pass
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

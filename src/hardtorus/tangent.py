@@ -264,11 +264,11 @@ class CollisionFrame:
     A frame reads its table row (see ``_CollisionTable.row``) into its
     slots when it is built: the pair, the six scalars and the vectors'
     entries as Python numbers, which the apply methods compute with.
-    ``u``, ``perp``, ``slid``, ``v_pre`` and ``v_post`` are read-only
-    array views of the table's shared storage.  ``rows`` and ``block``
-    give its pair-block map on (4N, m) stacks in mass-orthonormal
-    coordinates (see ``_CollisionTable``); ``rows`` comes from a
-    per-pair cache and ``block`` is a view into its slice's stack.
+    ``v_pre`` and ``v_post`` are read-only array views of the table's
+    shared storage.  ``rows`` and ``block`` give its pair-block map on
+    (4N, m) stacks in mass-orthonormal coordinates (see
+    ``_CollisionTable``); ``rows`` comes from a per-pair cache and
+    ``block`` is a view into its slice's stack.
     """
 
     __slots__ = ("_table", "_k", "i", "j", "mi", "mj", "s", "base_radius",
@@ -285,9 +285,6 @@ class CollisionFrame:
                 f"collision of ({self.i}, {self.j}) is tangential: "
                 f"cos_phi = {self.cos_phi:.3g}")
 
-    u = property(lambda f: f._table.u[f._k])
-    perp = property(lambda f: f._table.perp[f._k])
-    slid = property(lambda f: f._table.slid[f._k])
     v_pre = property(lambda f: f._table.v_pre[f._k].reshape(-1))
     v_post = property(lambda f: f._table.v_post[f._k].reshape(-1))
 
@@ -353,12 +350,6 @@ def frame_for_event(traj: TrajectorySegment, k: int) -> CollisionFrame:
 def _apply_event(frame, xq, xv):
     """Push (xq, xv) through one collision (incoming side given)."""
     return frame.reflect(xq), frame.reflect(xv + frame.scatter_pre(xq))
-
-
-def _apply_event_inverse(frame, xq, xv):
-    """Exact inverse of ``_apply_event`` (outgoing side given)."""
-    bq = frame.reflect(xq)
-    return bq, frame.reflect(xv) - frame.scatter_pre(bq)
 
 
 def _frame_failure(traj: TrajectorySegment, k: int,
@@ -427,18 +418,21 @@ def _walk(traj: TrajectorySegment, t_from: float | None = None,
 
 
 def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: float):
-    """Carry stacked (xq, xv) payloads from t_from to t_to, either way.
+    """Carry stacked (xq, xv) payloads forward from t_from to t_to.
 
     Vectors are understood in plain phase coordinates at the source
     time (post-collision side at an event time) and arrive in plain
-    coordinates at the target time.  The walk runs under ``_QUIET``.
+    coordinates at the target time.  A t_to before t_from raises
+    ``ValueError``.  The walk runs under ``_QUIET``.
     """
-    step = _apply_event if t_to >= t_from else _apply_event_inverse
+    if t_to < t_from:
+        raise ValueError(f"transport runs forward only: t_to = {t_to:g} "
+                         f"< t_from = {t_from:g}")
     with np.errstate(**_QUIET):
         for t_a, t_b, k, frame in _walk(traj, t_from, t_to):
             xq = xq + (t_b - t_a) * xv
             if frame is not None:
-                xq, xv = step(frame, xq, xv)
+                xq, xv = _apply_event(frame, xq, xv)
                 _check_finite(traj, k, xq, xv)
     return xq, xv
 
@@ -470,18 +464,15 @@ def _carry(traj: TrajectorySegment, dq, dv, t_to: float | None = None):
 
 
 def propagate_tangent(traj: TrajectorySegment, tau: TangentVector,
-                      times=None) -> list[TangentVector]:
+                      times) -> list[TangentVector]:
     """Transport tau from the segment start to each requested time.
 
-    Times must be nondecreasing; default is the segment end.  At an
-    event time the output is on the outgoing side.  Each stop is taken
-    from its flight's start by the flight rule, in one stacked step, so
-    the stops carry the bits of ``q_evolution_audit``'s rows at the same
-    times.  The vectors' dq and dv are read-only rows of one stacked
-    array per component.
+    Times must be nondecreasing.  At an event time the output is on
+    the outgoing side.  Each stop is taken from its flight's start by
+    the flight rule, in one stacked step, so the stops carry the bits
+    of ``q_evolution_audit``'s rows at the same times.  The vectors' dq
+    and dv are read-only rows of one stacked array per component.
     """
-    if times is None:
-        times = [traj.t_end]
     times = np.array([float(t) for t in times])
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")

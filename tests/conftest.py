@@ -706,14 +706,12 @@ def ref_expansion_check(traj, tau0, c0, *, n_samples=256):
                           times=times, ratios=ratios)
 
 
-def ref_hyperbolicity_series(traj, audit, *, path=None, l0=None):
+def ref_hyperbolicity_series(traj, audit, *, path, l0=None):
     series = {"t": audit.times, "Q": audit.q_values,
               "dq_norm": audit.dq_norms, "dv_norm": audit.dv_norms}
-    crossed = audit.collisions_before
-    if path is not None:
-        series["b_eig_min"] = np.array([
-            ref_eig_min_shifted(path.operators[n], float(t))
-            for n, t in zip(crossed, audit.times)])
+    series["b_eig_min"] = np.array([
+        ref_eig_min_shifted(path.operators[n], float(t))
+        for n, t in zip(audit.collisions_before, audit.times)])
     if l0 is not None:
         for name, rows in (("cone_ratio_q", audit.dq_rows),
                            ("cone_ratio_v", audit.dv_rows)):
@@ -764,9 +762,11 @@ def _ref_scatter(frame, xq, params, v, cos, sign):
         d = x[i2: i2 + 2] - x[j2: j2 + 2]
         return (a[0] * d[0] + a[1] * d[1]) / frame.s
 
-    nu, w_hat = pair_vector(frame.u), pair_vector(frame.perp)
-    y = xq + sign * np.multiply.outer(v, dot(frame.u, xq) / cos)
-    z = np.multiply.outer(w_hat, dot(frame.perp, y) / frame.base_radius)
+    u = frame._table.u[frame._k]
+    perp = np.array([-u[1], u[0]])
+    nu, w_hat = pair_vector(u), pair_vector(perp)
+    y = xq + sign * np.multiply.outer(v, dot(u, xq) / cos)
+    z = np.multiply.outer(w_hat, dot(perp, y) / frame.base_radius)
     c = ((params.mass_weights * v) @ z) / cos
     return (2.0 * frame.cos_phi) * (z + sign * np.multiply.outer(nu, c))
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (SYMMETRIES, boundary_orbit, double_orbit, grazing_orbit,
@@ -76,7 +76,7 @@ def earliest_root_reference(dx, dy, wx, wy, horizon, two_r, guard):
             sq = math.sqrt(disc)
             t0 = c / (sq - b)
             slope = b + a * t0
-            if slope != 0.0:
+            if sq != 0.0 and slope != 0.0:
                 f = (x + wx * t0) ** 2 + (y + wy * t0) ** 2 - four_r2
                 t0 -= f / (2.0 * slope)
             if t0 < 0.0:
@@ -359,6 +359,10 @@ class TestEarliestRoot:
            st.floats(0.01, 1), st.floats(-2e-9, 1.2), st.integers(-3, 3),
            st.integers(-3, 3), st.floats(0.01, 0.5), GUARDS)
     @settings(max_examples=400, deadline=None)
+    # an exact graze (discriminant 0) of image (-2, 1); see
+    # test_exact_graze_keeps_tangency
+    @example(angle=0.0, wx=0.0, wy=2.1731086932424866, h=0.06,
+             frac=0.947688060589191, lx=-2, ly=1, two_r=0.01, guard=-1.0)
     def test_matches_reference_near_contacts(self, angle, wx, wy, h, frac,
                                              lx, ly, two_r, guard):
         # contacts spread over [-2e-9, 1.2*h]: clamped roots, roots near
@@ -381,6 +385,21 @@ class TestEarliestRoot:
         args = (0.25 - 1e4 * 5e-10, 0.0, -1e4, 0.0, 1e-12, 0.25, -1.0)
         assert earliest_root_reference(*args)[:3] == (0.0, 0, 0)
         assert _earliest_root(*args) == 0.0
+
+    def test_exact_graze_keeps_tangency(self):
+        # the discriminant is exactly 0, so the slope is roundoff and a
+        # polish step would move the root to t = 0.018, where the disks
+        # are still about 0.08 apart; the tangency through image (-2, 1)
+        # is the root
+        args = (2.01, -1.123565749776909, 0.0, 2.1731086932424866, 0.06,
+                0.01, -1.0)
+        ref = earliest_root_reference(*args)
+        assert ref[1:] == (-2, 1, 0.0)
+        t = _earliest_root(*args)
+        assert t == ref[0]
+        assert math.isclose(t, 0.056861283635351416, rel_tol=1e-12)
+        y = args[1] + 1 + args[3] * t
+        assert abs(math.hypot(args[0] - 2, y) - 0.01) <= 1e-12
 
     def test_grazing_pass(self):
         # the relative path runs tangent to the contact circle at t = 0.5

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (ref_min_image, ref_pair_distance, ref_torus_delta,
                       ref_transverse_basis)
+from hardtorus import geometry
 from hardtorus.errors import FeasibilityError, ValidationError
 from hardtorus.events import simulate
 from hardtorus.geometry import (PhaseState, SystemParams, _pair_gaps, energy,
@@ -177,7 +178,7 @@ class TestReducedSpace:
 
 class TestValidation:
     def test_ok(self):
-        assert validate_params(P3).ok
+        assert validate_params(P3).status == "ok"
 
     def test_crowded_warning(self):
         p = SystemParams(masses=(1.0,) * 6, radius=0.1)
@@ -212,10 +213,10 @@ class TestSampleState:
             assert np.max(np.abs(momentum(state, P3))) <= 1e-12
             assert min_gap(state, P3)[0] > 2 * P3.radius
 
-    def test_infeasible(self):
-        with pytest.raises(FeasibilityError):
-            sample_state(0, SystemParams(masses=(1.0, 1.0), radius=0.45),
-                         max_tries=200)
+    def test_infeasible(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_SAMPLE_TRIES", 200)
+        with pytest.raises(FeasibilityError, match="in 200 draws"):
+            sample_state(0, SystemParams(masses=(1.0, 1.0), radius=0.45))
 
 
 def sample_state_reference(seed, params, *, stream=0, max_tries=10000):

@@ -11,7 +11,8 @@ from conftest import (P3_DYADIC, curvature_entropy, curvature_exponents,
                       ref_expansion_check, ref_hyperbolicity_series,
                       ref_lyapunov_spectrum, ref_q_evolution_audit,
                       ref_scatter_pre, table_orbit)
-from hardtorus import hyperbolic, tangent
+from hardtorus import cli, hyperbolic, tangent
+from hardtorus.config import parse_config
 from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
                               ValidationError)
 from hardtorus.events import simulate
@@ -241,6 +242,26 @@ class TestExpansion:
         res = expansion_check(traj, TangentVector(dq, dq), 2.0)
         assert not res.ok
 
+    def test_long_window_fails_naming_the_event(self):
+        # seed 1 of the analysis_n3 system with the audit's seed vector:
+        # the samples' squared norms pass the float range in the flight
+        # after event 219 (t 164), where an inf ratio would read as a
+        # bound kept
+        config = parse_config("[system]\nmasses = 1.0, 1.3, 0.7\n"
+                              "radius = 0.1\n[run]\nseed = 1\n")
+        state = sample_state(1, P3M)
+        traj = simulate(state, 200.0, P3M)
+        tau0 = cli._audit_seed_vector(state, P3M, config)
+        with pytest.raises(NumericalFailureError) as err:
+            expansion_check(traj, tau0, config.c0)
+        i, j = traj.ev_pair[219]
+        assert str(err.value).startswith("expansion rows beyond the float range")
+        assert str(err.value).endswith(
+            f"at event 219 (t = {float(traj.ev_t[219]):.17g}, pair ({i}, {j}))")
+        # a window ending before the overflow still checks
+        short = simulate(state, 100.0, P3M)
+        assert expansion_check(short, tau0, config.c0).ok
+
     @pytest.mark.parametrize("c0", [math.nan, math.inf, 0.0, -1.0])
     def test_c0_outside_open_half_line_refused(self, c0):
         traj = free_segment()
@@ -275,7 +296,8 @@ def cone_ratios(dq, dv, l0):
     collisionless segment, whose rows are dq + t dv."""
     traj = collisionless_3()
     audit = q_evolution_audit(traj, TangentVector(dq, dv), n_samples=8)
-    series = hyperbolicity_series(traj, audit, l0=l0)
+    series = hyperbolicity_series(traj, audit,
+                                  path=curvature_propagate(1.0, traj), l0=l0)
     return series["cone_ratio_q"], series["cone_ratio_v"]
 
 
@@ -835,11 +857,15 @@ class TestStackedMatchesRowReference:
         traj, n_samples = _segment(case)
         tau = cone_seed(traj.params, 4)
         audit = q_evolution_audit(traj, tau, n_samples=n_samples)
+        if not with_path:
+            # every series carries the curvature column, so its path is
+            # a required argument
+            with pytest.raises(TypeError, match="path"):
+                hyperbolicity_series(traj, audit, l0=l0)
+            return
         path = curvature_propagate(1.0, traj, n_samples=n_samples)
-        got = hyperbolicity_series(traj, audit,
-                                   path=path if with_path else None, l0=l0)
-        ref = ref_hyperbolicity_series(traj, audit,
-                                       path=path if with_path else None, l0=l0)
+        got = hyperbolicity_series(traj, audit, path=path, l0=l0)
+        ref = ref_hyperbolicity_series(traj, audit, path=path, l0=l0)
         assert list(got) == list(ref)
         for key in ref:
             assert bitwise(got[key], ref[key]), key

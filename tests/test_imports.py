@@ -124,14 +124,15 @@ class TestExports:
 
 def _references(tree, skip: str) -> set[str]:
     """Names the tree reads, imports or looks up as attributes, outside
-    the body of any function or class named ``skip``."""
+    the body of any function or class named ``skip``.  Assigning a name
+    does not reference it."""
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)) and node.name == skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -141,12 +142,35 @@ def _references(tree, skip: str) -> set[str]:
     return out
 
 
+def private_names(source: str) -> list[str]:
+    """Module-level private functions, classes and constants of a
+    source, dunder hooks such as ``__getattr__`` left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
 def unreached_exports(exports, sources) -> list[str]:
     """Exported names that no source references outside their own
     definition."""
     trees = [ast.parse(src) for src in sources]
     return [name for names in exports.values() for name in names
             if not any(name in _references(tree, name) for tree in trees)]
+
+
+# the package's own modules and the acceptance criteria: what a name
+# must be reached from to count as live
+_PACKAGE_SOURCES = [
+    p.read_text(encoding="utf-8")
+    for p in [*sorted((ROOT / "src" / "hardtorus").glob("*.py")),
+              ROOT / "tests" / "test_acceptance.py"]]
 
 
 class TestNoDeadExports:
@@ -162,12 +186,26 @@ class TestNoDeadExports:
         assert unreached_exports(exports, [src]) == [
             "self_only", "caller", "absent"]
 
+    def test_scanner_lists_private_module_names(self):
+        src = ("_A = 1\n_b: int = 2\n_c, (D, _e) = 3, (4, 5)\n"
+               "__all__ = []\nPUBLIC = 6\n"
+               "def _f():\n    _local = 7\n"
+               "class _G:\n    _attr = 8\n"
+               "def __getattr__(name):\n    pass\n")
+        assert private_names(src) == ["_A", "_b", "_c", "_e", "_f", "_G"]
+        # a constant's own assignment does not reach it
+        assert unreached_exports({"m": ["_A", "_f"]},
+                                 [src + "_f()\n"]) == ["_A"]
+
     def test_every_export_is_reached(self):
-        sources = [p.read_text(encoding="utf-8")
-                   for p in sorted((ROOT / "src" / "hardtorus").glob("*.py"))]
-        sources.append(
-            (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-        assert unreached_exports(hardtorus._EXPORTS, sources) == []
+        assert unreached_exports(hardtorus._EXPORTS, _PACKAGE_SOURCES) == []
+
+    def test_every_private_name_is_reached(self):
+        # module-level private code that only unit tests call is dead
+        # code too
+        private = {p.stem: private_names(p.read_text(encoding="utf-8"))
+                   for p in sorted((ROOT / "src" / "hardtorus").glob("*.py"))}
+        assert unreached_exports(private, _PACKAGE_SOURCES) == []
 
 
 LAYERS = ("events", "tangent", "neutral", "hyperbolic", "degenerate")

@@ -19,9 +19,8 @@ from hardtorus.geometry import (PhaseState, SystemParams, Tolerances,
 from hardtorus.neutral import (advance, advance_report, collision_graph,
                                is_sufficient, neutral_report, neutral_space,
                                neutral_translate)
-from hardtorus.tangent import (TangentVector, _apply_event_inverse,
-                               frame_for_event, propagate_tangent,
-                               transport_between)
+from hardtorus.tangent import (TangentVector, frame_for_event,
+                               propagate_tangent, transport_between)
 
 C = 1.0 / math.sqrt(2.0)
 P2 = SystemParams(masses=(1.0, 1.0), radius=0.1)
@@ -67,10 +66,11 @@ def unit_neutral(raw, params):
 
 
 def reference_pre_collision(traj, w, k, t_ref):
-    """Incoming-side dq at event k from one transport out of t_ref."""
-    xq, xv = transport_between(traj, w.copy(), np.zeros_like(w), t_ref,
-                               float(traj.ev_t[k]))
-    return _apply_event_inverse(frame_for_event(traj, k), xq, xv)[0]
+    """Incoming-side dq at event k from one transport out of t_ref: the
+    configuration half of the inverse collision step, the reflection."""
+    xq, _ = transport_between(traj, w.copy(), np.zeros_like(w), t_ref,
+                              float(traj.ev_t[k]))
+    return frame_for_event(traj, k).reflect(xq)
 
 
 class TestNeutralSpace:
@@ -299,9 +299,10 @@ class TestAdvance:
                             method="finite_difference")
             assert abs(on - after) <= 1e-6, k
             assert abs(on - advance(traj, W, k, P3M, t_ref=t_ref)) <= 1e-6, k
-            with pytest.raises(ValueError, match="before the event"):
-                advance(traj, W, k, P3M, t_ref=float(traj.ev_t[k]),
-                        method="finite_difference")
+            for method in ("closed_form", "finite_difference"):
+                with pytest.raises(ValueError, match="before the event"):
+                    advance(traj, W, k, P3M, t_ref=float(traj.ev_t[k]),
+                            method=method)
         # the flow direction moves the pair in contact at t_ref apart, so
         # one side of the difference overlaps it: a typed refusal
         for k in (4, 7):
@@ -313,6 +314,17 @@ class TestAdvance:
             fd = advance(traj, flow, k, P3M, t_ref=t_ref + 1e-3,
                          method="finite_difference")
             assert abs(fd - 1.0) <= 1e-6, k
+
+    def test_events_before_t_ref_refused(self):
+        # both methods carry W forward from t_ref, so an event before it,
+        # alone or in an index array, has no advance to report
+        traj = simulate(sample_state(3, P2B), 8.0, P2B)
+        t_ref = 0.5 * float(traj.ev_t[1] + traj.ev_t[2])
+        W = traj.state_at(t_ref).v.reshape(-1)
+        assert abs(advance(traj, W, 2, P2B, t_ref=t_ref) - 1.0) <= 1e-8
+        for k in (1, [2, 0]):
+            with pytest.raises(ValueError, match="before the event"):
+                advance(traj, W, k, P2B, t_ref=t_ref)
 
     def test_closed_form_linear(self):
         traj = simulate(sample_state(3, P2B), 8.0, P2B)
@@ -395,8 +407,9 @@ class TestAdvance:
 
 
 class TestPreCollisionSweep:
-    """One chained sweep per vector gives, event by event, exactly what
-    a separate transport from t_ref followed by the inverse step gives."""
+    """One forward chain per vector gives, event by event after t_ref,
+    exactly what a separate transport from t_ref followed by the inverse
+    step gives."""
 
     @pytest.mark.parametrize("case", ["contact_start", "t_ref_zero",
                                       "t_ref_mid"])
@@ -411,19 +424,23 @@ class TestPreCollisionSweep:
                 0.5 * float(traj.ev_t[6] + traj.ev_t[7])
         rng = np.random.default_rng(11)
         w = project_to_Z(rng.standard_normal(2 * params.n), params)
-        sweep = neutral._pre_collision_vectors(traj, w, t_ref)
-        assert traj.n_events > 8
-        assert not np.isnan(sweep).any()
+        after = np.flatnonzero(traj.ev_t > t_ref)
+        assert after.size > 8
+        sweep = neutral._pre_collision_vectors(traj, w, t_ref, after)
+        assert not np.isnan(sweep[after]).any()
         ref = np.array([reference_pre_collision(traj, w, k, t_ref)
-                        for k in range(traj.n_events)])
-        assert np.array_equal(sweep, ref)
+                        for k in after])
+        assert np.array_equal(sweep[after], ref)
 
     def test_requested_rows_only(self):
         traj = contact_traj()
+        assert traj.ev_t[0] == 0.0 < traj.ev_t[1]
         w = unit_neutral([1, 0, 0, 1, 0, 0], P3M)
-        sweep = neutral._pre_collision_vectors(traj, w, 0.0, [0, 3])
-        assert np.array_equal(sweep[3], reference_pre_collision(traj, w, 3, 0.0))
-        assert np.isnan(np.delete(sweep, [0, 3], axis=0)).all()
+        sweep = neutral._pre_collision_vectors(traj, w, 0.0, [1, 3])
+        for k in (1, 3):
+            assert np.array_equal(sweep[k],
+                                  reference_pre_collision(traj, w, k, 0.0))
+        assert np.isnan(np.delete(sweep, [1, 3], axis=0)).all()
 
 
 class TestCollisionGraph:

@@ -1,3 +1,5 @@
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,3 +39,14 @@ class TestEncodeStr:
         assert _encode_str('a"b\\c\n') == '"a\\"b\\\\c\\n"'
         assert _encode_str("\x01\u00e9") == '"\\u0001\u00e9"'
         assert canonical_json({"k\t": "v"}) == '{"k\\t":"v"}'
+
+
+class TestCanonicalJson:
+    def test_numpy_float_is_a_float(self):
+        # np.float64 subclasses float, so it encodes as the float does
+        assert canonical_json([np.float64(0.1)]) == canonical_json([0.1])
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.array([1.0, 2.0])])
+    def test_other_numpy_values_refused(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json({"k": value})

@@ -19,7 +19,7 @@ from hardtorus.geometry import (PhaseState, SystemParams, mass_norm,
 from hardtorus.hyperbolic import q_evolution_audit
 from hardtorus.rng import make_generator
 from hardtorus.tangent import (NormalVector, TangentVector, _apply_event,
-                               _apply_event_inverse, _carry, frame_for_event,
+                               _carry, _table, frame_for_event,
                                propagate_normal, propagate_tangent, q_of,
                                reverse_normal, transport_between)
 
@@ -60,12 +60,13 @@ class TestCollisionFrame:
     def test_slid_tangents_transverse(self):
         # the slid tangent is perp moved along u, and transverse to the
         # incoming relative velocity
-        for f in self.frames:
-            t, v = f.slid, f.v_pre
+        table = _table(self.traj)
+        for k, f in enumerate(self.frames):
+            t, v, u = table.slid[k], f.v_pre, table.u[k]
             w = v[2 * f.i: 2 * f.i + 2] - v[2 * f.j: 2 * f.j + 2]
             assert abs(t @ w) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(w)
-            slide = t - f.perp
-            assert abs(f.u[0] * slide[1] - f.u[1] * slide[0]) \
+            slide = t - table.perp[k]
+            assert abs(u[0] * slide[1] - u[1] * slide[0]) \
                 <= 1e-15 * np.linalg.norm(t)
 
     def test_base_radius_matches_cylinder(self):
@@ -103,7 +104,7 @@ class TestCollisionFrame:
             i2, j2 = 2 * f.i, 2 * f.j
             others = np.setdiff1d(np.arange(n2), [i2, i2 + 1, j2, j2 + 1])
             x = rng.standard_normal((n2, 4))
-            out, t = f.scatter_pre(x), f.slid
+            out, t = f.scatter_pre(x), f._table.slid[f._k]
             assert not np.any(out[others])
             assert np.abs(t[0] * out[i2 + 1] - t[1] * out[i2]).max() \
                 <= 1e-14 * np.abs(out).max()
@@ -149,12 +150,14 @@ class TestCollisionTable:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_frames_match_event_by_event_bitwise(self, n):
         traj = table_orbit(n)
+        table = _table(traj)
         for k in range(traj.n_events):
             if traj.ev_flags[k]:
                 continue
             f = frame_for_event(traj, k)
             for name, want in event_by_event_frame(traj, k).items():
-                got = getattr(f, name)
+                got = (getattr(table, name)[k] if name in ("u", "perp", "slid")
+                       else getattr(f, name))
                 assert type(got) is type(want), (k, name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
 
@@ -231,14 +234,15 @@ class TestCollisionTable:
         traj = simulate(sample_state(1, P3M), 20.0, P3M)
         assert not traj.ev_flags[2]
         f = frame_for_event(traj, 2)
-        names = ("perp", "block", "rows", "u")
+        names = ("v_pre", "v_post", "block", "rows")
         want = {name: np.array(getattr(f, name)) for name in names}
         for name in names:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(f, name)[0] = 99
         table = vars(traj)["_collision_table"]
-        with pytest.raises(ValueError, match="read-only"):
-            table.scalars[2, 4] = 99.0
+        for arr in (table.scalars, table.u, table.perp, table.slid):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[2, 0] = 99.0
         fresh = frame_for_event(traj, 2)
         for name in names:
             assert getattr(fresh, name).tobytes() == want[name].tobytes(), name
@@ -315,25 +319,19 @@ class TestPropagators:
         assert np.allclose(one[0], two[0], atol=1e-15)
         assert np.array_equal(one[1], two[1])
 
-    def test_collision_inverse_single(self):
-        traj = eventful()
-        rng = np.random.default_rng(3)
-        f = frame_for_event(traj, 0)
-        xq, xv = rng.standard_normal(6), rng.standard_normal(6)
-        bq, bv = _apply_event_inverse(f, *_apply_event(f, xq, xv))
-        assert np.allclose(bq, xq, atol=1e-12)
-        assert np.allclose(bv, xv, atol=1e-12)
-
-    def test_transport_roundtrip(self):
+    def test_backward_transport_refused(self):
+        # vectors are carried forward only
         traj = eventful(seed=7, t=6.0)
-        rng = np.random.default_rng(4)
-        xq = rng.standard_normal(6)
-        xv = rng.standard_normal(6)
-        yq, yv = transport_between(traj, xq, xv, 0.0, traj.t_end)
-        bq, bv = transport_between(traj, yq, yv, traj.t_end, 0.0)
-        scale = max(np.abs(yq).max(), np.abs(yv).max())
-        assert np.allclose(bq, xq, atol=1e-9 * scale)
-        assert np.allclose(bv, xv, atol=1e-9 * scale)
+        x = np.ones(6)
+        with pytest.raises(ValueError, match="forward only"):
+            transport_between(traj, x, x, traj.t_end, 0.0)
+        with pytest.raises(ValueError, match="forward only"):
+            transport_between(traj, x, x, 2.0, 2.0 - 1e-9)
+
+    def test_times_are_required(self):
+        traj = eventful()
+        with pytest.raises(TypeError):
+            propagate_tangent(traj, TangentVector(np.zeros(6), np.zeros(6)))
 
     def test_transport_composition(self):
         traj = eventful(seed=11, t=6.0)
@@ -384,7 +382,8 @@ class TestPropagators:
         import dataclasses
         bad = dataclasses.replace(traj, ev_flags=flags)
         with pytest.raises(SingularSegmentError):
-            propagate_tangent(bad, TangentVector(np.zeros(6), np.zeros(6)))
+            propagate_tangent(bad, TangentVector(np.zeros(6), np.zeros(6)),
+                              [bad.t_end])
 
 
 def assert_names_event(err, traj, k=None):
@@ -407,7 +406,8 @@ class TestNonFiniteTransport:
         dq = reduced_space(P3M).basis[:, 0]
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailureError) as err:
-                propagate_tangent(traj, TangentVector(dq, np.zeros(6)))
+                propagate_tangent(traj, TangentVector(dq, np.zeros(6)),
+                                  [traj.t_end])
         assert_names_event(err, traj, 430)
 
     def test_nan_input_refused_at_first_event(self):
@@ -419,7 +419,8 @@ class TestNonFiniteTransport:
                 transport_between(traj, bad, np.zeros(6), 0.0, traj.t_end)
             assert_names_event(err, traj, 0)
             with pytest.raises(NumericalFailureError) as err:
-                propagate_tangent(traj, TangentVector(bad, np.zeros(6)))
+                propagate_tangent(traj, TangentVector(bad, np.zeros(6)),
+                                  [traj.t_end])
             assert_names_event(err, traj, 0)
             with pytest.raises(NumericalFailureError) as err:
                 propagate_normal(traj, NormalVector(bad, np.zeros(6)))
@@ -447,7 +448,8 @@ class TestTangentMap:
         rng = np.random.default_rng(6)
         a = rng.standard_normal(zb.shape[1])
         b = rng.standard_normal(zb.shape[1])
-        out = propagate_tangent(traj, TangentVector(zb @ a, zb @ b))[0]
+        out = propagate_tangent(traj, TangentVector(zb @ a, zb @ b),
+                                [traj.t_end])[0]
         proj = zb.T * traj.params.mass_weights
         expect = np.concatenate([proj @ out.dq, proj @ out.dv])
         got = matrix @ np.concatenate([a, b])
@@ -479,7 +481,8 @@ class TestCarryMatchesReference:
                 + [TangentVector(zero, c) for c in zb.T])
         got = np.column_stack([
             np.concatenate([proj @ out.dq, proj @ out.dv])
-            for out in (propagate_tangent(traj, tau)[0] for tau in taus)])
+            for out in (propagate_tangent(traj, tau, [traj.t_end])[0]
+                        for tau in taus)])
         want = ref_tangent_map(traj)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
