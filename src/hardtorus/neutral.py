@@ -46,12 +46,13 @@ class NeutralSpaceResult:
     """Neutral space of a trajectory window.
 
     ``basis`` columns are mass-orthonormal vectors of Z attached at
-    ``t_ref``.  Each collision of the window puts one linear condition
-    on them; ``cut_margins`` holds, per condition that removed a
-    direction and in walk order, the relative size of the violation it
-    removed, and ``max_kept_residual`` the largest relative violation
-    left on the kept space.  Margins far above and residuals far below
-    ``rank_rel_tol`` make the dimension trustworthy.
+    ``t_ref``, by a QR only when an event lies in (a, t_ref].  Each
+    collision puts one linear condition on them; ``cut_margins`` holds,
+    per condition that removed a direction and in walk order from a, the
+    relative size of the violation it removed, and ``max_kept_residual``
+    the largest relative violation left on the kept space.  Margins far
+    above and residuals far below ``rank_rel_tol`` make the dimension
+    trustworthy.
     """
 
     a: float
@@ -72,15 +73,15 @@ def neutral_space(traj: TrajectorySegment, a: float, b: float, t_ref: float,
     (i, j) its relative block W_i - W_j is parallel to the pair's
     relative velocity w, and crossing the collision adds
     alpha (v+ - v-), with alpha = w.(W_i - W_j) / |w|^2 the advance
-    (Simanyi & Szasz, Ann. Math. 1999).  The sweep carries
-    mass-orthonormal coefficients C on the basis of Z together with the
-    image B of their vectors, walking forward from t_ref to b (w
-    incoming) and then backward to a (w outgoing).  At each collision
-    the condition g = perp(w).(B_i - B_j) / |w| is cut away when it
-    exceeds rank_rel_tol * max(1, |B_i - B_j|), by restricting C and B
-    to the null space of g; nothing is transported through the
-    exponentially growing tangent map.  A state at rest has no flow
-    line to compare the space with and raises ``ValidationError``.
+    (Simanyi & Szasz, Ann. Math. 1999).  One forward sweep from a to b
+    carries mass-orthonormal coefficients C on the basis of Z with the
+    image B of their vectors, w incoming.  At each collision the
+    condition g = perp(w).(B_i - B_j) / |w| is cut away when it exceeds
+    rank_rel_tol * max(1, |B_i - B_j|), by restricting C and B to the
+    null space of g; nothing is transported through the exponentially
+    growing tangent map.  The basis is B as the sweep passes t_ref,
+    restricted by the later cuts.  A state at rest has no flow line to
+    compare the space with and raises ``ValidationError``.
     """
     _check_window(traj, a, b, t_ref)
     if not mass_norm(traj.initial.v.reshape(-1), params) > 0.0:
@@ -88,31 +89,34 @@ def neutral_space(traj: TrajectorySegment, a: float, b: float, t_ref: float,
                               "every velocity is zero")
     zb = reduced_space(params).basis
     tol = params.tolerances.rank_rel_tol
-    coeffs = np.eye(zb.shape[1])
-    margins, kept = [], 0.0
-    for end, side in ((b, 1.0), (a, -1.0)):
-        img = zb @ coeffs
-        for _, _, _, frame in _walk(traj, t_ref, end):
-            if frame is None:
-                break
-            i, j = frame.i, frame.j
-            v_in = frame.v_pre if side > 0 else frame.v_post
-            w = v_in[2 * i: 2 * i + 2] - v_in[2 * j: 2 * j + 2]
-            nw = math.hypot(w[0], w[1])
-            delta = img[2 * i: 2 * i + 2] - img[2 * j: 2 * j + 2]
-            g = (w[0] * delta[1] - w[1] * delta[0]) / nw
-            scale = max(1.0, float(np.linalg.norm(delta)))
+    coeffs, img = np.eye(zb.shape[1]), zb
+    margins, kept, ref = [], 0.0, None
+    for t_a, t_b, _, frame in _walk(traj, a, b):
+        if ref is None and t_b >= t_ref:
+            ref = (t_a, img, coeffs)
+        if frame is None:
+            break
+        i, j = frame.i, frame.j
+        w = frame.v_pre[2 * i: 2 * i + 2] - frame.v_pre[2 * j: 2 * j + 2]
+        nw = math.hypot(w[0], w[1])
+        delta = img[2 * i: 2 * i + 2] - img[2 * j: 2 * j + 2]
+        g = (w[0] * delta[1] - w[1] * delta[0]) / nw
+        scale = max(1.0, float(np.linalg.norm(delta)))
+        rel = float(np.linalg.norm(g)) / scale
+        if rel > tol:
+            margins.append(rel)
+            null = _null_of_row(g)
+            coeffs, img, delta, g = (coeffs @ null, img @ null,
+                                     delta @ null, g @ null)
             rel = float(np.linalg.norm(g)) / scale
-            if rel > tol:
-                margins.append(rel)
-                null = _null_of_row(g)
-                coeffs, img, delta, g = (coeffs @ null, img @ null,
-                                         delta @ null, g @ null)
-                rel = float(np.linalg.norm(g)) / scale
-            kept = max(kept, rel)
-            alpha = (w @ delta) / (nw * nw)
-            img = img + side * np.outer(frame.v_post - frame.v_pre, alpha)
+        kept = max(kept, rel)
+        alpha = (w @ delta) / (nw * nw)
+        img = img + np.outer(frame.v_post - frame.v_pre, alpha)
     basis = zb @ coeffs
+    t_snap, img_ref, coeffs_ref = ref
+    if t_snap > a:  # the image at t_ref cut to coeffs_ref^T coeffs, in Z
+        basis = zb @ np.linalg.qr((zb.T * params.mass_weights) @ img_ref
+                                  @ (coeffs_ref.T @ coeffs))[0]
     dim = basis.shape[1]
 
     v_ref = traj.state_at(t_ref).v.reshape(-1)

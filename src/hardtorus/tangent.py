@@ -385,14 +385,13 @@ def _walk(traj: TrajectorySegment, t_from: float | None = None,
 
     Without t_from the walk starts from the initial state and crosses
     every event up to t_to, one at t = 0 included.  With t_from, vectors
-    sit on the outgoing side of an event time (bisect's "right"):
-    forward walks cross t_from < t_k <= t_to in order, backward walks
-    t_to < t_k <= t_from in reverse, so a walk that ends on an event
-    time ends on its outgoing side either way.  Segments with flagged
-    (tangential or double) events are refused unless ``flagged``, which
-    yields their flights with frame None.  A t_from or t_to outside
-    [0, t_end], NaN included, raises ``ValueError``.  The event times,
-    flags and ``singular`` are read from the segment's collision table.
+    sit on the outgoing side of an event time (bisect's "right"): the
+    walk crosses t_from < t_k <= t_to in order, and ends on the outgoing
+    side of an event at t_to.  Segments with flagged (tangential or
+    double) events are refused unless ``flagged``, which yields their
+    flights with frame None.  A t_to before t_from, or either outside
+    [0, t_end] (NaN included), raises ``ValueError``.  The event times,
+    flags and ``singular`` come from the segment's collision table.
     """
     table = _table(traj)
     if table.singular and not flagged:
@@ -407,10 +406,10 @@ def _walk(traj: TrajectorySegment, t_from: float | None = None,
         first = bisect.bisect_right(times, t_from)
     if not (0.0 <= t_from <= t_end and 0.0 <= t_to <= t_end):
         raise ValueError(f"[{t_from:g}, {t_to:g}] outside segment span")
-    last = bisect.bisect_right(times, t_to)
-    window = range(first, last) if t_to >= t_from else range(first - 1, last - 1, -1)
+    if t_to < t_from:
+        raise ValueError(f"walks run forward only: {t_to:g} < {t_from:g}")
     t = t_from
-    for k in window:
+    for k in range(first, bisect.bisect_right(times, t_to)):
         t_k = times[k]
         yield t, t_k, k, None if table.flagged[k] else frame_for_event(traj, k)
         t = t_k
@@ -422,12 +421,9 @@ def transport_between(traj: TrajectorySegment, xq, xv, t_from: float, t_to: floa
 
     Vectors are understood in plain phase coordinates at the source
     time (post-collision side at an event time) and arrive in plain
-    coordinates at the target time.  A t_to before t_from raises
-    ``ValueError``.  The walk runs under ``_QUIET``.
+    coordinates at the target time.  ``_walk`` refuses a t_to before
+    t_from with ``ValueError``.  The walk runs under ``_QUIET``.
     """
-    if t_to < t_from:
-        raise ValueError(f"transport runs forward only: t_to = {t_to:g} "
-                         f"< t_from = {t_from:g}")
     with np.errstate(**_QUIET):
         for t_a, t_b, k, frame in _walk(traj, t_from, t_to):
             xq = xq + (t_b - t_a) * xv

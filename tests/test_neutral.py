@@ -127,7 +127,9 @@ class TestNeutralSpace:
         assert_decided(res, P3)
         assert is_sufficient(traj, P3).verdict == "not_sufficient"
 
-    def test_walks_both_ways_from_t_ref(self):
+    def test_attached_after_events(self):
+        # the sweep from a passes seven events before t_ref and takes
+        # the basis from its image there
         traj = seed3_orbit(20.0)
         t_ref = 0.5 * float(traj.ev_t[6] + traj.ev_t[7])
         res = neutral_space(traj, 0.0, 19.99, t_ref, P3M)
@@ -135,18 +137,26 @@ class TestNeutralSpace:
         assert res.flow_residual <= 1e-12
         assert_decided(res, P3M)
 
+    def test_one_forward_walk(self, monkeypatch):
+        calls = []
 
-def svd_kernel(traj, a, b, t_ref, params):
-    """Kernel of the window by the older route: transport the basis
-    (W, 0) of Z to both ends and cut the stacked velocity parts at
+        def recording(traj, *span, **kwargs):
+            calls.append(span)
+            return tangent._walk(traj, *span, **kwargs)
+
+        monkeypatch.setattr(neutral, "_walk", recording)
+        traj = seed3_orbit(20.0)
+        neutral_space(traj, 0.5, 19.99, 9.7, P3M)
+        assert calls == [(0.5, 19.99)]
+
+
+def svd_kernel(traj, b, params):
+    """Kernel of the window [0, b] attached at 0 by the older route:
+    transport the basis (W, 0) of Z to b and cut its velocity part at
     rank_rel_tol times the top singular value."""
     zb = reduced_space(params).basis
-    rows = []
-    for end in (a, b):
-        _, xv = transport_between(traj, zb.copy(), np.zeros_like(zb),
-                                  t_ref, end)
-        rows.append((zb.T * params.mass_weights) @ xv)
-    _, svals, vt = np.linalg.svd(np.vstack(rows))
+    _, xv = transport_between(traj, zb.copy(), np.zeros_like(zb), 0.0, b)
+    _, svals, vt = np.linalg.svd((zb.T * params.mass_weights) @ xv)
     rank = int((svals >= params.tolerances.rank_rel_tol * svals[0]).sum())
     return zb @ vt[rank:].T
 
@@ -179,7 +189,7 @@ class TestNeutralSpaceGate:
     def test_n8_extra_svd_direction_is_first_order(self):
         traj = n8_orbit()
         res = is_sufficient(traj, P8).result
-        kernel = svd_kernel(traj, res.a, res.b, res.t_ref, P8)
+        kernel = svd_kernel(traj, res.b, P8)
         assert kernel.shape[1] == 2
         # the kernel direction mass-orthogonal to the flow
         v = traj.state_at(res.t_ref).v.reshape(-1)
@@ -191,15 +201,27 @@ class TestNeutralSpaceGate:
         assert 5.0 <= dev / dev10 <= 20.0
 
     # windows short enough that the oracle's roundoff floor stays under
-    # 1e-8 at both steps; on the seed-3 orbit it passes 1e-8 by t = 8
-    @pytest.mark.parametrize("case", ["seed3", "n8", "tube"])
+    # 1e-8 at both steps; on the seed-3 orbit it passes 1e-8 by t = 8.
+    # The *_mid cases attach halfway between the window's two middle
+    # events, so the sweep from a crosses events before t_ref and the
+    # basis is orthonormalized from its image there; the oracle shifts
+    # the state at t_ref and simulates it both ways, to b and back to a
+    @pytest.mark.parametrize("case", ["seed3", "n8", "tube", "seed3_mid",
+                                      "tube_mid"])
     def test_kept_vectors_pass_finite_differences(self, case):
         traj, params, t_ref = {"seed3": (seed3_orbit(5.0), P3M, 0.0),
                                "n8": (n8_orbit(), P8, 0.0),
-                               "tube": (tube_traj(), P3, 0.05)}[case]
+                               "tube": (tube_traj(), P3, 0.05),
+                               "seed3_mid": (seed3_orbit(5.0), P3M, None),
+                               "tube_mid": (tube_traj(), P3, None)}[case]
+        if t_ref is None:
+            k = traj.n_events // 2
+            t_ref = 0.5 * float(traj.ev_t[k - 1] + traj.ev_t[k])
         b = traj.t_end
         res = neutral_space(traj, 0.0, b, t_ref, params)
-        assert res.dimension == (3 if case == "tube" else 1)
+        assert res.dimension == (3 if case.startswith("tube") else 1)
+        gram = (res.basis.T * params.mass_weights) @ res.basis
+        assert np.abs(gram - np.eye(res.dimension)).max() <= 1e-14
         for col in res.basis.T:
             devs = neutral_deviations(traj, col, 0.0, b, t_ref, params)
             assert max(devs) <= 1e-8
