@@ -21,8 +21,13 @@ Every prediction pass (the first, each chunk boundary, and the 2N - 3
 re-predictions after an event) solves one candidate list of pairs.  A
 list of at least _SCREEN_MIN_PAIRS pairs is first screened in one numpy
 pass, which drops every pair whose nearest image lies beyond the solve's
-reach, widened by a relative 1e-9.  The screen cannot change a result:
-the nearest image has the smallest |x| of all images, so a dropped
+reach, widened by a relative 1e-9.  After the event of (i, j) the screen
+takes two disk rows, the differences of i and of j to every disk, and
+masks the self entries and row j's copy of (i, j).  A chunk-boundary
+sweep adds the line-of-approach test: below a reach of 1/2 the solve
+visits the nearest image alone, and a root puts the line x + w*t within
+2r + _REACH_SLACK of the origin, so a pair whose line passes farther is
+dropped (see _screen).  The screens cannot change a result: a dropped
 pair's solve would have returned None; the survivors are solved from
 the same Python floats, horizon and guard as without the screen; no
 numpy value reaches a solve, the queue or the record; and since queue
@@ -39,7 +44,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -69,7 +74,9 @@ _CASCADE_LIMIT = 64
 _REACH_SLACK = 1e-6
 # Candidate lists at least this long are screened before the root solve
 # (see _screen); shorter ones go straight to it, where the numpy pass
-# costs more than the solves it saves.  In interleaved timings at
+# costs more than the solves it saves.  The rule is per list: the 2N - 3
+# re-predictions after an event are screened from N = 14 on, the
+# N(N - 1)/2 pairs of a sweep from N = 8.  In interleaved timings at
 # N = 5-16, screened lists of 15-19 pairs ran 3-8 % slower, 21 pairs
 # about even and 28 or more faster.
 _SCREEN_MIN_PAIRS = 24
@@ -145,7 +152,7 @@ def _earliest_root(dx, dy, wx, wy, horizon, two_r, guard):
     return best
 
 
-def _screen(d, w, horizon, two_r):
+def _screen(d, w, horizon, two_r, line=False):
     """Mask of the pairs whose root solve can find a contact.
 
     ``d`` and ``w`` are complex arrays of relative positions (any lift)
@@ -154,12 +161,27 @@ def _screen(d, w, horizon, two_r):
     solve's reach |w|*h + 2r + _REACH_SLACK every image does, and
     _earliest_root returns None.  The reach is widened by _SCREEN_MARGIN,
     so no pair the solve could accept is dropped.
+
+    ``line`` adds the line-of-approach test.  Each axis of the nearest
+    image lies in [-1/2, 1/2], so every other image is at least 1/2
+    away, and below a widened reach of 1/2 the solve visits the nearest
+    image alone.  An accepted root t0 puts x + w*t0 on the contact
+    circle, up to a polish error well below _REACH_SLACK, so the line
+    x + w*t passes within 2r + _REACH_SLACK of the origin:
+    |Im(conj(x)*w)| <= |w|*(2r + _REACH_SLACK).  A pair whose line
+    passes farther, widened by the same margin, is dropped; a pair whose
+    reach is at least 1/2 is kept whatever its line.
     """
     x = d.view(np.float64)
     near = (x - np.rint(x)).view(np.complex128)
     widen = 1.0 + _SCREEN_MARGIN
-    return np.abs(near) <= (np.abs(w) * (horizon * widen)
-                            + (two_r + _REACH_SLACK) * widen)
+    speed = np.abs(w)
+    reach = speed * (horizon * widen) + (two_r + _REACH_SLACK) * widen
+    keep = np.abs(near) <= reach
+    if line:
+        keep &= (reach >= 0.5) | (np.abs((near.conj() * w).imag)
+                                  <= speed * ((two_r + _REACH_SLACK) * widen))
+    return keep
 
 
 @dataclass(frozen=True)
@@ -295,10 +317,9 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     max_p_drift = 0.0
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs_of = [[] for _ in range(n)]
-    for (i, j) in pairs:
-        pairs_of[i].append((i, j))
-        pairs_of[j].append((i, j))
+    # row a holds the pair of disk a with each disk k, as (min, max); its
+    # entry k = a is no pair and is always masked out
+    pair_rows = [[(min(a, k), max(a, k)) for k in range(n)] for a in range(n)]
 
     rows_t, rows_pair, rows_image, rows_u, rows_cos, rows_flag = [], [], [], [], [], []
     # positions and velocities go to flat per-coordinate buffers, N
@@ -310,33 +331,26 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     counters = [0] * n
     heap: list[tuple] = []
 
-    # complex mirrors for the screen, built only when the longest
+    # complex mirrors for the screens, built only when the longest
     # candidate list, all pairs, is long enough to be screened: (2, L)
-    # pair endpoints, the positions (copied in per screen) and the
-    # velocities (updated at each exchange)
+    # pair endpoints, the (2, 1) disks of an event's two rows (an index
+    # array is cheaper to take with than a list), the positions (copied
+    # in per screen) and the velocities (updated at each exchange)
     screening = len(pairs) >= _SCREEN_MIN_PAIRS
     if screening:
-        ends_all = np.array(pairs, dtype=np.intp).T
-        ends_of = [np.array(ps, dtype=np.intp).T for ps in pairs_of]
+        ends = np.array(pairs, dtype=np.intp).T
+        disks_ij = np.empty((2, 1), dtype=np.intp)
         q_buf = np.empty(2 * n)
         zq = q_buf.view(complex)
         zv = np.array(vx) + 1j * np.array(vy)
 
-    def predict(cands, ends, t_now, t_block, self_pair):
+    def predict(cands, t_now, t_block, self_pair):
         """Push each candidate pair's earliest root within the horizon.
 
-        ``ends()`` gives the candidates' (2, L) endpoint indices; it is
-        called only when the list is screened.  ``self_pair`` (or (),
-        none) is solved with _SELF_GUARD, every other pair with guard -1.
+        ``self_pair`` (or (), none) is solved with _SELF_GUARD, every
+        other pair with guard -1.
         """
         horizon = t_block - t_now
-        if len(cands) >= _SCREEN_MIN_PAIRS:
-            q_buf[0::2] = qx
-            q_buf[1::2] = qy
-            e = ends()
-            zd, zw = zq[e], zv[e]
-            keep = _screen(zd[0] - zd[1], zw[0] - zw[1], horizon, two_r)
-            cands = compress(cands, keep.tolist())
         for pair in cands:
             i, j = pair
             hit = _earliest_root(qx[i] - qx[j], qy[i] - qy[j],
@@ -344,6 +358,22 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
                                  _SELF_GUARD if pair == self_pair else -1.0)
             if hit is not None:
                 heapq.heappush(heap, (t_now + hit, i, j, counters[i], counters[j]))
+
+    def sweep(t_now, t_block, self_pair):
+        """Predict every pair, screened with the line test (see _screen).
+
+        Only the sweep takes the line test: after an event its extra
+        numpy passes cost more than the few solves it would save.
+        """
+        cands = pairs
+        if len(pairs) >= _SCREEN_MIN_PAIRS:
+            q_buf[0::2] = qx
+            q_buf[1::2] = qy
+            zd, zw = zq[ends], zv[ends]
+            keep = _screen(zd[0] - zd[1], zw[0] - zw[1], t_block - t_now,
+                           two_r, line=True)
+            cands = compress(pairs, keep.tolist())
+        predict(cands, t_now, t_block, self_pair)
 
     def chunk_length():
         vmax = max(map(math.hypot, vx, vy))
@@ -356,7 +386,7 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
     chunk = chunk_length()
     t_now = 0.0
     t_block = min(chunk, t_max)
-    predict(pairs, lambda: ends_all, 0.0, t_block, ())
+    sweep(0.0, t_block, ())
 
     n_events = 0
     cascade = 0
@@ -388,8 +418,8 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
             t_block = min(t_now + chunk, t_max)
             # a pair resolved at this very instant keeps its echo guard;
             # every other pair may touch now
-            predict(pairs, lambda: ends_all, t_now, t_block,
-                    rows_pair[-1] if rows_t and rows_t[-1] == t_now else ())
+            sweep(t_now, t_block,
+                  rows_pair[-1] if rows_t and rows_t[-1] == t_now else ())
             continue
 
         t_ev, i, j = ev[0], ev[1], ev[2]
@@ -459,10 +489,10 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         rows_u.append((ux, uy))
         rows_cos.append(cos_phi)
         rows_flag.append(flag)
-        rec_qx.extend(qx)
-        rec_qy.extend(qy)
-        rec_vx.extend(vx)
-        rec_vy.extend(vy)
+        rec_qx.fromlist(qx)
+        rec_qy.fromlist(qy)
+        rec_vx.fromlist(vx)
+        rec_vy.fromlist(vy)
 
         for k in (i, j):
             e_terms[k] = m[k] * (vx[k] * vx[k] + vy[k] * vy[k])
@@ -491,12 +521,19 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         if max_events is not None and n_events >= max_events:
             stopped = True
             break
-        # pairs_of[j][i] is (i, j) itself, already in pairs_of[i]; the
-        # defaults bind the pair now, so i and j stay plain locals here
-        predict(pairs_of[i] + pairs_of[j][:i] + pairs_of[j][i + 1:],
-                lambda i=i, j=j: np.concatenate(
-                    (ends_of[i], ends_of[j][:, :i], ends_of[j][:, i + 1:]),
-                    axis=1),
+        # the pairs of i and of j: both rows, less their self entries and
+        # row j's copy of (i, j); a long list is screened as the two rows
+        # of i's and j's differences to every disk
+        if 2 * n - 3 >= _SCREEN_MIN_PAIRS:
+            q_buf[0::2] = qx
+            q_buf[1::2] = qy
+            disks_ij[0, 0], disks_ij[1, 0] = i, j
+            keep_i, keep_j = _screen(zq[disks_ij] - zq, zv[disks_ij] - zv,
+                                     t_block - t_now, two_r).tolist()
+        else:
+            keep_i, keep_j = [True] * n, [True] * n
+        keep_i[i] = keep_j[j] = keep_j[i] = False
+        predict(chain(compress(pair_rows[i], keep_i), compress(pair_rows[j], keep_j)),
                 t_now, t_block, (i, j))
 
     t_end = t_now

@@ -420,10 +420,14 @@ class TestEarliestRoot:
         assert earliest_root_reference(*args, h, 0.25, 0.0) is None
 
 
-def screen_keeps(dx, dy, wx, wy, h, two_r):
-    """_screen's verdict on one pair."""
+def screen_keeps(dx, dy, wx, wy, h, two_r, line=False):
+    """_screen's verdict on one pair, with or without the line test."""
     return bool(_screen(np.array([complex(dx, dy)]), np.array([complex(wx, wy)]),
-                        h, two_r)[0])
+                        h, two_r, line)[0])
+
+
+def both_screens_keep(*args):
+    return screen_keeps(*args) and screen_keeps(*args, line=True)
 
 
 class TestScreen:
@@ -435,7 +439,7 @@ class TestScreen:
     def test_keeps_every_root_on_random_lifts(self, dx, dy, wx, wy, h, two_r,
                                               guard):
         if _earliest_root(dx, dy, wx, wy, h, two_r, guard) is not None:
-            assert screen_keeps(dx, dy, wx, wy, h, two_r)
+            assert both_screens_keep(dx, dy, wx, wy, h, two_r)
 
     @given(st.floats(-1e-3, 1e-3), st.floats(0.01, 3), st.floats(0, 2 * math.pi),
            st.floats(0.01, 1),
@@ -452,7 +456,26 @@ class TestScreen:
         py = -two_r * math.sin(heading + tilt)
         dx, dy = _contact_case(px, py, wx, wy, frac * h, lx, ly)
         if _earliest_root(dx, dy, wx, wy, h, two_r, guard) is not None:
-            assert screen_keeps(dx, dy, wx, wy, h, two_r)
+            assert both_screens_keep(dx, dy, wx, wy, h, two_r)
+
+    @given(st.floats(-math.pi / 2, math.pi / 2), st.floats(0, 1),
+           st.floats(0, 2 * math.pi), st.floats(0, 0.2), st.floats(-2e-9, 1.2),
+           st.integers(-3, 3), st.integers(-3, 3), st.floats(0.01, 0.25),
+           GUARDS)
+    @settings(max_examples=400, deadline=None)
+    def test_line_test_keeps_contacts_below_half_reach(self, tilt, speed,
+                                                       heading, h, frac, lx, ly,
+                                                       two_r, guard):
+        # |w| <= 1, h <= 0.2 and 2r <= 0.25 keep the reach below 1/2,
+        # where the line test applies; tilts up to a quarter turn put
+        # the line anywhere from head-on to grazing
+        wx, wy = speed * math.cos(heading), speed * math.sin(heading)
+        px = -two_r * math.cos(heading + tilt)
+        py = -two_r * math.sin(heading + tilt)
+        dx, dy = _contact_case(px, py, wx, wy, frac * h, lx, ly)
+        assert speed * h + two_r + _REACH_SLACK < 0.5
+        if _earliest_root(dx, dy, wx, wy, h, two_r, guard) is not None:
+            assert screen_keeps(dx, dy, wx, wy, h, two_r, line=True)
 
     def test_reach_edges(self):
         # head-on contact exactly at the horizon h = 1/8, |x| = |w|*h + 2r
@@ -467,17 +490,28 @@ class TestScreen:
         # the nearest image is what counts, whatever the lift
         assert screen_keeps(-2.625, 3.0, *args)
         assert not screen_keeps(-2.625 + 2 * _REACH_SLACK, 3.0, *args)
+        # the line test, at a reach of 0.375: a line passing at exactly
+        # 2r + _REACH_SLACK is kept, one beyond it by more than the
+        # margin is dropped, though its image lies within the reach
+        line = 0.25 + _REACH_SLACK
+        assert screen_keeps(0.2, line, *args, line=True)
+        assert screen_keeps(0.2, line + _REACH_SLACK, *args)
+        assert not screen_keeps(0.2, line + _REACH_SLACK, *args, line=True)
+        # at a reach of 1/2 or more the line test keeps every pair
+        wide = (-1.0, 0.0, 0.25, 0.25)
+        assert screen_keeps(0.2, 0.45, *wide, line=True)
 
     @pytest.mark.parametrize("params, t_max, min_pairs, screened", [
         (P3, 200.0, 1, True), (P5, 100.0, 1, True), (P32, 20.0, 10 ** 9, False),
-    ], ids=["n3_screened", "n5_screened", "n32_plain"])
+        (P32, 250.0, 10 ** 9, False),
+    ], ids=["n3_screened", "n5_screened", "n32_plain", "n32_whole_orbit"])
     def test_forced_path_matches_default(self, monkeypatch, params, t_max,
                                          min_pairs, screened):
         calls = []
 
-        def counting_screen(*args):
+        def counting_screen(*args, **kwargs):
             calls.append(1)
-            return _screen(*args)
+            return _screen(*args, **kwargs)
 
         monkeypatch.setattr(events, "_screen", counting_screen)
         state = sample_state(1, params)
@@ -490,6 +524,24 @@ class TestScreen:
         assert bool(calls) is screened
         assert default.n_events > 100
         assert_same_orbit(default, forced)
+
+    def test_solves_on_the_n32_orbit(self, monkeypatch):
+        # the orbit of the simulate_n32 benchmark workload: a screen that
+        # keeps more pairs than it should fails here by a count
+        solves, roots = [], []
+
+        def counting_root(*args):
+            hit = _earliest_root(*args)
+            solves.append(1)
+            if hit is not None:
+                roots.append(1)
+            return hit
+
+        monkeypatch.setattr(events, "_earliest_root", counting_root)
+        traj = simulate(sample_state(1, P32), 250.0, P32)
+        assert traj.n_events == 3007
+        assert len(roots) == 4407
+        assert len(solves) <= 21000
 
 
 class TestNoOverlap:
