@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import TrajectorySegment, simulate, symbolic_sequence
-from .geometry import PhaseState, SystemParams
+from .geometry import PhaseState, SystemParams, _lattice_pair
 from .neutral import collision_graph
 
 # A velocity field counts as parallel to l0 when the mass-metric norm
@@ -71,9 +71,7 @@ class LatticeDirection:
         """Coerce a pair of integers, flipping to the canonical sign."""
         if isinstance(l0, cls):
             return l0
-        if not all(float(c).is_integer() for c in l0):
-            raise ValidationError(f"l0 entries must be integers, got {tuple(l0)}")
-        a, b = (int(c) for c in l0)
+        a, b = _lattice_pair(l0)
         if a < 0 or (a == 0 and b < 0):
             a, b = -a, -b
         return cls(a, b)

@@ -3,10 +3,14 @@
 Free flight is exact; the only events are binary disk collisions,
 located as roots of the pairwise distance condition over candidate
 lattice images and resolved by elastic momentum exchange along the
-contact line.  Prediction works in time chunks: every pair is solved
-against all lattice images reachable within the chunk horizon, the
-earliest admissible time per pair enters a priority queue, and after
-each collision only the pairs touching the two participants are
+contact line.  The contact image of an event is the nearest image of
+the wrapped positions, -rint(q_i - q_j) per axis, the rule of _screen
+and geometry._pair_gaps; an exact half-integer tie goes to even, and
+needs a disk touching two images of its partner at once, so 2r >= 1/2.
+Prediction works in time chunks: every pair is solved against all
+lattice images reachable within the chunk horizon, the earliest
+admissible time per pair enters a priority queue, and after each
+collision only the pairs touching the two participants are
 re-predicted.  Ties in the queue break lexicographically on the pair.
 
 An image l is reachable within horizon h when |x| <= |w|*h + 2r, where
@@ -265,6 +269,11 @@ def symbolic_sequence(traj: TrajectorySegment) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _event_error(cls, what: str, k: int, t: float, i: int, j: int):
+    """Typed failure naming event k, its time and its pair."""
+    return cls(f"{what} at event {k} (t = {t:.17g}, pair ({i}, {j}))")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -424,21 +433,10 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
 
         t_ev, i, j = ev[0], ev[1], ev[2]
 
-        # the one image rule: the contact vector from the wrapped
-        # positions; at contact the touching image is a minimal one, so
-        # a 3x3 stencil suffices
+        # the contact image: the nearest one (see the module docstring)
         dx0, dy0 = qx[i] - qx[j], qy[i] - qy[j]
         wx, wy = vx[i] - vx[j], vy[i] - vy[j]
-        best = None
-        kx0, ky0 = -math.floor(dx0), -math.floor(dy0)
-        for lx in (kx0 - 1, kx0, kx0 + 1):
-            x = dx0 + lx
-            for ly in (ky0 - 1, ky0, ky0 + 1):
-                y = dy0 + ly
-                r2 = x * x + y * y
-                if best is None or (r2, lx, ly) < best:
-                    best = (r2, lx, ly)
-        _, lx, ly = best
+        lx, ly = -round(dx0), -round(dy0)
         cx, cy = dx0 + lx, dy0 + ly
 
         # safety polish: re-center the contact on the current flight
@@ -459,9 +457,9 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
             cx, cy = qx[i] - qx[j] + lx, qy[i] - qy[j] + ly
         dist = math.hypot(cx, cy)
         if abs(dist - two_r) > 1e3 * contact_tol:
-            raise StateCorruptionError(
-                f"contact of ({i}, {j}) at t = {t_ev:.17g} off by "
-                f"{dist - two_r:.3g}")
+            raise _event_error(StateCorruptionError,
+                               f"contact off by {dist - two_r:.3g}",
+                               n_events, t_ev, i, j)
 
         ux, uy = cx / dist, cy / dist
         rad = wx * ux + wy * uy
@@ -506,18 +504,19 @@ def simulate(state: PhaseState, t_max: float, params: SystemParams, *,
         max_e_drift = max(max_e_drift, e_drift)
         max_p_drift = max(max_p_drift, p_drift)
         if e_drift > 1e-9 or p_drift > 1e-9:
-            raise NumericalFailureError(
-                f"conservation drift at event {n_events} (t = {t_ev:.17g}): "
-                f"energy {e_drift:.3g}, momentum {p_drift:.3g}")
+            raise _event_error(
+                NumericalFailureError, f"conservation drift (energy "
+                f"{e_drift:.3g}, momentum {p_drift:.3g})", n_events, t_ev, i, j)
+        cascade = cascade + 1 if t_ev == last_t else 0
+        last_t = t_ev
+        if cascade > _CASCADE_LIMIT:
+            raise _event_error(NumericalFailureError,
+                               f"collision cascade of {cascade + 1} simultaneous events",
+                               n_events, t_ev, i, j)
 
         counters[i] += 1
         counters[j] += 1
         n_events += 1
-        cascade = cascade + 1 if t_ev == last_t else 0
-        last_t = t_ev
-        if cascade > _CASCADE_LIMIT:
-            raise NumericalFailureError(
-                f"collision cascade: {cascade} events at t = {t_ev:.17g}")
         if max_events is not None and n_events >= max_events:
             stopped = True
             break

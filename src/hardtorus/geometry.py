@@ -196,6 +196,19 @@ def validate_params(params: SystemParams) -> ValidationReport:
          "states may be hard or impossible to sample",))
 
 
+def _lattice_pair(l0) -> tuple[int, int]:
+    """A lattice direction l0 as two integers, not both zero; anything
+    else raises ``ValidationError``."""
+    l0 = tuple(l0)
+    if len(l0) != 2:
+        raise ValidationError(f"l0 must have two entries, got {l0}")
+    if not all(float(c).is_integer() for c in l0):
+        raise ValidationError(f"l0 entries must be integers, got {l0}")
+    if not any(l0):
+        raise ValidationError("l0 must be a nonzero lattice direction")
+    return int(l0[0]), int(l0[1])
+
+
 def validate_state(state: PhaseState, params: SystemParams) -> None:
     """Raise ValidationError unless the state is admissible.
 

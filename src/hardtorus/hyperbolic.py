@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import NumericalFailureError, ValidationError
 from .events import TrajectorySegment, simulate
-from .geometry import (PhaseState, SystemParams, mass_inner, mass_norm,
-                       reduced_space, transverse_basis)
+from .geometry import (PhaseState, SystemParams, _lattice_pair, mass_inner,
+                       mass_norm, reduced_space, transverse_basis)
 from .rng import make_generator
 from .tangent import (TangentVector, _carry, _frame_failure, _walk,
                       propagate_tangent)
@@ -449,11 +449,7 @@ def _cone_ratios(x: np.ndarray, l0, params: SystemParams) -> np.ndarray:
     for a zero row).  l0 must be two integers, not both zero; anything
     else raises ``ValidationError``.
     """
-    if not all(float(c).is_integer() for c in l0):
-        raise ValidationError(f"l0 entries must be integers, got {tuple(l0)}")
-    e = np.array([int(l0[0]), int(l0[1])], dtype=float)
-    if not e.any():
-        raise ValidationError("l0 must be a nonzero lattice direction")
+    e = np.array(_lattice_pair(l0), dtype=float)
     e /= math.hypot(e[0], e[1])
     mw = params.mass_weights
     par = ((x.reshape(len(x), -1, 2) @ e)[:, :, None] * e).reshape(x.shape)

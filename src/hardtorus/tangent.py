@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (NumericalFailureError, SingularSegmentError,
                      TangentialFrameError)
-from .events import TrajectorySegment, _frozen
+from .events import TrajectorySegment, _event_error, _frozen
 from .geometry import SystemParams, mass_inner
 
 
@@ -85,44 +85,41 @@ def reverse_normal(n: NormalVector) -> NormalVector:
     return NormalVector(n.z, -n.w)
 
 
-# Events per vectorised pass of the collision-table build: the pass
-# temporaries, each stack of 8x8 blocks and each slice of frame rows
-# stay a few hundred kB however long the segment is.
+# Events per slice of the collision table: each slice's temporaries,
+# Python rows and stack of 8x8 blocks stay a few hundred kB however long
+# the segment is.
 _TABLE_CHUNK = 256
 
 
 class _CollisionTable:
-    """Per-event collision data of one segment, vectorised over events.
+    """Per-event collision data of one segment, one slice at a time.
 
-    ``scalars`` holds, per event, mi, mj, s, the base radius, cos_pre
-    and cos_phi, next to ``perp`` and the record's pair and u.
-    ``slid`` holds each event's slid tangent, the base-circle tangent
-    perp slid along u until it is transverse to the incoming relative
-    velocity; the event's scattering term acts along it.  All come from
-    the same elementwise IEEE operations as an event-by-event
-    evaluation, so every frame reads the bits it would compute on its
-    own.  ``row`` gives an event's frame data as Python numbers, the
-    form the frames compute with.  The event's tangent map
-    acts on the colliding pair's eight rows of a (4N, m) stack in
-    mass-orthonormal coordinates (dq rows first) as the 8x8 block
-    [[A, 0], [B, A]], with A the reflection and B = A S the
-    pre-collision scattering: the pair-local collision map of Dellago,
-    Posch & Hoover (PRE 53, 1485, 1996).  Rows and blocks are built on
-    first use, one slice of ``_TABLE_CHUNK`` events at a time, the
-    blocks from their lower halves [B, A]; only the slice last asked
-    for is kept of each, so walks that only apply the operators never
-    pay for the blocks and a forward walk holds one slice at a time.
-    Events within the tangency tolerance are
-    masked: nothing is divided by their cosines and their slid tangents
-    stay NaN; flagged events' blocks stay NaN too.  ``perp``,
-    ``scalars``, ``slid``, the block stacks and the per-pair ``rows``
+    ``row`` gives an event's frame data as Python numbers, the form the
+    frames compute with: the pair, mi, mj, s, the base radius, cos_pre
+    and cos_phi, then u, perp, the slid tangent and w, the incoming
+    relative velocity.  The slid tangent is the base-circle tangent perp
+    slid along u until it is transverse to w; the event's scattering
+    term acts along it.  The event's tangent map acts on the colliding
+    pair's eight rows of a (4N, m) stack in mass-orthonormal coordinates
+    (dq rows first) as the 8x8 ``block`` [[A, 0], [B, A]], with A the
+    reflection and B = A S the pre-collision scattering: the pair-local
+    collision map of Dellago, Posch & Hoover (PRE 53, 1485, 1996).
+
+    ``_load`` computes a slice of ``_TABLE_CHUNK`` events in one
+    vectorised pass on first use, by the same elementwise IEEE operations
+    as an event-by-event evaluation, so every frame reads the bits it
+    would compute on its own.  Only the slice last asked for is kept, so
+    a forward walk holds one slice at a time; its block stack is built on
+    the first ``block`` request, so walks that only apply the operators
+    never pay for it.  Events within the tangency tolerance are masked:
+    nothing is divided by their cosines, their slid tangents stay NaN,
+    and flagged events' blocks stay NaN too.  Block stacks and ``rows``
     arrays are read-only, since every frame of the table shares them.
     The walker reads the event times and flags from the lists ``times``
     and ``flagged``, and the segment's ``singular`` from here too.
     """
 
     def __init__(self, traj: TrajectorySegment):
-        k = traj.n_events
         self.params = traj.params
         self.tangency_tol = traj.params.tolerances.tangency_tol
         self.pair, self.u, self.flags = traj.ev_pair, traj.ev_u, traj.ev_flags
@@ -130,62 +127,46 @@ class _CollisionTable:
         self.v_pre, self.v_post = traj.ev_v_pre, traj.ev_v_post
         self.times, self.flagged = traj.ev_t.tolist(), traj.ev_flags.tolist()
         self.singular = any(self.flagged)
-        self.perp = np.empty((k, 2))
-        self.scalars = np.empty((k, 6))
-        self.slid = np.full((k, 2), np.nan)
-        for a in range(0, k, _TABLE_CHUNK):
-            self._fill_scalars(self._chunk(a))
-        for arr in (self.perp, self.scalars, self.slid):
-            _frozen(arr)
-        self._rows = {}
-        self._line_start, self._lines = -1, None
-        self._stack_start, self._stack = -1, None
+        self._rows, self._start = {}, -1
 
-    def _chunk(self, a):
-        return np.arange(a, min(len(self.pair), a + _TABLE_CHUNK))
-
-    def _relative(self, v, ev):
-        return v[ev, self.pair[ev, 0]] - v[ev, self.pair[ev, 1]]
-
-    def _fill_scalars(self, ev):
-        """Fill the slice ``ev`` of ``perp``, ``scalars`` and ``slid``.
+    def _load(self, k: int) -> int:
+        """Hold event k's slice, computing it unless held; return its start.
 
         cos_pre is the engine's recorded ``ev_cosphi``, -(u . w) / s from
         the same floats, so (u . w) / s over cos_pre is exactly -1 and the
         frame's scattering, which projects along w by that ratio, sends
         v_pre to exact zero."""
-        params = self.params
-        mi = params.mass_array[self.pair[ev, 0]]
-        mj = params.mass_array[self.pair[ev, 1]]
-        u = self.u[ev]
+        a = k - k % _TABLE_CHUNK
+        if a == self._start:
+            return a
+        ev = slice(a, a + _TABLE_CHUNK)
+        i, j = self.pair[ev].T
+        at = np.arange(len(i))
+        mi, mj = self.params.mass_array[i], self.params.mass_array[j]
+        u, cos_pre = self.u[ev], self.cosphi[ev]
+        w = self.v_pre[ev][at, i] - self.v_pre[ev][at, j]
+        w_post = self.v_post[ev][at, i] - self.v_post[ev][at, j]
         s = np.sqrt(1.0 / mi + 1.0 / mj)
-        base = 2.0 * params.radius * np.sqrt(mi * mj / (mi + mj))
-        w = self._relative(self.v_pre, ev)
-        w_post = self._relative(self.v_post, ev)
-        cos_pre = self.cosphi[ev]
+        base = 2.0 * self.params.radius * np.sqrt(mi * mj / (mi + mj))
         cos_phi = (u[:, 0] * w_post[:, 0] + u[:, 1] * w_post[:, 1]) / s
         perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
-        self.perp[ev] = perp
-        self.scalars[ev] = np.stack([mi, mj, s, base, cos_pre, cos_phi], axis=1)
         # t = perp + u (w . perp) / (s cos_pre)
         ok = np.minimum(cos_pre, cos_phi) > self.tangency_tol
-        u, perp, w = u[ok], perp[ok], w[ok]
-        self.slid[ev[ok]] = perp + u * (
-            (w[:, 0] * perp[:, 0] + w[:, 1] * perp[:, 1])
-            / (s[ok] * cos_pre[ok]))[:, None]
+        slid = np.full((len(i), 2), np.nan)
+        uo, po, wo = u[ok], perp[ok], w[ok]
+        slid[ok] = po + uo * ((wo[:, 0] * po[:, 0] + wo[:, 1] * po[:, 1])
+                              / (s[ok] * cos_pre[ok]))[:, None]
+        self._lines = list(zip(i.tolist(), j.tolist(), *np.column_stack(
+            [mi, mj, s, base, cos_pre, cos_phi, u, perp, slid, w]).T.tolist()))
+        ok &= self.flags[ev] == 0
+        self._start, self._stack = a, None
+        self._slice = (ok, mi, mj, s, base, cos_phi, u, slid)
+        return a
 
     def row(self, k: int) -> tuple:
-        """Event k as one flat tuple of Python numbers, read from its
-        slice's rows: i, j, mi, mj, s, base_radius, cos_pre, cos_phi, then
-        the x and y of u, perp, slid and w, the incoming relative
-        velocity."""
-        a = k - k % _TABLE_CHUNK
-        if a != self._line_start:
-            ev = self._chunk(a)
-            self._line_start, self._lines = a, list(zip(
-                *self.pair[ev].T.tolist(), *np.concatenate(
-                    [self.scalars[ev], self.u[ev], self.perp[ev], self.slid[ev],
-                     self._relative(self.v_pre, ev)], axis=1).T.tolist()))
+        """Event k as one flat tuple of Python numbers (see the class
+        docstring for the order), read from its slice's rows."""
+        a = self._load(k)
         return self._lines[k - a]
 
     def rows(self, i: int, j: int) -> np.ndarray:
@@ -200,36 +181,33 @@ class _CollisionTable:
 
     def block(self, k: int) -> np.ndarray:
         """Read-only view of event k's 8x8 block in its slice's stack."""
-        a = k - k % _TABLE_CHUNK
-        if a != self._stack_start:
-            ev = self._chunk(a)
-            low = np.full((len(ev), 4, 8), np.nan)
-            cos_pre, cos_phi = self.scalars[ev, 4], self.scalars[ev, 5]
-            ok = ((self.flags[ev] == 0)
-                  & (np.minimum(cos_pre, cos_phi) > self.tangency_tol))
-            if ok.any():
-                low[ok] = self._blocks(ev[ok])
-            stack = np.zeros((len(ev), 8, 8))
+        a = self._load(k)
+        if self._stack is None:
+            ok, *arrays = self._slice
+            low = np.full((len(ok), 4, 8), np.nan)
+            low[ok] = _blocks(*(x[ok] for x in arrays))
+            stack = np.zeros((len(ok), 8, 8))
             stack[:, 4:] = low
             stack[:, :4, :4] = low[:, :, 4:]
-            self._stack_start, self._stack = a, _frozen(stack)
+            self._stack = _frozen(stack)
         return self._stack[k - a]
 
-    def _blocks(self, ev):
-        mi, mj, s, base, _, cos_phi = self.scalars[ev].T
-        u, t = self.u[ev], self.slid[ev]
-        ri, rj = np.sqrt(mi)[:, None], np.sqrt(mj)[:, None]
-        # unit contact normal in scaled pair coordinates; A = I - 2 n n^T
-        nh = np.concatenate([rj * u, -ri * u], axis=1) / np.sqrt(mi + mj)[:, None]
-        refl = np.eye(4) - 2.0 * nh[:, :, None] * nh[:, None, :]
-        # S = c t t^T along the slid tangent t
-        ct = np.concatenate([t / ri, -t / rj], axis=1)
-        coef = 2.0 * cos_phi / (s * s * base)
-        act = ct - 2.0 * nh * (nh * ct).sum(axis=1)[:, None]
-        low = np.empty((len(ev), 4, 8))
-        low[:, :, :4] = coef[:, None, None] * act[:, :, None] * ct[:, None, :]
-        low[:, :, 4:] = refl
-        return low
+
+def _blocks(mi, mj, s, base, cos_phi, u, t):
+    """Lower halves [B, A] of the 8x8 blocks of events given as arrays,
+    one entry (or row of u and of the slid tangent t) per event."""
+    ri, rj = np.sqrt(mi)[:, None], np.sqrt(mj)[:, None]
+    # unit contact normal in scaled pair coordinates; A = I - 2 n n^T
+    nh = np.concatenate([rj * u, -ri * u], axis=1) / np.sqrt(mi + mj)[:, None]
+    refl = np.eye(4) - 2.0 * nh[:, :, None] * nh[:, None, :]
+    # S = c t t^T along the slid tangent t
+    ct = np.concatenate([t / ri, -t / rj], axis=1)
+    coef = 2.0 * cos_phi / (s * s * base)
+    act = ct - 2.0 * nh * (nh * ct).sum(axis=1)[:, None]
+    low = np.empty((len(mi), 4, 8))
+    low[:, :, :4] = coef[:, None, None] * act[:, :, None] * ct[:, None, :]
+    low[:, :, 4:] = refl
+    return low
 
 
 def _table(traj: TrajectorySegment) -> _CollisionTable:
@@ -354,11 +332,9 @@ def _apply_event(frame, xq, xv):
 
 def _frame_failure(traj: TrajectorySegment, k: int,
                    what: str) -> NumericalFailureError:
-    """Typed failure naming event k, its time and its pair."""
-    i, j = traj.ev_pair[k].tolist()
-    return NumericalFailureError(
-        f"{what} at event {k} (t = {float(traj.ev_t[k]):.17g}, "
-        f"pair ({i}, {j}))")
+    """Typed failure naming event k of the record, its time and its pair."""
+    return _event_error(NumericalFailureError, what, k, float(traj.ev_t[k]),
+                        *traj.ev_pair[k].tolist())
 
 
 # numpy error state of a walk that carries vectors, entered once around

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from hardtorus import degenerate
+from hardtorus.errors import TangentialFrameError
 from hardtorus.events import reverse_state, simulate, symbolic_sequence
 from hardtorus.geometry import (PhaseState, SystemParams, mass_inner,
                                 mass_norm, project_to_Z, reduced_space,
@@ -24,9 +25,9 @@ from hardtorus.hyperbolic import (CurvatureOperator, CurvaturePath,
                                   _as_operator_matrix)
 from hardtorus.neutral import collision_graph
 from hardtorus.rng import make_generator
-from hardtorus.tangent import (_TABLE_CHUNK, NormalTransportResult,
-                               NormalVector, TangentVector, _apply_event,
-                               _CollisionTable, _walk, propagate_tangent)
+from hardtorus.tangent import (NormalTransportResult, NormalVector,
+                               TangentVector, _apply_event, _blocks, _walk,
+                               frame_for_event, propagate_tangent)
 
 
 def flow_endpoint(q0, v0, t, params, base_seq):
@@ -819,23 +820,27 @@ def ref_propagate_normal(traj, n0):
 
 # ---------------------------------------------------------------------------
 # Frame-per-event Lyapunov reference.  This is the Lyapunov step as it
-# stood before frames became thin table views: the lower block halves
-# are built for the whole segment at once, and each regular event gets
-# a fresh rows array and an 8x8 block made from its lower half by three
-# numpy calls.  The library must match it bit for bit.
+# stood before frames became thin table views: each regular event's
+# lower block half is built on its own, from its frame's numbers, and
+# each regular event gets a fresh rows array and an 8x8 block made from
+# its lower half by three numpy calls.  The library must match it bit
+# for bit.
 
 
 def ref_block_low(traj):
-    """Lower block halves [B, A] of every event, NaN where masked."""
-    table = _CollisionTable(traj)
+    """Lower block halves [B, A] of every event, each from one-row
+    arrays of its frame's numbers; NaN where masked."""
     out = np.full((traj.n_events, 4, 8), np.nan)
-    tol = traj.params.tolerances.tangency_tol
-    for a in range(0, traj.n_events, _TABLE_CHUNK):
-        ev = np.arange(a, min(traj.n_events, a + _TABLE_CHUNK))
-        cos_pre, cos_phi = table.scalars[ev, 4], table.scalars[ev, 5]
-        ok = (traj.ev_flags[ev] == 0) & (np.minimum(cos_pre, cos_phi) > tol)
-        if ok.any():
-            out[ev[ok]] = table._blocks(ev[ok])
+    for k in range(traj.n_events):
+        if traj.ev_flags[k]:
+            continue
+        try:
+            f = frame_for_event(traj, k)
+        except TangentialFrameError:
+            continue
+        out[k] = _blocks(*(np.array([x]) for x in (
+            f.mi, f.mj, f.s, f.base_radius, f.cos_phi,
+            (f._ux, f._uy), (f._tx, f._ty))))[0]
     return out
 
 

@@ -3,6 +3,7 @@ import decimal
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from conftest import (SYMMETRIES, boundary_orbit, double_orbit, grazing_orbit,
                       no_overlap_headroom, ref_decimal_events,
                       ref_resolve_collision, symmetry_image, table_orbit)
 from hardtorus import events
-from hardtorus.errors import ValidationError
+from hardtorus.errors import (NumericalFailureError, StateCorruptionError,
+                              ValidationError)
 from hardtorus.events import (_NEG_ROOT_SLACK, _REACH_SLACK, _SELF_GUARD,
                               _earliest_root, _screen, reverse_state, simulate,
                               symbolic_sequence, write_events_jsonl)
@@ -304,6 +306,40 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(bad, 1.0, P2)
 
+
+    @pytest.mark.parametrize("params, t_max", [
+        (SystemParams(masses=(1.0, 1.3), radius=0.24), 200.0), (P3, 200.0),
+        (P8, 40.0), (P32, 20.0)], ids=["n2_wide", "n3", "n8", "n32"])
+    def test_image_is_the_nearest(self, params, t_max):
+        # the contact image is -rint of the wrapped position difference
+        traj = simulate(sample_state(1, params), t_max, params)
+        assert traj.n_events > 100
+        k = np.arange(traj.n_events)
+        i, j = traj.ev_pair.T
+        want = -np.rint(traj.ev_q[k, i] - traj.ev_q[k, j])
+        assert np.array_equal(traj.ev_image, want)
+
+    def test_refusals_name_the_event(self, monkeypatch):
+        # every root at once: a pair far from contact fails the contact
+        # check, a touching pair re-collides at one instant until the
+        # cascade limit, and at speeds of 1e9 the momentum roundoff
+        # exceeds the drift bound
+        monkeypatch.setattr(events, "_earliest_root", lambda *args: 0.0)
+        apart = PhaseState(q=[[0.3, 0.5], [0.7, 0.5]], v=[[0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(StateCorruptionError, match=re.escape(
+                "contact off by 0.2 at event 0 (t = 0, pair (0, 1))")):
+            simulate(apart, 1.0, P2)
+        touching = SystemParams(masses=(1.0, 1.3), radius=0.125)
+        for v, message in (
+                ([[0.5, 0.1], [-0.25, 0.3]], re.escape(
+                    "collision cascade of 66 simultaneous events at event 65 "
+                    "(t = 0, pair (0, 1))")),
+                ([[3e9, 0.3], [-2e9, 0.7]],
+                 r"conservation drift \(energy \S+, momentum \S+\) "
+                 r"at event \d+ \(t = 0, pair \(0, 1\)\)")):
+            state = PhaseState(q=[[0.25, 0.5], [0.5, 0.5]], v=v)
+            with pytest.raises(NumericalFailureError, match=message):
+                simulate(state, 1.0, touching)
 
     @pytest.mark.parametrize("params, t_max", [(P3, 200.0), (P32, 20.0)],
                              ids=["n3", "n32"])

@@ -13,6 +13,7 @@ from conftest import (P3_DYADIC, curvature_entropy, curvature_exponents,
                       ref_scatter_pre, table_orbit)
 from hardtorus import cli, hyperbolic, tangent
 from hardtorus.config import parse_config
+from hardtorus.degenerate import perpendicular_speed
 from hardtorus.errors import (NumericalFailureError, SingularSegmentError,
                               ValidationError)
 from hardtorus.events import simulate
@@ -346,6 +347,18 @@ class TestConeDecomposition:
     def test_non_integer_direction_refused(self, l0):
         with pytest.raises(ValidationError, match="l0"):
             cone_ratios(np.zeros(6), np.zeros(6), l0)
+
+    @pytest.mark.parametrize("l0, match", [
+        ((1, 0, 5), "two entries"), ((1,), "two entries"),
+        ((0.5, 1), "must be integers"), ((0, 0), "nonzero")])
+    def test_one_l0_check(self, l0, match):
+        # the cone ratios and the degeneracy layer share one check: a
+        # third entry is refused, not ignored
+        state = sample_state(1, P3)
+        for call in (lambda: cone_ratios(np.zeros(6), np.zeros(6), l0),
+                     lambda: perpendicular_speed(state, l0, P3)):
+            with pytest.raises(ValidationError, match=match):
+                call()
 
     def test_integer_inputs_keep_their_bits(self):
         tau = random_tau()

@@ -122,23 +122,31 @@ class TestExports:
             exec("from hardtorus import no_such_name", {})
 
 
-def _references(tree, skip: str) -> set[str]:
-    """Names the tree reads, imports or looks up as attributes, outside
-    the body of any function or class named ``skip``.  Assigning a name
-    does not reference it."""
-    out, stack = set(), [tree]
+def _outside(tree, skip: str):
+    """The tree's nodes outside the body of any function or class named
+    ``skip``."""
+    stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)) and node.name == skip:
             continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _references(tree, skip: str) -> set[str]:
+    """Names the tree reads, imports or looks up as attributes, outside
+    the body of any function or class named ``skip``.  Assigning a name
+    does not reference it."""
+    out = set()
+    for node in _outside(tree, skip):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -155,6 +163,34 @@ def private_names(source: str) -> list[str]:
                       if isinstance(n, ast.Name)]
     return [name for name in names if name.startswith("_")
             and not (name.startswith("__") and name.endswith("__"))]
+
+
+def class_members(source: str) -> list[str]:
+    """Methods and properties of a source's module-level classes, the
+    ones assigned as ``name = property(...)`` included and dunders left
+    out."""
+    names = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.append(node.name)
+            elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call)
+                  and getattr(node.value.func, "id", None) == "property"):
+                names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def unread_members(names, sources) -> list[str]:
+    """Members that no source reads as an attribute outside their own
+    definition."""
+    trees = [ast.parse(src) for src in sources]
+    return [name for name in names
+            if not any(isinstance(node, ast.Attribute) and node.attr == name
+                       for tree in trees for node in _outside(tree, name))]
 
 
 def unreached_exports(exports, sources) -> list[str]:
@@ -174,9 +210,9 @@ _PACKAGE_SOURCES = [
 
 
 class TestNoDeadExports:
-    """Every exported name is reached by the package itself (a module
-    or a CLI path) or by an acceptance criterion, not only by its own
-    unit tests."""
+    """Every exported name, module-level private name and class member
+    is reached by the package itself (a module or a CLI path) or by an
+    acceptance criterion, not only by its own unit tests."""
 
     def test_scanner_flags_unreached_and_self_references(self):
         src = ("from .m import used\n"
@@ -206,6 +242,27 @@ class TestNoDeadExports:
         private = {p.stem: private_names(p.read_text(encoding="utf-8"))
                    for p in sorted((ROOT / "src" / "hardtorus").glob("*.py"))}
         assert unreached_exports(private, _PACKAGE_SOURCES) == []
+
+    def test_scanner_lists_and_flags_class_members(self):
+        src = ("class A:\n"
+               "    def __init__(self):\n        self.used()\n"
+               "    def used(self):\n        pass\n"
+               "    def recursive(self):\n        return self.recursive()\n"
+               "    def unused(self):\n        pass\n"
+               "    shown = property(lambda a: a.named)\n"
+               "    named = 1\n"
+               "def used():\n    return used\n")
+        assert class_members(src) == ["used", "recursive", "unused", "shown"]
+        # a bare name read is no attribute read
+        assert unread_members(class_members(src), [src]) == [
+            "recursive", "unused", "shown"]
+
+    def test_every_method_is_read(self):
+        # a method or property that only unit tests read is dead code
+        members = [name for p in sorted((ROOT / "src" / "hardtorus").glob("*.py"))
+                   for name in class_members(p.read_text(encoding="utf-8"))]
+        assert len(members) > 40
+        assert unread_members(members, _PACKAGE_SOURCES) == []
 
 
 LAYERS = ("events", "tangent", "neutral", "hyperbolic", "degenerate")

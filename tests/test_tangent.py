@@ -60,12 +60,11 @@ class TestCollisionFrame:
     def test_slid_tangents_transverse(self):
         # the slid tangent is perp moved along u, and transverse to the
         # incoming relative velocity
-        table = _table(self.traj)
-        for k, f in enumerate(self.frames):
-            t, v, u = table.slid[k], f.v_pre, table.u[k]
+        for f in self.frames:
+            t, v, u = np.array([f._tx, f._ty]), f.v_pre, (f._ux, f._uy)
             w = v[2 * f.i: 2 * f.i + 2] - v[2 * f.j: 2 * f.j + 2]
             assert abs(t @ w) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(w)
-            slide = t - table.perp[k]
+            slide = t - (f._px, f._py)
             assert abs(u[0] * slide[1] - u[1] * slide[0]) \
                 <= 1e-15 * np.linalg.norm(t)
 
@@ -104,7 +103,7 @@ class TestCollisionFrame:
             i2, j2 = 2 * f.i, 2 * f.j
             others = np.setdiff1d(np.arange(n2), [i2, i2 + 1, j2, j2 + 1])
             x = rng.standard_normal((n2, 4))
-            out, t = f.scatter_pre(x), f._table.slid[f._k]
+            out, t = f.scatter_pre(x), (f._tx, f._ty)
             assert not np.any(out[others])
             assert np.abs(t[0] * out[i2 + 1] - t[1] * out[i2]).max() \
                 <= 1e-14 * np.abs(out).max()
@@ -146,17 +145,25 @@ def event_by_event_frame(traj, k):
                                 / (s * cos_pre))}
 
 
+# the slots that hold each vector of a frame's table row
+FRAME_VECTORS = {"u": ("_ux", "_uy"), "perp": ("_px", "_py"),
+                 "slid": ("_tx", "_ty"), "w": ("_wx", "_wy")}
+
+
+def frame_vector(f, name):
+    return tuple(getattr(f, slot) for slot in FRAME_VECTORS[name])
+
+
 class TestCollisionTable:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_frames_match_event_by_event_bitwise(self, n):
         traj = table_orbit(n)
-        table = _table(traj)
         for k in range(traj.n_events):
             if traj.ev_flags[k]:
                 continue
             f = frame_for_event(traj, k)
             for name, want in event_by_event_frame(traj, k).items():
-                got = (getattr(table, name)[k] if name in ("u", "perp", "slid")
+                got = (np.array(frame_vector(f, name)) if name in FRAME_VECTORS
                        else getattr(f, name))
                 assert type(got) is type(want), (k, name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
@@ -239,10 +246,8 @@ class TestCollisionTable:
         for name in names:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(f, name)[0] = 99
-        table = vars(traj)["_collision_table"]
-        for arr in (table.scalars, table.u, table.perp, table.slid):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[2, 0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            vars(traj)["_collision_table"].u[2, 0] = 99.0
         fresh = frame_for_event(traj, 2)
         for name in names:
             assert getattr(fresh, name).tobytes() == want[name].tobytes(), name
@@ -258,6 +263,32 @@ class TestCollisionTable:
         for k, block in zip(reversed(ks), reversed(first)):
             assert frame_for_event(traj, k).block.tobytes() == block.tobytes()
 
+
+    def test_walk_holds_one_slice(self):
+        # a forward walk that reads every block holds no per-event data
+        # longer than one slice, apart from the record's own arrays and
+        # the event times and flags
+        traj = simulate(sample_state(1, P3M), 500.0, P3M)
+        assert traj.n_events > 2 * tangent._TABLE_CHUNK and not traj.singular
+        for _, _, k, f in tangent._walk(traj):
+            if f is not None:
+                assert f.block.shape == (8, 8)
+        record = [getattr(traj, fl.name) for fl in dataclasses.fields(traj)
+                  if fl.name.startswith("ev_")]
+        held = [x for name, x in vars(_table(traj)).items()
+                if name not in ("times", "flagged")]
+        longest = 0
+        while held:
+            x = held.pop()
+            if isinstance(x, dict):
+                held += x.values()
+            elif isinstance(x, np.ndarray) and x.ndim:
+                if not any(np.shares_memory(x, r) for r in record):
+                    longest = max(longest, len(x))
+            elif isinstance(x, (list, tuple)):
+                longest = max(longest, len(x))
+                held += x
+        assert 0 < longest <= tangent._TABLE_CHUNK
 
     def test_kernels_serve_stacks_column_by_column(self):
         # one code path serves a flat vector and a (2N, k) stack: each
@@ -281,8 +312,6 @@ class TestCollisionTable:
         # last slice, every frame reads its own event's bits
         traj = simulate(sample_state(1, P3M), 500.0, P3M)
         assert traj.n_events > 2 * tangent._TABLE_CHUNK and not traj.singular
-        table = tangent._table(traj)
-        w_pre = table._relative(table.v_pre, np.arange(traj.n_events))
         t_from = 0.5 * float(traj.ev_t[10] + traj.ev_t[11])
         walked = []
         for start in (None, t_from):
@@ -290,15 +319,13 @@ class TestCollisionTable:
                 if f is None:
                     continue
                 walked.append(k)
-                assert [f.i, f.j] == table.pair[k].tolist(), k
-                got = np.array([f.mi, f.mj, f.s, f.base_radius,
-                                f.cos_pre, f.cos_phi])
-                assert got.tobytes() == table.scalars[k].tobytes(), k
-                for mine, want in (((f._ux, f._uy), table.u),
-                                   ((f._px, f._py), table.perp),
-                                   ((f._tx, f._ty), table.slid),
-                                   ((f._wx, f._wy), w_pre)):
-                    assert np.array(mine).tobytes() == want[k].tobytes(), k
+                want = event_by_event_frame(traj, k)
+                want["w"] = traj.ev_v_pre[k, f.i] - traj.ev_v_pre[k, f.j]
+                for name, value in want.items():
+                    got = (np.array(frame_vector(f, name))
+                           if name in FRAME_VECTORS else getattr(f, name))
+                    assert np.asarray(got).tobytes() == \
+                        np.asarray(value).tobytes(), (k, name)
         n = traj.n_events
         assert walked == list(range(n)) + list(range(11, n))
 
